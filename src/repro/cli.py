@@ -627,13 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-store", action="store_true",
                    help="serve without the on-disk artifact store")
     p.add_argument("--max-queue", type=int, default=64, metavar="N",
-                   help="admission bound on queued distinct requests; "
+                   help="admission bound on queued distinct "
+                        "computations (cached answers never queue); "
                         "beyond it the server sheds with 429 + "
                         "Retry-After (default 64)")
     p.add_argument("--deadline-ms", type=float, default=None,
                    metavar="MS",
-                   help="server-side deadline per request; expiry "
-                        "returns 503 (clients may tighten it via "
+                   help="server-side deadline per computation; "
+                        "expiry returns 503 (clients may tighten it via "
                         "X-Deadline-Ms, never extend; default: none)")
     p.add_argument("--drain-timeout", type=float, default=5.0,
                    metavar="S",

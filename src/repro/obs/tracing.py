@@ -11,8 +11,8 @@ Propagation rules:
 
 - within one thread / one asyncio task tree, the active trace flows
   through a :mod:`contextvars` variable (``asyncio.ensure_future``
-  copies the context at task creation, so the server's route task
-  inherits it for free);
+  copies the context at task creation, so the server's admission task
+  for a computation inherits it for free);
 - ``loop.run_in_executor`` does *not* carry context into worker
   threads, so the engine carries the trace on the
   ``ServiceRequest.trace`` field and re-activates it explicitly via

@@ -3,8 +3,9 @@
 The paper's pitch is *rapid* prediction; this package makes the
 reproduction serve it: a long-lived engine keeps profiles, ILP tables
 and epoch-cost memos resident (:mod:`~repro.service.engine`), an
-asyncio request coalescer deduplicates and batches concurrent work
-(:mod:`~repro.service.batching`), and a stdlib HTTP/JSON front end
+asyncio request coalescer deduplicates and batches concurrent
+computations (:mod:`~repro.service.batching`; cached answers skip it),
+and a stdlib HTTP/JSON front end
 (:mod:`~repro.service.server`, ``python -m repro serve``) exposes
 ``/v1/predict``, ``/v1/compare``, ``/v1/sweep``, ``/v1/profiles`` and
 ``/healthz`` to clients (:mod:`~repro.service.client`) and the

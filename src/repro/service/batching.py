@@ -38,12 +38,20 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(
+        self, key: Hashable, default: Any = None, count_miss: bool = True
+    ) -> Any:
+        """The value for ``key``, refreshed as most recently used.
+
+        ``count_miss=False`` leaves a miss uncounted: a probe whose miss
+        a later ``get`` on the compute path counts again.
+        """
         with self._lock:
             try:
                 value = self._data[key]
             except KeyError:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return default
             self._data.move_to_end(key)
             self.hits += 1

@@ -17,7 +17,10 @@ artifacts resident across requests:
   none;
 * per-(profile, config) :class:`~repro.core.epoch_model.EpochCostCache`
   memos, so repeat predictions skip every Eq.-1 evaluation;
-* finished response payloads, keyed by the full request tuple.
+* finished response payloads next to their JSON-encoded bodies, keyed
+  by the full request tuple, so the HTTP server can answer a repeat
+  request on its event loop from bytes
+  (:meth:`PredictionEngine.cached_body`).
 
 The engine is synchronous and thread-safe — transports (the asyncio
 HTTP server, the CLI, tests) call it from whatever execution context
@@ -29,10 +32,11 @@ service's JSON schema *and* the CLI's text output, which is what makes
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.arch.config import MulticoreConfig
 from repro.arch.presets import TABLE_IV, table_iv_config
@@ -104,11 +108,37 @@ class ServiceRequest:
     )
 
     def key(self) -> tuple:
-        """Coalescing/memo identity: every field that changes the answer."""
+        """Coalescing/memo identity: every field that changes the answer.
+
+        A sweep ignores ``config`` and the other kinds ignore
+        ``configs``, so those fields are blanked: a request parsed by
+        the server and the engine's own memo lookup agree on the key.
+        """
+        if self.kind == "sweep":
+            return (
+                self.kind, self.benchmark, "", self.cores, self.scale,
+                self.configs,
+            )
         return (
             self.kind, self.benchmark, self.config, self.cores,
-            self.scale, self.configs,
+            self.scale, (),
         )
+
+
+def encode_json(payload: dict) -> bytes:
+    """The wire encoding of a JSON response body."""
+    return json.dumps(payload).encode()
+
+
+class CachedResult(NamedTuple):
+    """One result-LRU entry: a finished payload and its encoded body.
+
+    Built together, so LRU eviction and store-generation invalidation
+    drop both at once.
+    """
+
+    payload: dict
+    body: bytes
 
 
 @dataclass
@@ -165,7 +195,8 @@ class PredictionEngine:
         self.chunk = chunk
         #: profile store key -> (label, WorkloadProfile)
         self._profiles = LRUCache(max_profiles)
-        #: request key -> finished payload (treated as immutable)
+        #: request key -> CachedResult (payload + encoded body; both
+        #: treated as immutable)
         self.results = LRUCache(max_results)
         #: (label, scale) -> workload seed (pure function; bounded like
         #: every other engine cache — the key is client-controlled)
@@ -316,7 +347,7 @@ class PredictionEngine:
         self._count("requests", "predict")
         cached = self.results.get(request.key())
         if cached is not None:
-            return cached
+            return cached.payload
         ref = self._ref(benchmark)
         cfg = self._config(config, cores)
         _pkey, profile = self.profile(ref, scale)
@@ -326,9 +357,7 @@ class PredictionEngine:
         result = predict(profile, cfg, session=self.session)
         self._bump("predictions_run")
         self._count("computed", "predict")
-        payload = prediction_payload(result, cfg)
-        self.results.put(request.key(), payload)
-        return payload
+        return self._remember(request, prediction_payload(result, cfg))
 
     def compare(
         self,
@@ -345,7 +374,7 @@ class PredictionEngine:
         self._count("requests", "compare")
         cached = self.results.get(request.key())
         if cached is not None:
-            return cached
+            return cached.payload
         ref = self._ref(benchmark)
         cfg = self._config(config, cores)
         _pkey, profile = self.profile(ref, scale)
@@ -354,9 +383,7 @@ class PredictionEngine:
         sim = simulate(self._trace(ref, scale), cfg, session=self.session)
         self._bump("simulations_run")
         self._count("computed", "compare")
-        payload = compare_payload(pred, sim, cfg)
-        self.results.put(request.key(), payload)
-        return payload
+        return self._remember(request, compare_payload(pred, sim, cfg))
 
     def sweep(
         self,
@@ -373,21 +400,42 @@ class PredictionEngine:
         self._count("requests", "sweep")
         cached = self.results.get(request.key())
         if cached is not None:
-            return cached
+            return cached.payload
         names = tuple(configs) or tuple(TABLE_IV)
         results = [
             self.predict(benchmark, name, cores, scale) for name in names
         ]
         self._count("computed", "sweep")
-        payload = {
+        return self._remember(request, {
             "benchmark": benchmark,
             "cores": cores,
             "scale": scale,
             "configs": list(names),
             "results": results,
-        }
-        self.results.put(request.key(), payload)
+        })
+
+    def _remember(self, request: ServiceRequest, payload: dict) -> dict:
+        """Memoize a computed payload together with its encoded body."""
+        self.results.put(
+            request.key(), CachedResult(payload, encode_json(payload))
+        )
         return payload
+
+    def cached_body(self, request: ServiceRequest) -> Optional[bytes]:
+        """The encoded answer to ``request`` if the result LRU holds it.
+
+        The server's event-loop lookup: a hit counts exactly what
+        :meth:`handle` counts for one (the request, one result-LRU
+        hit, the TTL-throttled generation check).  A miss counts
+        nothing here -- the request goes on to :meth:`handle`, whose
+        own lookup counts it -- so hits + misses still equals lookups.
+        """
+        self._check_generation()
+        entry = self.results.get(request.key(), count_miss=False)
+        if entry is None:
+            return None
+        self._count("requests", request.kind)
+        return entry.body
 
     def profiles(self) -> dict:
         """``/v1/profiles``: resident + persisted profile inventory."""
@@ -454,7 +502,9 @@ class PredictionEngine:
                 # Chaos fault point: a slow or failing engine call.
                 # The delay occupies this worker thread exactly like a
                 # real degraded engine would, which is how the overload
-                # scenarios manufacture a known, bounded capacity.
+                # scenarios manufacture a known, bounded capacity.  The
+                # server answers result-cache hits on its event loop,
+                # so served requests only get here to be computed.
                 FAULTS.fire("engine.compute")
                 if request.kind == "predict":
                     return 200, self.predict(
@@ -653,12 +703,14 @@ def format_compare(payload: dict) -> str:
 
 __all__ = [
     "ERROR_BUDGET_THRESHOLDS",
+    "CachedResult",
     "EngineStats",
     "PredictionEngine",
     "ServiceError",
     "ServiceRequest",
     "compare_payload",
     "default_store",
+    "encode_json",
     "error_budget",
     "format_compare",
     "format_prediction",

@@ -27,6 +27,7 @@ bounded capacity.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Callable, Dict, List, Optional
@@ -315,6 +316,40 @@ def run_loadgen(
 # -- overload / chaos scenarios ----------------------------------------------
 
 
+def _fresh_keys() -> Callable[[], Dict]:
+    """Draw predict parameters that no earlier draw produced.
+
+    Cycles the five Table IV points crossed with 1-1024 cores (5120
+    keys) at the scenario's fixed scale, so against an engine warmed
+    with nothing but the profile each request is a real Eq.-1
+    computation.  Result-cache hits are answered on the server's event
+    loop and never reach the (slowed) engine or the admission queue,
+    so only misses can overload them.  ``next`` on an
+    ``itertools.count`` is atomic, so any thread may draw.
+    """
+    from repro.arch.presets import TABLE_IV
+
+    names = tuple(TABLE_IV)
+    counter = itertools.count()
+
+    def draw() -> Dict:
+        n = next(counter)
+        return {
+            "config": names[n % len(names)],
+            "cores": 1 + (n // len(names)) % 1024,
+        }
+
+    return draw
+
+
+def _result_hit_rate(engine, before: Dict[str, int]) -> float:
+    """Result-cache hits / lookups since the ``before`` stats snapshot."""
+    after = engine.results.stats()
+    hits = after["hits"] - before["hits"]
+    lookups = hits + after["misses"] - before["misses"]
+    return hits / lookups if lookups else 0.0
+
+
 def _scenario_stampede(
     benchmark: str, scale: float, duration_s: float
 ) -> Dict:
@@ -322,31 +357,32 @@ def _scenario_stampede(
 
     A deliberately slowed engine (chaos ``engine.compute`` delay)
     pins capacity at ~``workers / delay`` req/s; 32 closed-loop
-    workers cycling *distinct* request keys (cores vary, so neither
-    single-flight nor the result LRU can absorb the load) then offer
-    several times the queue can hold.  The contract under test:
-    everything not served is a well-formed 429 + Retry-After.
+    workers each asking for a design point nobody asked for before
+    (:func:`_fresh_keys`, so neither single-flight nor the result LRU
+    can absorb the load) then offer several times the queue can hold.
+    The contract under test: everything not served is a well-formed
+    429 + Retry-After.
     """
-    from repro.service.engine import PredictionEngine
+    from repro.service.engine import PredictionEngine, resolve_benchmark
     from repro.service.server import BackgroundServer
     from repro.testing.faults import inject
 
     max_queue = 8
     concurrency = 32
     engine = PredictionEngine(store=None)
+    # The one-time profile cost only: no answer is cached up front.
+    engine.profile(resolve_benchmark(benchmark), scale)
     with BackgroundServer(
         engine=engine, workers=2, max_queue=max_queue,
     ) as server:
-        with ServiceClient(port=server.port) as warm:
-            warm.predict(benchmark=benchmark, scale=scale)
+        fresh = _fresh_keys()
 
         def call(client: ServiceClient, worker_id: int, i: int) -> dict:
-            cores = 1 + ((worker_id * 7 + i) % 16)
             return client.predict(
-                benchmark=benchmark, scale=scale, cores=cores,
-                retries=0,
+                benchmark=benchmark, scale=scale, retries=0, **fresh()
             )
 
+        cache0 = engine.results.stats()
         with inject("engine.compute", delay_s=0.02):
             drive = _drive(
                 "127.0.0.1", server.port, call,
@@ -364,6 +400,7 @@ def _scenario_stampede(
             drive["attempts"] / ok if ok else float(drive["attempts"])
         ),
         **drive,
+        "result_hit_rate": _result_hit_rate(engine, cache0),
         "server_shed": _health_value(health, "admission.shed"),
         "server_queue_depth_max": max_queue,
     }
@@ -374,31 +411,32 @@ def _scenario_slow_engine(
 ) -> Dict:
     """Engine running ~10x past the request deadline.
 
-    Every computing request must end in a ``503`` that echoes the
+    Every request asks for a fresh design point (:func:`_fresh_keys`),
+    so every one computes and must end in a ``503`` that echoes the
     deadline — never a hang, never a raw socket error — and queued
     work abandoned by its timed-out waiter must be reaped before it
     wastes an engine worker.
     """
-    from repro.service.engine import PredictionEngine
+    from repro.service.engine import PredictionEngine, resolve_benchmark
     from repro.service.server import BackgroundServer
     from repro.testing.faults import inject
 
     deadline_ms = 100.0
     concurrency = 8
     engine = PredictionEngine(store=None)
+    # The one-time profile cost only: no answer is cached up front.
+    engine.profile(resolve_benchmark(benchmark), scale)
     with BackgroundServer(
         engine=engine, workers=2, deadline_ms=deadline_ms,
     ) as server:
-        with ServiceClient(port=server.port) as warm:
-            warm.predict(benchmark=benchmark, scale=scale)
+        fresh = _fresh_keys()
 
         def call(client: ServiceClient, worker_id: int, i: int) -> dict:
-            cores = 1 + ((worker_id * 5 + i) % 8)
             return client.predict(
-                benchmark=benchmark, scale=scale, cores=cores,
-                retries=0,
+                benchmark=benchmark, scale=scale, retries=0, **fresh()
             )
 
+        cache0 = engine.results.stats()
         with inject("engine.compute", delay_s=0.25):
             drive = _drive(
                 "127.0.0.1", server.port, call,
@@ -412,6 +450,7 @@ def _scenario_slow_engine(
         "concurrency": concurrency,
         "deadline_ms": deadline_ms,
         **drive,
+        "result_hit_rate": _result_hit_rate(engine, cache0),
         "server_deadline_expired": _health_value(
             health, "admission.deadline_expired"
         ),
@@ -453,6 +492,7 @@ def _scenario_kill_mid_burst(
                 cores=1 + (i % 4), retries=0,
             )
 
+        cache0 = engine.results.stats()
         killer.start()
         drive = _drive(
             "127.0.0.1", server.port, call,
@@ -470,6 +510,7 @@ def _scenario_kill_mid_burst(
         "concurrency": concurrency,
         "killed_at_s": kill_at_s,
         **drive,
+        "result_hit_rate": _result_hit_rate(engine, cache0),
     }
 
 

@@ -2,31 +2,36 @@
 
 Stdlib only: ``asyncio.start_server`` plus a small HTTP/1.1
 keep-alive parser — no web framework, so the service runs anywhere the
-reproduction runs.  The event loop owns parsing and routing; engine
-work happens on a thread pool behind the
-:class:`~repro.service.batching.Coalescer`, which deduplicates
+reproduction runs.  The event loop owns parsing and routing, and it
+answers every request whose answer is already cached: a repeat
+predict/compare/sweep is parsed once, found in the engine's result
+LRU and answered with the JSON body encoded when it was computed.
+Only computations (result-cache misses) leave the loop: they enter
+the :class:`~repro.service.batching.Coalescer`, which deduplicates
 identical in-flight requests (single-flight) and ships distinct ones
-to the engine in micro-batches.
+to the engine's thread pool in micro-batches.
 
 Overload safety (the serving plane degrades, it does not collapse):
 
 * **Admission control** — a bounded queue in front of the coalescer
-  (``max_queue`` distinct requests admitted at once).  Overflow is
+  (``max_queue`` distinct computations admitted at once).  Overflow is
   shed immediately with ``429 Too Many Requests`` plus a
   ``Retry-After`` header derived from the coalescer's EWMA service
-  time, so clients back off instead of piling on.
-* **Deadlines** — every compute request carries a deadline (server
+  time, so clients back off instead of piling on.  A cached answer
+  never enters the queue, so it is never shed.
+* **Deadlines** — every computation carries a deadline (server
   default ``deadline_ms``, tightened per request via an
   ``X-Deadline-Ms`` header).  Expiry returns ``503`` with the
   deadline echoed; queued work whose last waiter timed out is
-  reaped before it ever reaches the engine.
-* **Disconnect cancellation** — a client hanging up mid-request
-  cancels the in-flight wait (and the queued work, if nobody else
-  shares it via single-flight).
+  reaped before it ever reaches the engine.  A malformed header is a
+  ``400`` whether or not the answer is cached.
+* **Disconnect cancellation** — a client hanging up while its
+  computation is in flight cancels the wait (and the queued work, if
+  nobody else shares it via single-flight).
 * **Graceful drain** — shutdown stops the listener first, lets
   admitted work finish for up to ``drain_timeout`` seconds (new
-  compute requests are refused with 503 while draining), then closes
-  connections.
+  compute requests, cached or not, are refused with 503 while
+  draining), then closes connections.
 
 Observability (see :mod:`repro.obs`): every response carries an
 ``X-Request-Id`` (client-provided via the header of the same name, or
@@ -74,7 +79,12 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import get_logger, span
 from repro.obs.logging import ensure_configured
-from repro.obs.metrics import REGISTRY, MetricsRegistry, render_registries
+from repro.obs.metrics import (
+    REGISTRY,
+    Counter,
+    MetricsRegistry,
+    render_registries,
+)
 from repro.obs.tracing import (
     TRACE_RING,
     activate,
@@ -88,6 +98,7 @@ from repro.service.batching import Coalescer
 from repro.service.engine import (
     PredictionEngine,
     ServiceRequest,
+    encode_json,
     error_budget,
 )
 from repro.testing.faults import FAULTS
@@ -103,7 +114,7 @@ _MAX_BODY = 1024 * 1024
 _MAX_CORES = 1024
 _MAX_SCALE = 100.0
 #: How often the connection handler polls for a client disconnect
-#: while a routed request is in flight.
+#: while a computation is in flight.
 _DISCONNECT_POLL_S = 0.05
 #: Retry-After is clamped to [1, 60] seconds — long enough to matter,
 #: short enough that honest clients come back.
@@ -123,10 +134,8 @@ _REASONS = {
 #: Routes that may appear as a metrics label.  Unknown paths collapse
 #: to "other" so a client scanning for endpoints cannot blow up the
 #: label cardinality of ``repro_http_requests_total``.
-_KNOWN_ROUTES = frozenset({
-    "/healthz", "/metrics", "/v1/profiles",
-    "/v1/predict", "/v1/compare", "/v1/sweep",
-})
+_COMPUTE_ROUTES = frozenset({"/v1/predict", "/v1/compare", "/v1/sweep"})
+_KNOWN_ROUTES = _COMPUTE_ROUTES | {"/healthz", "/metrics", "/v1/profiles"}
 _DEBUG_TRACE_PREFIX = "/v1/debug/trace"
 
 
@@ -206,6 +215,14 @@ class PredictionService:
             "HTTP requests served, by fleet worker",
             labels=("worker",),
         )
+        # Label children are bound once (route/status ones on first
+        # use): ``labels()`` sorts its kwargs twice per call, too dear
+        # for every request.
+        self._worker_label = str(self.worker_id)
+        self._m_served_here = self._m_worker_requests.labels(
+            worker=self._worker_label
+        )
+        self._m_requests_by: Dict[Tuple[str, int], Counter] = {}
         self.metrics.register_collector("service", self._collect_metrics)
         #: True once shutdown began: compute requests get 503.
         self.draining = False
@@ -580,7 +597,13 @@ class PredictionService:
                     )
                     break
                 method, target, headers = request
-                length = int(headers.get("content-length", "0") or "0")
+                length = _content_length(headers)
+                if length is None:
+                    await self._respond(
+                        writer, 400, {"error": "malformed Content-Length"},
+                        close=True,
+                    )
+                    break
                 if length > _MAX_BODY:
                     await self._respond(
                         writer, 413, {"error": "body too large"},
@@ -593,7 +616,8 @@ class PredictionService:
                         body = await reader.readexactly(length)
                     except asyncio.IncompleteReadError:
                         break
-                path = urlsplit(target).path.rstrip("/") or "/"
+                parts = urlsplit(target)
+                path = parts.path.rstrip("/") or "/"
                 request_id = (
                     headers.get("x-request-id") or new_request_id()
                 )
@@ -601,13 +625,16 @@ class PredictionService:
                 started = time.perf_counter()
                 self._active_requests += 1
                 try:
-                    # The route task inherits the activated trace via
-                    # contextvars (ensure_future copies the context).
+                    # A computation's admission task inherits the
+                    # activated trace via contextvars (ensure_future
+                    # copies the context).
                     token = activate(trace)
                     try:
-                        routed = await self._route_watched(
-                            reader, writer, method, target, headers, body
-                        )
+                        with span("route", method=method, path=path):
+                            routed = await self._dispatch(
+                                reader, writer, method, path,
+                                parts.query, headers, body,
+                            )
                     finally:
                         deactivate(token)
                     if routed is None:
@@ -615,19 +642,8 @@ class PredictionService:
                     status, payload, extra = routed
                     extra = dict(extra)
                     extra.setdefault("X-Request-Id", request_id)
-                    extra.setdefault("X-Worker-Id", str(self.worker_id))
-                    route_label = (
-                        path if path in _KNOWN_ROUTES
-                        else _DEBUG_TRACE_PREFIX
-                        if path.startswith(_DEBUG_TRACE_PREFIX)
-                        else "other"
-                    )
-                    self._m_requests.labels(
-                        route=route_label, status=str(status)
-                    ).inc()
-                    self._m_worker_requests.labels(
-                        worker=str(self.worker_id)
-                    ).inc()
+                    extra.setdefault("X-Worker-Id", self._worker_label)
+                    self._count_response(path, status)
                     keep = (
                         headers.get("connection", "").lower() != "close"
                     )
@@ -669,49 +685,72 @@ class PredictionService:
             ):
                 pass
 
-    async def _route_watched(
-        self, reader, writer, method, target, headers, body
-    ) -> Optional[Tuple[int, dict, Dict[str, str]]]:
-        """Route a request while watching for a client disconnect.
+    def _count_response(self, path: str, status: int) -> None:
+        """Count one response by route label, status and worker."""
+        route = (
+            path if path in _KNOWN_ROUTES
+            else _DEBUG_TRACE_PREFIX
+            if path.startswith(_DEBUG_TRACE_PREFIX)
+            else "other"
+        )
+        counter = self._m_requests_by.get((route, status))
+        if counter is None:
+            counter = self._m_requests.labels(
+                route=route, status=str(status)
+            )
+            self._m_requests_by[route, status] = counter
+        counter.inc()
+        self._m_served_here.inc()
 
-        Returns ``None`` when the client hung up first — the routed
+    async def _admit_watched(
+        self, reader, writer, request: ServiceRequest,
+        deadline_ms: Optional[float],
+    ) -> Optional[Tuple[int, dict, Dict[str, str]]]:
+        """Admit a computation while watching for a client disconnect.
+
+        Returns ``None`` when the client hung up first — the admitted
         work is cancelled (which also reaps it from the admission
         queue if no other single-flight waiter shares it).
         """
-        route_task = asyncio.ensure_future(
-            self._route(method, target, headers, body)
+        admit_task = asyncio.ensure_future(
+            self._admit(request, deadline_ms)
         )
         try:
             while True:
                 done, _ = await asyncio.wait(
-                    {route_task}, timeout=_DISCONNECT_POLL_S
+                    {admit_task}, timeout=_DISCONNECT_POLL_S
                 )
                 if done:
-                    return route_task.result()
+                    return admit_task.result()
                 if reader.at_eof() or writer.is_closing():
                     self._m_disconnects.inc()
-                    route_task.cancel()
+                    admit_task.cancel()
                     with contextlib.suppress(
                         asyncio.CancelledError, Exception
                     ):
-                        await route_task
+                        await admit_task
                     return None
         except asyncio.CancelledError:
-            route_task.cancel()
+            admit_task.cancel()
             with contextlib.suppress(asyncio.CancelledError, Exception):
-                await route_task
+                await admit_task
             raise
 
     async def _respond(
-        self, writer, status: int, payload: Union[dict, str], close: bool,
-        extra_headers: Optional[Dict[str, str]] = None,
+        self, writer, status: int, payload: Union[dict, str, bytes],
+        close: bool, extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        if isinstance(payload, str):
+        if isinstance(payload, bytes):
+            # A JSON body encoded when the answer was computed (a
+            # result-cache hit, see PredictionEngine.cached_body).
+            body = payload
+            content_type = "application/json"
+        elif isinstance(payload, str):
             # Raw text body (the /metrics exposition document).
             body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            body = json.dumps(payload).encode()
+            body = encode_json(payload)
             content_type = "application/json"
         reason = _REASONS.get(status, "Error")
         lines = [
@@ -735,20 +774,16 @@ class PredictionService:
         estimate = self._coalescer.estimate_wait_s(extra=1)
         return max(1, min(_MAX_RETRY_AFTER_S, math.ceil(estimate)))
 
-    async def _route(
-        self, method: str, target: str, headers: dict, body: bytes
-    ) -> Tuple[int, Union[dict, str], Dict[str, str]]:
-        parts = urlsplit(target)
-        path = parts.path.rstrip("/") or "/"
-        with span("route", method=method, path=path):
-            return await self._dispatch(
-                method, path, parts.query, headers, body
-            )
-
     async def _dispatch(
-        self, method: str, path: str, query: str, headers: dict,
-        body: bytes,
-    ) -> Tuple[int, Union[dict, str], Dict[str, str]]:
+        self, reader, writer, method: str, path: str, query: str,
+        headers: dict, body: bytes,
+    ) -> Optional[Tuple[int, Union[dict, str, bytes], Dict[str, str]]]:
+        """Answer one request; ``None`` if the client hung up first.
+
+        Everything but a computation runs to completion right here on
+        the event loop, a cached answer included; only a result-cache
+        miss awaits the coalescer.
+        """
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "use GET"}, {}
@@ -777,7 +812,7 @@ class PredictionService:
                     ),
                 }, {}
             return 200, trace.to_dict(), {}
-        if path in ("/v1/predict", "/v1/compare", "/v1/sweep"):
+        if path in _COMPUTE_ROUTES:
             if method not in ("GET", "POST"):
                 return 405, {"error": "use GET or POST"}, {}
             try:
@@ -786,17 +821,22 @@ class PredictionService:
                 deadline_ms = _deadline_ms(headers, self.deadline_ms)
             except ValueError as exc:
                 return 400, {"error": str(exc)}, {}
-            return await self._admit(request, deadline_ms)
+            if self.draining:
+                return 503, {"error": "service is draining"}, {
+                    "Retry-After": str(_MAX_RETRY_AFTER_S),
+                }
+            cached = self.engine.cached_body(request)
+            if cached is not None:
+                return 200, cached, {}
+            return await self._admit_watched(
+                reader, writer, request, deadline_ms
+            )
         return 404, {"error": f"no route for {path}"}, {}
 
     async def _admit(
         self, request: ServiceRequest, deadline_ms: Optional[float]
     ) -> Tuple[int, dict, Dict[str, str]]:
         """Admission control + deadline around the coalescer."""
-        if self.draining:
-            return 503, {"error": "service is draining"}, {
-                "Retry-After": str(_MAX_RETRY_AFTER_S),
-            }
         key = request.key()
         # A request identical to one already in flight rides along via
         # single-flight for free — only *distinct* work is bounded.
@@ -896,6 +936,18 @@ def _parse_head(head: bytes) -> Optional[Tuple[str, str, dict]]:
             return None
         headers[name.strip().lower()] = value.strip()
     return method.upper(), target, headers
+
+
+def _content_length(headers: dict) -> Optional[int]:
+    """The declared body length; ``None`` unless it is plain digits.
+
+    ``-5`` would reach ``readexactly`` and ``abc`` would fail in
+    ``int()``; both are answered 400 instead.
+    """
+    raw = headers.get("content-length") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    return int(raw)
 
 
 def _deadline_ms(

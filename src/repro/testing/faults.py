@@ -17,7 +17,7 @@ Tests (and operator chaos drills) arm a point with :func:`inject`::
         ...                       # the next read sees corrupted bytes
 
     with inject("engine.compute", delay_s=0.2):
-        ...                       # every engine call takes >= 200 ms
+        ...                       # every computed request takes >= 200 ms
 
 A fault can *raise* (``error``: an exception instance or zero-arg
 factory), *delay* (``delay_s``), and/or *mutate a payload* (``mutate``:
@@ -180,7 +180,10 @@ POINTS = (
     "store.read",        # raises / mutates bytes read from the store
     "store.write",       # raises / mutates bytes about to be written
     "store.crash",       # SimulatedCrash between tmp write and rename
-    "engine.compute",    # delays / raises inside an engine request
+    "engine.compute",    # delays / raises inside an engine request;
+                         # the server answers result-cache hits on its
+                         # event loop, so a served request reaches it
+                         # only when it is computed
     "server.respond",    # raises while writing an HTTP response
     "obs.emit",          # raises inside telemetry emission (best-effort:
                          # a broken sink must never fail a request)

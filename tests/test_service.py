@@ -9,15 +9,22 @@ are byte-identical to ``python -m repro predict`` output.
 """
 
 import asyncio
+import http.client
 import json
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cli import main
 from repro.service.batching import Coalescer, LRUCache
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import (
+    ServiceClient,
+    ServiceError,
+    ServiceTimeout,
+)
 from repro.service.engine import (
     PredictionEngine,
     ServiceRequest,
@@ -356,6 +363,30 @@ class TestHTTPEndpoints:
         )
         assert payload["benchmark"] == "rodinia.nn"
 
+    @pytest.mark.parametrize("length, status", [
+        ("-5", 400), ("abc", 400), (str(2 << 20), 413),
+    ])
+    def test_bad_content_length_answered_and_closed(
+        self, server, client, length, status
+    ):
+        """A negative, non-numeric or oversize Content-Length gets a
+        typed 4xx and a closed connection, never a dropped socket."""
+        head = (
+            "POST /v1/predict HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(head.encode())
+            data = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                data += chunk
+        assert data.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close\r\n" in data
+        assert json.loads(data.split(b"\r\n\r\n", 1)[1])["error"]
+        assert client.healthz()["status"] == "ok"
+
 
 def _series_sum(text: str, name: str) -> float:
     """Sum all samples of one Prometheus series from exposition text."""
@@ -371,23 +402,22 @@ def _series_sum(text: str, name: str) -> float:
     return total
 
 
+def _raw_get(port, path, headers=None):
+    """``(status, headers, body bytes)`` of one GET on a new connection."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("GET", path, headers=headers or {})
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
+
+
 class TestObservability:
     """The telemetry plane over HTTP: request ids, /metrics, traces."""
 
-    def _raw_get(self, port, path, headers=None):
-        import http.client
-
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-        try:
-            conn.request("GET", path, headers=headers or {})
-            resp = conn.getresponse()
-            body = resp.read()
-            return resp.status, dict(resp.getheaders()), body
-        finally:
-            conn.close()
-
     def test_request_id_header_echoed(self, server):
-        status, headers, _ = self._raw_get(
+        status, headers, _ = _raw_get(
             server.port, "/healthz",
             headers={"X-Request-Id": "caller-supplied-42"},
         )
@@ -395,7 +425,7 @@ class TestObservability:
         assert headers["X-Request-Id"] == "caller-supplied-42"
 
     def test_request_id_generated_when_absent(self, server):
-        _, headers, _ = self._raw_get(server.port, "/healthz")
+        _, headers, _ = _raw_get(server.port, "/healthz")
         rid = headers["X-Request-Id"]
         assert len(rid) == 16
         int(rid, 16)  # hex-shaped
@@ -476,7 +506,7 @@ class TestObservability:
     def test_debug_trace_round_trip(self, server):
         with ServiceClient(port=server.port) as c:
             rid = "trace-roundtrip-1"
-            status, headers, _ = self._raw_get(
+            status, headers, _ = _raw_get(
                 server.port,
                 f"/v1/predict?benchmark=rodinia.bfs&scale={SCALE}",
                 headers={"X-Request-Id": rid},
@@ -508,13 +538,143 @@ class TestObservability:
 
         set_enabled(False)
         try:
-            status, _, body = self._raw_get(server.port, "/metrics")
+            status, _, body = _raw_get(server.port, "/metrics")
         finally:
             set_enabled(True)
         assert status == 200
         text = body.decode()
         assert "repro_obs_enabled 0" in text
         assert "repro_http_requests_total" in text
+
+
+class TestHitPath:
+    """Result-cache hits are answered on the event loop from the cached
+    body: no coalescer, no executor hop, the same counters a computed
+    answer moves and the same bytes."""
+
+    PREDICT = f"/v1/predict?benchmark=rodinia.nn&scale={SCALE}"
+
+    @pytest.fixture()
+    def hot(self):
+        """A dedicated engine + server, so counter deltas are exact."""
+        engine = PredictionEngine(store=None)
+        with BackgroundServer(engine=engine, workers=2) as srv:
+            with ServiceClient(port=srv.port) as c:
+                yield engine, srv, c
+
+    @pytest.mark.parametrize("kind", ["predict", "sweep", "compare"])
+    def test_repeat_bypasses_coalescer(self, hot, kind):
+        engine, _, client = hot
+        call = {
+            "predict": lambda: client.predict("rodinia.nn", scale=SCALE),
+            "sweep": lambda: client.sweep(
+                "rodinia.nn", configs=["smallest", "base"], scale=SCALE
+            ),
+            "compare": lambda: client.compare("rodinia.nn", scale=SCALE),
+        }[kind]
+        first = call()
+        before = client.healthz()
+        assert call() == first
+        after = client.healthz()
+        moved = after["engine"]["requests"][kind] - (
+            before["engine"]["requests"][kind]
+        )
+        assert moved == 1
+        for name in ("submitted", "batches"):
+            assert after["coalescer"][name] == before["coalescer"][name]
+        cache0 = before["engine"]["result_cache"]
+        cache1 = after["engine"]["result_cache"]
+        assert cache1["hits"] - cache0["hits"] == 1
+        assert cache1["misses"] == cache0["misses"]
+
+    def test_cache_accounting_is_exact(self, hot):
+        """N repeats and M distinct misses move hits by exactly N and
+        misses by exactly M: the loop lookup never counts a miss that
+        the engine's own lookup counts again."""
+        engine, _, client = hot
+        client.predict("rodinia.nn", scale=SCALE)
+        before = client.healthz()["engine"]
+        n_repeats, m_misses = 5, 3
+        for _ in range(n_repeats):
+            client.predict("rodinia.nn", scale=SCALE)
+        for cores in range(1, m_misses + 1):
+            client.predict("rodinia.nn", cores=cores, scale=SCALE)
+        after = client.healthz()["engine"]
+        cache0, cache1 = before["result_cache"], after["result_cache"]
+        assert cache1["hits"] - cache0["hits"] == n_repeats
+        assert cache1["misses"] - cache0["misses"] == m_misses
+        assert (
+            after["requests"]["predict"] - before["requests"]["predict"]
+            == n_repeats + m_misses
+        )
+        assert (
+            after["computed"]["predict"] - before["computed"]["predict"]
+            == m_misses
+        )
+
+    def test_hit_during_drain_gets_503(self, hot):
+        _, server, client = hot
+        client.predict("rodinia.nn", scale=SCALE)
+        # Drain flips this flag before anything else; holding it set
+        # is the drain window without racing the connection teardown.
+        server.service.draining = True
+        with pytest.raises(ServiceTimeout) as exc_info:
+            client.predict("rodinia.nn", scale=SCALE, retries=0)
+        assert exc_info.value.status == 503
+        assert "draining" in exc_info.value.payload["error"]
+        assert exc_info.value.retry_after is not None
+
+    def test_generation_bump_recomputes_within_ttl(self, tmp_path):
+        from repro.experiments.store import ProfileStore
+
+        store = ProfileStore(tmp_path / "store")
+        engine = PredictionEngine(store=store)
+        with BackgroundServer(engine=engine, workers=2) as server:
+            _, _, first = _raw_get(server.port, self.PREDICT)
+            store.bump_generation()
+            time.sleep(engine._GEN_CHECK_TTL_S)
+            status, _, body = _raw_get(server.port, self.PREDICT)
+        assert status == 200
+        assert engine.stats.invalidations == 1
+        assert engine.stats.computed["predict"] == 2
+        key = ServiceRequest("predict", "rodinia.nn", scale=SCALE).key()
+        payload = engine.results.get(key).payload
+        assert body == json.dumps(payload).encode() == first
+
+    @pytest.mark.parametrize("deadline", ["soon", "0", "-3"])
+    def test_malformed_deadline_is_400_on_a_hit(self, hot, deadline):
+        _, server, client = hot
+        client.predict("rodinia.nn", scale=SCALE)
+        status, _, body = _raw_get(
+            server.port, self.PREDICT, {"X-Deadline-Ms": deadline}
+        )
+        assert status == 400
+        assert "X-Deadline-Ms" in json.loads(body)["error"]
+
+    def test_hit_trace_has_route_span_only(self, hot):
+        _, server, client = hot
+        client.predict("rodinia.nn", scale=SCALE)
+        rid = "hit-path-trace-1"
+        status, headers, _ = _raw_get(
+            server.port, self.PREDICT, {"X-Request-Id": rid}
+        )
+        assert status == 200
+        assert headers["X-Request-Id"] == rid
+        assert headers["X-Worker-Id"] == "0"
+        trace = client.debug_trace(rid)
+        assert trace["status"] == 200
+        names = [s["name"] for s in trace["spans"]]
+        assert names == ["route"]
+
+    def test_hit_body_is_the_encoded_engine_payload(self, hot):
+        engine, server, client = hot
+        client.predict("rodinia.nn", scale=SCALE)
+        status, headers, body = _raw_get(server.port, self.PREDICT)
+        assert status == 200
+        assert headers["Content-Type"] == "application/json"
+        key = ServiceRequest("predict", "rodinia.nn", scale=SCALE).key()
+        payload = engine.results.get(key).payload
+        assert body == json.dumps(payload).encode()
 
 
 class TestConcurrentServing:
