@@ -15,6 +15,7 @@ from repro.profiler.histogram import RDHistogram
 from repro.profiler.ilp import build_ilp_table
 from repro.profiler.locality import LocalityCollector, PoolLocality
 from repro.profiler.profiler import profile_workload
+from repro.simulator.multicore import simulate
 from repro.statstack.statstack import miss_rate
 from repro.workloads.generator import expand
 from repro.workloads.rodinia import rodinia_workload
@@ -51,6 +52,16 @@ def test_bench_locality_collector(benchmark):
 
     pool = benchmark(run)
     assert pool.n_accesses == 50_000
+
+
+@pytest.mark.perf
+def test_bench_simulate(benchmark, trace, base_config):
+    """The whole reference simulator on 4 cores: per-block memory
+    replay, the tournament predictor and the core scoreboard."""
+    result = benchmark.pedantic(
+        simulate, args=(trace, base_config), rounds=3, iterations=1
+    )
+    assert result.n_instructions == trace.n_instructions
 
 
 def test_bench_tournament_predictor(benchmark, base_config):

@@ -25,10 +25,12 @@ class TournamentPredictor:
         entries = config.entries_per_table
         self._mask = entries - 1
         self._hist_mask = (1 << config.history_bits) - 1
-        # Counters start weakly not-taken / no preference.
-        self.bimodal = np.ones(entries, dtype=np.int8)
-        self.gshare = np.ones(entries, dtype=np.int8)
-        self.chooser = np.ones(entries, dtype=np.int8)
+        # Counters start weakly not-taken / no preference.  Byte
+        # arrays: indexing one yields a plain int, where a NumPy table
+        # would box every read as a NumPy scalar.
+        self.bimodal = bytearray(b"\x01") * entries
+        self.gshare = bytearray(b"\x01") * entries
+        self.chooser = bytearray(b"\x01") * entries
         self.history = 0
         self._max = (1 << config.counter_bits) - 1
         self._thresh = 1 << (config.counter_bits - 1)
@@ -68,11 +70,15 @@ class TournamentPredictor:
     def run(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
         """Process a stream; returns a boolean mispredict mask.
 
-        The hot path of the simulator: local-variable binding and plain
-        Python ints keep the per-branch cost low.
+        Exactly :meth:`predict_and_update` per branch, in order, with
+        the state carried between calls — so a stream split across
+        calls gives the same mask as one call.  The outcome stream
+        alone decides every prediction; no timing enters, which is
+        why the core model resolves a whole block's branches up
+        front.  The hot path of the simulator: the tables are byte
+        arrays read into plain ints, and misses are gathered as
+        indices and scattered into the mask once.
         """
-        n = len(pcs)
-        miss = np.zeros(n, dtype=bool)
         bimodal = self.bimodal
         gshare = self.gshare
         chooser = self.chooser
@@ -81,11 +87,8 @@ class TournamentPredictor:
         history = self.history
         cmax = self._max
         thresh = self._thresh
-        pcs_l = pcs.tolist()
-        taken_l = taken.tolist()
-        for i in range(n):
-            pc = pcs_l[i]
-            t = taken_l[i]
+        misses = []
+        for i, pc, t in zip(range(len(pcs)), pcs.tolist(), taken.tolist()):
             bi = pc & mask
             gi = (pc ^ history) & mask
             b_ctr = bimodal[bi]
@@ -98,24 +101,35 @@ class TournamentPredictor:
                     bimodal[bi] = b_ctr + 1
                 if g_ctr < cmax:
                     gshare[gi] = g_ctr + 1
-                if pred != True:  # noqa: E712 - hot path, avoid bool cast
-                    miss[i] = True
+                if not pred:
+                    misses.append(i)
+                if b_pred != g_pred:
+                    # Train the chooser towards the component that
+                    # was right.
+                    c = chooser[bi]
+                    if g_pred:
+                        if c < cmax:
+                            chooser[bi] = c + 1
+                    elif c > 0:
+                        chooser[bi] = c - 1
             else:
                 if b_ctr > 0:
                     bimodal[bi] = b_ctr - 1
                 if g_ctr > 0:
                     gshare[gi] = g_ctr - 1
-                if pred != False:  # noqa: E712
-                    miss[i] = True
-            if b_pred != g_pred:
-                c = chooser[bi]
-                if g_pred == bool(t):
-                    if c < cmax:
+                if pred:
+                    misses.append(i)
+                if b_pred != g_pred:
+                    c = chooser[bi]
+                    if g_pred:
+                        if c > 0:
+                            chooser[bi] = c - 1
+                    elif c < cmax:
                         chooser[bi] = c + 1
-                elif c > 0:
-                    chooser[bi] = c - 1
             history = ((history << 1) | t) & hist_mask
         self.history = history
+        miss = np.zeros(len(pcs), dtype=bool)
+        miss[misses] = True
         return miss
 
     @property
@@ -123,7 +137,7 @@ class TournamentPredictor:
         """Lightweight introspection snapshot (tests/diagnostics)."""
         return {
             "history": self.history,
-            "bimodal_mean": float(self.bimodal.mean()),
-            "gshare_mean": float(self.gshare.mean()),
-            "chooser_mean": float(self.chooser.mean()),
+            "bimodal_mean": sum(self.bimodal) / len(self.bimodal),
+            "gshare_mean": sum(self.gshare) / len(self.gshare),
+            "chooser_mean": sum(self.chooser) / len(self.chooser),
         }

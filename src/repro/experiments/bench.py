@@ -26,6 +26,12 @@ Measures the components the paper's "rapid" claim rests on:
   preserved per-chunk spec
   (:func:`~repro.profiler.profiler.profile_workload_reference`), with
   every profile cross-checked for equality;
+* the reference simulator — the suite simulated at the ``base``
+  design point on 4 cores (kinstr/s), plus the single-pass memory
+  replay (:meth:`repro.simulator.caches.MemorySystem.replay`) against
+  its per-access spec (:func:`repro.simulator.caches.replay_reference`)
+  on the same block streams, with every result and final cache state
+  cross-checked identical;
 * the end-to-end suite wall-clock through
   :func:`repro.profiler.profiler.profile_workload` with a warm
   :class:`~repro.core.session.Session` (trace + prep + branch + ILP
@@ -48,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.presets import table_iv_config
 from repro.core.session import Session
 from repro.experiments.store import TraceCache
 from repro.experiments.suites import (
@@ -80,10 +87,16 @@ from repro.profiler.reference import (
 )
 from repro.runtime.chunking import chunk_trace
 from repro.runtime.scheduler import run_schedule, run_schedule_batched
+from repro.simulator.caches import MemorySystem, replay_reference
+from repro.simulator.multicore import simulate
 from repro.workloads.engine import EngineStats, ExpansionEngine
 from repro.workloads.generator import expand
 from repro.workloads.ir import OP_STORE, fetch_lines
 
+#: 7: adds the ``simulate`` section (reference-simulator kinstr/s at
+#: ``base`` x 4 cores, and the single-pass memory replay vs its
+#: per-access spec with a result/state cross-check) and commits its
+#: floors.
 #: 5: adds the ``replay`` section (batched DES scheduler vs the
 #: event-at-a-time spec with timeline-digest cross-check, and the
 #: vectorized profiler fast path vs the per-chunk reference with a
@@ -102,7 +115,7 @@ from repro.workloads.ir import OP_STORE, fetch_lines
 #: ``REPRO_OBS=off`` on the warm suite loop) and commits the
 #: obs-overhead ceiling.
 #: 2: added the ``ilp`` section (batched scoreboard vs scalar spec).
-BENCH_SCHEMA = 6
+BENCH_SCHEMA = 7
 #: Quick-mode subset: three locality personalities plus streamcluster,
 #: whose sparse address space exercises the engine's fallback path.
 QUICK_BENCHMARKS = ("hotspot", "bfs", "srad", "streamcluster")
@@ -132,6 +145,12 @@ CHECK_FLOORS: Dict[str, float] = {
     #: Ceiling, not floor: always-on span instrumentation may cost at
     #: most this fraction of warm-suite wall clock vs REPRO_OBS=off.
     "obs_max_overhead": 0.05,
+    #: The simulator's single-pass replay must beat its per-access
+    #: spec, or it has no reason to exist beside it.
+    "simulate_replay_speedup": 1.0,
+    #: Half the committed full-scale simulator throughput: 866
+    #: kinstr/s at ``base`` x 4 cores (schema-7 record, 2-vCPU host).
+    "simulate_min_kips": 433.0,
 }
 
 #: Committed serving floors: warm-cache ``/v1/predict`` throughput
@@ -371,6 +390,55 @@ def _run_replay_spec(cases) -> List:
     return results
 
 
+def extract_block_streams(
+    traces: Sequence,
+    cores: int,
+    chunk: int = 4096,
+) -> List[List[Tuple[int, object]]]:
+    """Per trace, its non-empty chunks as ``(core, block)`` replays.
+
+    Threads map to cores round robin, as in the simulator, and take
+    turns chunk by chunk.  The single-pass replay and its per-access
+    spec must agree on any order, so a lockstep order serves both the
+    cross-check and the timing.
+    """
+    streams = []
+    for trace in traces:
+        ctrace = chunk_trace(trace, chunk)
+        per_thread = [
+            [seg.block for seg in t.segments if seg.block.n_instructions]
+            for t in ctrace.threads
+        ]
+        stream = []
+        for idx in range(max(map(len, per_thread), default=0)):
+            for tid, blocks in enumerate(per_thread):
+                if idx < len(blocks):
+                    stream.append((tid % cores, blocks[idx]))
+        streams.append(stream)
+    return streams
+
+
+def _run_memory(streams, config, replay) -> None:
+    for stream in streams:
+        memory = MemorySystem(config)
+        for core, block in stream:
+            replay(memory, core, block)
+
+
+def _memory_mismatches(streams, config) -> int:
+    """Streams on which replay and its spec disagree on a result or
+    on the final state of the hierarchy."""
+    mismatches = 0
+    for stream in streams:
+        fast, spec = MemorySystem(config), MemorySystem(config)
+        same = all(
+            fast.replay(core, block) == replay_reference(spec, core, block)
+            for core, block in stream
+        )
+        mismatches += not (same and fast.snapshot() == spec.snapshot())
+    return mismatches
+
+
 def _table_rel_err(batch_tables, scalar_tables) -> float:
     """Worst relative disagreement across all table fields."""
     worst = 0.0
@@ -535,6 +603,39 @@ def run_profiler_bench(
         reps,
     )
 
+    # -- reference simulator: throughput + replay vs per-access spec --------
+    # The suite at one Table IV point; the replay streams are the same
+    # traces' blocks, cross-checked result for result and state for
+    # state against the per-access spec, then timed back to back.
+    sim_config = table_iv_config("base", cores=4)
+
+    def _simulate_suite() -> int:
+        return sum(
+            simulate(tcache.get(s), sim_config).n_instructions
+            for s in specs
+        )
+
+    sim_instructions = _simulate_suite()  # warm-up
+    sim_times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        _simulate_suite()
+        sim_times.append(time.perf_counter() - t0)
+    simulate_s = float(np.median(sim_times))
+    block_streams = extract_block_streams(
+        [tcache.get(s) for s in specs], sim_config.cores
+    )
+    memory_mismatches = _memory_mismatches(block_streams, sim_config)
+    memory_replay_s, memory_reference_s = _interleaved(
+        lambda: _run_memory(
+            block_streams, sim_config, MemorySystem.replay
+        ),
+        lambda: _run_memory(block_streams, sim_config, replay_reference),
+        reps,
+    )
+    sim_blocks = sum(len(stream) for stream in block_streams)
+    del block_streams
+
     # -- end-to-end suite loop through the session cache plane --------------
     # Cold pass first: the trace cache is warm (expansion amortized
     # above) but the session's prep/branch/ILP memos are empty — the
@@ -686,6 +787,18 @@ def run_profiler_bench(
             "disabled_s": obs_off_s,
             "overhead_frac": obs_on_s / obs_off_s - 1.0,
             "max_overhead_frac": CHECK_FLOORS["obs_max_overhead"],
+        },
+        "simulate": {
+            "config": sim_config.name,
+            "cores": sim_config.cores,
+            "instructions": int(sim_instructions),
+            "simulate_s": simulate_s,
+            "kinstr_per_s": sim_instructions / simulate_s / 1e3,
+            "blocks": int(sim_blocks),
+            "replay_s": memory_replay_s,
+            "reference_s": memory_reference_s,
+            "replay_speedup": memory_reference_s / memory_replay_s,
+            "mismatches": int(memory_mismatches),
         },
     }
     if output:
@@ -1166,6 +1279,28 @@ def check_bench(result: Dict) -> List[str]:
                 f"(instrumented vs REPRO_OBS=off) above committed "
                 f"ceiling {CHECK_FLOORS['obs_max_overhead']:.0%}"
             )
+    sim = result.get("simulate")
+    if sim is not None:
+        if sim["mismatches"] > 0:
+            failures.append(
+                f"{sim['mismatches']} memory replay stream(s) diverge "
+                f"from the per-access spec (results and cache states "
+                f"must be identical)"
+            )
+        floor = CHECK_FLOORS["simulate_replay_speedup"]
+        if sim["replay_speedup"] < floor:
+            failures.append(
+                f"single-pass memory replay at {sim['replay_speedup']:.2f}x "
+                f"of its per-access spec, below the {floor:.1f}x floor"
+            )
+        # Absolute throughput, so (like the suite floor) enforced only
+        # at the committed scale.
+        floor = CHECK_FLOORS["simulate_min_kips"]
+        if result.get("scale", 1.0) >= 1.0 and sim["kinstr_per_s"] < floor:
+            failures.append(
+                f"simulator throughput {sim['kinstr_per_s']:.0f} kinstr/s "
+                f"below committed floor {floor:.0f} kinstr/s"
+            )
     return failures
 
 
@@ -1178,6 +1313,7 @@ def render_bench(result: Dict) -> str:
     r = result["replay"]
     s = result["suite"]
     o = result["obs"]
+    m = result["simulate"]
     return "\n".join([
         f"profiler bench ({result['mode']}, scale={result['scale']}, "
         f"{len(result['benchmarks'])} benchmarks)",
@@ -1214,4 +1350,10 @@ def render_bench(result: Dict) -> str:
         f"{o['overhead_frac']:+.1%} instrumented vs REPRO_OBS=off "
         f"({o['instrumented_s']:.2f}s vs {o['disabled_s']:.2f}s, "
         f"ceiling {o['max_overhead_frac']:.0%})",
+        f"  reference simulator  : {m['instructions']:,} micro-ops at "
+        f"{m['config']} x{m['cores']} in {m['simulate_s']:.2f}s "
+        f"({m['kinstr_per_s']:.0f} kinstr/s); memory replay "
+        f"{m['replay_s']:.2f}s vs {m['reference_s']:.2f}s per-access "
+        f"spec ({m['replay_speedup']:.1f}x, {m['mismatches']} "
+        f"mismatches)",
     ])

@@ -14,6 +14,15 @@ times per micro-op:
   redirects the front-end ``frontend_depth`` cycles after the branch
   completes.
 
+Cache, coherence and predictor outcomes depend only on the order of
+accesses and branch outcomes, never on cycle timing.  So
+:meth:`CoreSim.run_block` first resolves the whole block —
+:meth:`~repro.simulator.caches.MemorySystem.replay` for the memory
+traffic, :meth:`~repro.branch.predictors.TournamentPredictor.run` for
+the branches — and then runs the timing recurrence over plain per-op
+lists.  The scheduler runs each block whole, so the order of accesses
+across cores is the same as with per-access calls inside the loop.
+
 Cycle attribution (for the Figure 5 CPI stacks): front-end stalls are
 charged to their cause (branch/icache) at the moment they bind dispatch;
 ROB-full stalls are charged to memory when the blocking op is a
@@ -25,14 +34,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.arch.config import CoreConfig
 from repro.branch.predictors import TournamentPredictor
 from repro.core.cpi_stack import CPIStack
-from repro.simulator.caches import LEVEL_MEM, MemorySystem
+from repro.simulator.caches import MemorySystem
 from repro.workloads.ir import (
-    OP_BRANCH,
+    OP_CLASSES,
     OP_LOAD,
-    OP_STORE,
     TraceBlock,
     instruction_pcs,
 )
@@ -61,40 +71,46 @@ class CoreSim:
         self.memory = memory
         self.core_id = core_id
         self.predictor = predictor
-        self._op_lat = [
-            config.op_latency[name]
-            for name in ("ialu", "imul", "fp", "load", "store", "branch")
-        ]
+        # Latency per op class; loads take theirs from the memory
+        # system, so their entry is 0 and replay's latency is added.
+        self._op_lat = np.array([
+            0 if code == OP_LOAD else config.op_latency[name]
+            for code, name in enumerate(OP_CLASSES)
+        ], dtype=np.int64)
 
     def run_block(self, block: TraceBlock) -> BlockCosts:
         n = block.n_instructions
         if n == 0:
             return BlockCosts(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
         cfg = self.config
-        memory = self.memory
-        core_id = self.core_id
         inv_width = 1.0 / cfg.dispatch_width
         rob = cfg.rob_size
         depth = cfg.frontend_depth
-        lat_l1i = memory.lat_l1i
-        op_lat = self._op_lat
 
-        ops = block.op.tolist()
-        deps = block.dep.tolist()
-        addrs = block.addr.tolist()
-        ilines = block.iline.tolist()
-
+        fetch_extra, load_lat, to_memory = self.memory.replay(
+            self.core_id, block
+        )
+        op_lat = self._op_lat[block.op].tolist()
+        # A producer outside the block (or none) becomes distance 0,
+        # which reads the op's own completion slot — still 0.0 when
+        # read, the "no producer" ready time.
+        dep = block.dep
+        deps = np.where(
+            (dep < 0) | (dep > np.arange(n)), 0, dep
+        ).tolist()
+        branch_miss = [False] * n
         br_idx = block.branch_indices()
         if len(br_idx):
             pcs = instruction_pcs(block)[br_idx]
             miss_mask = self.predictor.run(pcs, block.taken[br_idx])
-            branch_miss = dict(zip(br_idx.tolist(), miss_mask.tolist()))
-        else:
-            branch_miss = {}
+            for i in br_idx[miss_mask].tolist():
+                branch_miss[i] = True
 
         comp = [0.0] * n  # completion time per op
-        commit_ring = [0.0] * rob  # commit time of op (i - rob)
-        long_ring = [False] * rob  # was that op a long-latency load
+        # commit[i + rob]: commit time of op i.  The rob leading zeros
+        # stand for ops before the block and never bind dispatch
+        # (dispatch times are >= 0).
+        commit = [0.0] * (rob + n)
         # MSHR occupancy: completion times of outstanding memory-level
         # misses, FIFO (miss latency is constant so completions are in
         # issue order).  A full MSHR file delays the next miss until the
@@ -105,7 +121,6 @@ class CoreSim:
         d_prev = -inv_width
         fe_ready = 0.0
         fe_cause = 0  # 1 = branch redirect, 2 = icache miss
-        cur_line = -1
 
         branch_cycles = 0.0
         icache_cycles = 0.0
@@ -114,71 +129,56 @@ class CoreSim:
         fetch_misses = 0
         long_loads = 0
 
-        for i in range(n):
-            # Front-end: instruction-cache behaviour on line change.
-            line = ilines[i]
-            if line != cur_line:
-                cur_line = line
-                flat = memory.fetch(core_id, line)
-                if flat > lat_l1i:
-                    fetch_misses += 1
-                    stall_until = d_prev + inv_width + (flat - lat_l1i)
-                    if stall_until > fe_ready:
-                        fe_ready = stall_until
-                        fe_cause = 2
+        for i, extra, d, lat, mem_lat, is_long, mispredicted in zip(
+            range(n), fetch_extra, deps, op_lat, load_lat, to_memory,
+            branch_miss,
+        ):
+            # Front-end: an instruction-cache miss stalls dispatch.
+            t_d = d_prev + inv_width
+            if extra > 0:
+                fetch_misses += 1
+                stall_until = t_d + extra
+                if stall_until > fe_ready:
+                    fe_ready = stall_until
+                    fe_cause = 2
 
-            flow = d_prev + inv_width
-            t_d = flow
             if fe_ready > t_d:
                 if fe_cause == 1:
                     branch_cycles += fe_ready - t_d
                 else:
                     icache_cycles += fe_ready - t_d
                 t_d = fe_ready
-            if i >= rob:
-                slot = i % rob
-                rc = commit_ring[slot]
-                if rc > t_d:
-                    if long_ring[slot]:
-                        mem_cycles += rc - t_d
-                    t_d = rc
+            # ROB full: wait for the op rob_size earlier to commit.
+            rc = commit[i]
+            if rc > t_d:
+                if to_memory[i - rob]:
+                    mem_cycles += rc - t_d
+                t_d = rc
 
-            op = ops[i]
-            d = deps[i]
-            ready = comp[i - d] if 0 < d <= i else 0.0
+            ready = comp[i - d]
             start = t_d if t_d > ready else ready
 
-            is_long = False
-            if op == OP_LOAD:
-                lat, level = memory.load(core_id, addrs[i])
-                if level == LEVEL_MEM:
-                    is_long = True
-                    long_loads += 1
-                    while mshrs and mshrs[0] <= start:
-                        mshrs.popleft()
-                    if len(mshrs) >= mshr_cap:
-                        start = mshrs.popleft()
-                    mshrs.append(start + lat)
-            elif op == OP_STORE:
-                memory.store(core_id, addrs[i])
-                lat = op_lat[OP_STORE]
-            else:
-                lat = op_lat[op]
+            lat += mem_lat
+            if is_long:
+                long_loads += 1
+                while mshrs and mshrs[0] <= start:
+                    mshrs.popleft()
+                if len(mshrs) >= mshr_cap:
+                    start = mshrs.popleft()
+                mshrs.append(start + lat)
             c = start + lat
             comp[i] = c
 
-            if op == OP_BRANCH and branch_miss.get(i, False):
+            if mispredicted:
                 branch_misses += 1
                 redirect = c + depth
                 if redirect > fe_ready:
                     fe_ready = redirect
                     fe_cause = 1
 
-            cm = commit_prev if commit_prev > c else c
-            commit_prev = cm
-            slot = i % rob
-            commit_ring[slot] = cm
-            long_ring[slot] = is_long
+            if c > commit_prev:
+                commit_prev = c
+            commit[i + rob] = commit_prev
             d_prev = t_d
 
         cycles = commit_prev

@@ -56,16 +56,50 @@ class TestTournamentPredictor:
         assert miss.mean() == pytest.approx(0.5, abs=0.05)
 
     def test_run_matches_scalar_interface(self, rng):
-        pcs = rng.integers(0, 8, size=400) * 16
-        taken = rng.integers(0, 2, size=400).astype(np.uint8)
-        a = TournamentPredictor(CFG)
-        vec = a.run(pcs, taken)
-        b = TournamentPredictor(CFG)
-        scalar = np.array([
-            not b.predict_and_update(int(pc), bool(t))
-            for pc, t in zip(pcs, taken)
-        ])
-        assert np.array_equal(vec, scalar)
+        short = (rng.integers(0, 8, size=400) * 16,
+                 rng.integers(0, 2, size=400).astype(np.uint8))
+        # 6k branches over 96 PCs: 1k-branch runs of one outcome drive
+        # every touched counter to both ends, then a random stretch
+        # keeps the chooser moving.
+        n = 6000
+        long_taken = ((np.arange(n) // 1000) % 2).astype(np.uint8)
+        long_taken[4000:5000] = rng.integers(0, 2, size=1000)
+        long = (rng.integers(0, 96, size=n) * 16, long_taken)
+        for pcs, taken in (short, long):
+            a = TournamentPredictor(CFG)
+            vec = a.run(pcs, taken)
+            b = TournamentPredictor(CFG)
+            scalar = np.array([
+                not b.predict_and_update(int(pc), bool(t))
+                for pc, t in zip(pcs, taken)
+            ])
+            assert np.array_equal(vec, scalar)
+            # One stream split across two calls equals a single call.
+            c = TournamentPredictor(CFG)
+            cut = len(pcs) // 3
+            split = np.concatenate([
+                c.run(pcs[:cut], taken[:cut]),
+                c.run(pcs[cut:], taken[cut:]),
+            ])
+            assert np.array_equal(split, vec)
+            for p in (b, c):
+                assert p.history == a.history
+                for table in ("bimodal", "gshare", "chooser"):
+                    assert bytes(getattr(p, table)) == bytes(
+                        getattr(a, table)
+                    )
+                assert p.miss_rate_state == a.miss_rate_state
+            assert set(a.miss_rate_state) == {
+                "history", "bimodal_mean", "gshare_mean", "chooser_mean",
+            }
+        # The long stream saturated the counters in both directions.
+        sat = TournamentPredictor(CFG)
+        pcs, taken = long
+        sat.run(pcs[:1000], taken[:1000])
+        touched = np.unique(pcs[:1000] & sat._mask)
+        assert all(sat.bimodal[i] == 0 for i in touched)
+        sat.run(pcs[1000:2000], taken[1000:2000])
+        assert all(sat.bimodal[i] == sat._max for i in touched)
 
     def test_state_persists_across_runs(self):
         p = TournamentPredictor(CFG)

@@ -322,7 +322,8 @@ class TestProfilerIntegration:
 class TestBenchCheck:
     def _record(self, collector=10.0, ilp=16.0, err=0.0, ips=10e6,
                 expand=100.0, mismatches=0, replay=1.0, profiler=2.5,
-                replay_mismatches=0, profile_mismatches=0):
+                replay_mismatches=0, profile_mismatches=0,
+                memory_replay=1.3, kips=900.0, memory_mismatches=0):
         return {
             "collector": {"speedup": collector},
             "ilp": {"speedup": ilp, "max_rel_err": err},
@@ -337,6 +338,11 @@ class TestBenchCheck:
                 "profile_mismatches": profile_mismatches,
             },
             "suite": {"ips": ips},
+            "simulate": {
+                "replay_speedup": memory_replay,
+                "kinstr_per_s": kips,
+                "mismatches": memory_mismatches,
+            },
         }
 
     def test_all_floors_clear(self):
@@ -349,23 +355,28 @@ class TestBenchCheck:
         assert len(check_bench(self._record(expand=1.0))) == 1
         assert len(check_bench(self._record(replay=0.1))) == 1
         assert len(check_bench(self._record(profiler=1.0))) == 1
+        assert len(check_bench(self._record(memory_replay=0.9))) == 1
+        assert len(check_bench(self._record(kips=100.0))) == 1
         # Bit-identity: any non-zero divergence fires the check — for
         # the ILP tables, the expanded-trace digests, the batched
-        # replay timelines and the fast-path profiles alike.
+        # replay timelines, the fast-path profiles and the simulator's
+        # memory replay alike.
         assert len(check_bench(self._record(err=1e-15))) == 1
         assert len(check_bench(self._record(mismatches=1))) == 1
         assert len(check_bench(self._record(replay_mismatches=1))) == 1
         assert len(check_bench(self._record(profile_mismatches=1))) == 1
+        assert len(check_bench(self._record(memory_mismatches=1))) == 1
         assert len(check_bench(
             self._record(collector=0.5, ilp=0.5, err=1.0, ips=1.0,
                          expand=0.5, mismatches=2, replay=0.1,
                          profiler=1.0, replay_mismatches=1,
-                         profile_mismatches=1)
-        )) == 10
+                         profile_mismatches=1, memory_replay=0.5,
+                         kips=1.0, memory_mismatches=1)
+        )) == 13
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed
         # scale; probe runs with --scale 0.3 must not fire it.
-        record = self._record(ips=0.2e6)
+        record = self._record(ips=0.2e6, kips=1.0)
         record["scale"] = 0.3
         assert check_bench(record) == []

@@ -1,10 +1,21 @@
 """Unit tests for the reference simulator (caches, core, multicore)."""
 
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.config import CacheConfig
 from repro.arch.presets import table_iv_config
 from repro.branch.predictors import TournamentPredictor
+from repro.core.cpi_stack import COMPONENTS
+from repro.core.session import Session
+from repro.experiments.bench import QUICK_BENCHMARKS
+from repro.experiments.suites import BenchmarkRef, build_workload
 from repro.simulator.caches import (
     LEVEL_L1,
     LEVEL_L2,
@@ -12,12 +23,19 @@ from repro.simulator.caches import (
     LEVEL_MEM,
     Cache,
     MemorySystem,
+    replay_reference,
 )
 from repro.simulator.core import CoreSim
 from repro.simulator.multicore import simulate
 from repro.workloads import kernels as k
 from repro.workloads.generator import expand, expand_epoch, _segment_rng
-from repro.workloads.ir import OP_LOAD
+from repro.workloads.ir import (
+    OP_BRANCH,
+    OP_IALU,
+    OP_LOAD,
+    OP_STORE,
+    TraceBlock,
+)
 
 from tests.conftest import (
     barrier_workload,
@@ -45,6 +63,8 @@ class TestCache:
         c.access(16)      # evicts LRU = 4
         assert c.contains(0)
         assert not c.contains(4)
+        # The set iterates least to most recently used.
+        assert list(c.sets[0]) == [8, 12, 0, 16]
 
     def test_sets_isolate_lines(self):
         c = small_cache(lines=8, assoc=2)  # 4 sets
@@ -142,6 +162,118 @@ class TestMemorySystem:
         assert lat_cold > lat_warm == mem.lat_l1i
 
 
+def tiny_config(cores=3):
+    """Caches of a few lines each, so a small line pool conflicts,
+    evicts and invalidates at every level."""
+    return dataclasses.replace(
+        table_iv_config("base", cores=cores),
+        name="tiny",
+        l1i=CacheConfig(size_bytes=4 * 64, associativity=2, latency=1),
+        l1d=CacheConfig(size_bytes=4 * 64, associativity=2, latency=3),
+        l2=CacheConfig(size_bytes=8 * 64, associativity=2, latency=10),
+        llc=CacheConfig(size_bytes=16 * 64, associativity=4, latency=30,
+                        shared=True),
+    )
+
+
+def make_block(accesses):
+    """A block from ``(op, addr, iline)`` triples; an iline of None
+    repeats the previous op's line."""
+    ilines, line = [], 0
+    for _, _, iline in accesses:
+        line = line if iline is None else iline
+        ilines.append(line)
+    n = len(accesses)
+    return TraceBlock(
+        op=np.array([a[0] for a in accesses], dtype=np.uint8),
+        dep=np.zeros(n, dtype=np.int32),
+        addr=np.array([a[1] for a in accesses], dtype=np.int64),
+        taken=np.zeros(n, dtype=np.uint8),
+        iline=np.array(ilines, dtype=np.int64),
+    )
+
+
+ACCESS = st.tuples(
+    st.sampled_from((OP_IALU, OP_LOAD, OP_STORE, OP_BRANCH)),
+    st.integers(0, 31),
+    st.one_of(st.none(), st.integers(0, 31)),
+)
+
+
+class TestReplay:
+    """:meth:`MemorySystem.replay` against its per-access spec."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 2), st.lists(ACCESS, max_size=40)),
+        min_size=1, max_size=12,
+    ))
+    def test_matches_per_access_spec(self, stream):
+        fast = MemorySystem(tiny_config())
+        spec = MemorySystem(tiny_config())
+        for core, accesses in stream:
+            block = make_block(accesses)
+            assert fast.replay(core, block) == replay_reference(
+                spec, core, block
+            )
+        assert fast.snapshot() == spec.snapshot()
+
+    def test_per_op_results(self):
+        mem = MemorySystem(tiny_config())
+        block = make_block([
+            (OP_LOAD, 5, 0), (OP_IALU, -1, None), (OP_LOAD, 5, None),
+            (OP_STORE, 6, 1), (OP_BRANCH, -1, 0),
+        ])
+        fetch_extra, load_lat, to_memory = mem.replay(0, block)
+        mem_lat = mem.lat_llc + mem.mem_latency
+        # Cold line 0 at op 0, line 1 at op 3, then line 0 hits L1-I.
+        assert fetch_extra == [mem_lat - mem.lat_l1i, 0, 0,
+                               mem_lat - mem.lat_l1i, 0]
+        assert load_lat == [mem_lat, 0, mem.lat_l1d, 0, 0]
+        assert to_memory == [True, False, False, False, False]
+
+
+class TestGoldenDigest:
+    """Pins every simulated number bit-exactly: a change to caches,
+    coherence, the predictor or the timing loop that moves one cycle
+    or one counter fails here."""
+
+    GOLDEN = (
+        "da63579a48e6bdee2271b2a99e7e09e8"
+        "98053588aa7d4d37e2463cd87615135d"
+    )
+
+    @staticmethod
+    def _record(result):
+        return {
+            "total_cycles": result.total_cycles,
+            "invalidations": result.invalidations,
+            "threads": [
+                [t.instructions, t.active_cycles, t.idle_cycles,
+                 [getattr(t.stack, c) for c in COMPONENTS],
+                 t.branch_misses, t.fetch_misses, t.long_loads]
+                for t in result.threads
+            ],
+        }
+
+    def test_golden_digest_pinned(self):
+        session = Session.ephemeral()
+        records = []
+        for name in QUICK_BENCHMARKS:
+            spec = build_workload(BenchmarkRef("rodinia", name), 0.25)
+            for point in ("smallest", "biggest"):
+                for cores in (1, 4):
+                    result = simulate(
+                        spec, table_iv_config(point, cores=cores),
+                        session=session,
+                    )
+                    records.append(self._record(result))
+        digest = hashlib.sha256(
+            json.dumps(records, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.GOLDEN
+
+
 class FakeMemory:
     """Constant-latency memory for isolating the core scoreboard."""
 
@@ -159,6 +291,9 @@ class FakeMemory:
 
     def store(self, core, line):
         return (1, LEVEL_L1)
+
+    def replay(self, core, block):
+        return replay_reference(self, core, block)
 
 
 def run_core(block, config=None, memory=None):
