@@ -15,16 +15,12 @@ import pytest
 
 from repro.experiments.bench import (
     check_bench,
-    expand_suite,
     extract_ilp_pools,
-    extract_replay_programs,
     extract_streams,
     render_bench,
     run_profiler_bench,
     _run_ilp_batch,
     _run_ilp_scalar,
-    _run_replay_batched,
-    _run_replay_spec,
     _run_scalar,
     _run_vectorized,
 )
@@ -88,24 +84,6 @@ def test_bench_ilp_prediction_grid(benchmark, ilp_pools):
 def test_bench_ilp_scalar_spec(benchmark, ilp_pools):
     benchmark.pedantic(
         _run_ilp_scalar, args=(ilp_pools,), rounds=2, iterations=1
-    )
-
-
-@pytest.fixture(scope="module")
-def replay_cases():
-    return extract_replay_programs(expand_suite(rodinia_suite(), 1.0))
-
-
-def test_bench_replay_batched(benchmark, replay_cases):
-    benchmark.pedantic(
-        _run_replay_batched, args=(replay_cases,), rounds=5,
-        iterations=1,
-    )
-
-
-def test_bench_replay_spec(benchmark, replay_cases):
-    benchmark.pedantic(
-        _run_replay_spec, args=(replay_cases,), rounds=5, iterations=1
     )
 
 

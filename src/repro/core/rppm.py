@@ -11,9 +11,8 @@ stacks compare directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.arch.config import MulticoreConfig
 from repro.core.cpi_stack import CPIStack
@@ -62,8 +61,6 @@ def predict(
     profile: WorkloadProfile,
     config: MulticoreConfig,
     session=None,
-    *,
-    cache: Optional[EpochCostCache] = None,
 ) -> PredictionResult:
     """Predict multithreaded execution on ``config`` from ``profile``.
 
@@ -71,22 +68,11 @@ def predict(
     per-(thread, pool) Eq.-1 memo resident across calls for the same
     (profile, config) pair — the memo is read/extend-only, so reuse is
     safe and repeat predictions skip every Eq.-1 evaluation.
-
-    .. deprecated::
-        ``cache=`` (a manually managed :class:`EpochCostCache`) is a
-        deprecated shim kept for one release; pass a ``session``.
     """
-    if cache is not None:
-        warnings.warn(
-            "predict(cache=...) is deprecated; pass "
-            "session=Session(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if cache is None and session is not None:
+    if session is not None:
         cache = session.cost_cache(profile, config)
         session.record("predictions")
-    if cache is None:
+    else:
         cache = EpochCostCache(profile, config)
 
     with span("predict", workload=profile.name, config=config.name):
@@ -102,9 +88,8 @@ def predict(
             durations.append(per_segment)
 
         # Phase 2: symbolic execution of the synchronization structure
-        # (Algorithm 2) over the predicted per-epoch times.  The epoch
-        # times are all known up front, so the replay advances in batched
-        # strides between synchronization points.
+        # (Algorithm 2) over the predicted per-epoch times, on the one
+        # DES scheduler.
         programs = [
             [segment.event for segment in thread.segments]
             for thread in profile.threads

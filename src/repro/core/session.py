@@ -1,11 +1,10 @@
 """One cache plane for the whole pipeline: :class:`Session`.
 
 The paper's premise is that profiling is a one-time cost amortized
-across a design-space sweep.  Before this module, each amortizable
-artifact had its own ad-hoc cache handle threaded separately through
-the pipeline (``trace_cache=``, ``ilp_cache=``, ``cache=``) — callers
-had to know which layer wanted which handle, and new caches meant new
-kwargs everywhere.  A :class:`Session` bundles them behind one object:
+across a design-space sweep.  A :class:`Session` is the one cache
+argument every stage takes (``session=``); it bundles each amortizable
+artifact's cache behind one object, so callers never thread per-layer
+handles:
 
 * :attr:`traces` — content-addressed expanded traces
   (:class:`~repro.experiments.store.TraceCache`: LRU -> store ->

@@ -172,16 +172,6 @@ class RunCache:
             Tuple[str, MulticoreConfig], SimulationResult
         ] = {}
 
-    @property
-    def ilp_cache(self):
-        """The session's ILP-table cache (back-compat accessor)."""
-        return self.session.ilp
-
-    @property
-    def traces(self):
-        """The session's trace cache (back-compat accessor)."""
-        return self.session.traces
-
     # -- store keys ---------------------------------------------------------
 
     def _spec(self, ref: BenchmarkRef) -> WorkloadSpec:
@@ -212,7 +202,7 @@ class RunCache:
     # -- artifacts ----------------------------------------------------------
 
     def trace(self, ref: BenchmarkRef) -> WorkloadTrace:
-        return self.traces.get(self._spec(ref))
+        return self.session.traces.get(self._spec(ref))
 
     def profile(self, ref: BenchmarkRef) -> WorkloadProfile:
         if ref.label not in self._profiles:

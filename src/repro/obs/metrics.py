@@ -318,10 +318,6 @@ class MetricsRegistry:
         with self._lock:
             self._collectors[key] = fn
 
-    def unregister_collector(self, key: str) -> None:
-        with self._lock:
-            self._collectors.pop(key, None)
-
     def collect(self) -> None:
         """Run every collector; a broken one never fails the scrape."""
         with self._lock:

@@ -26,10 +26,10 @@ Pipeline stages (expand -> prepare -> replay -> collect):
    pure function of the op/iline columns, they are memoized per
    ``(static_key, chunk)`` in a :class:`SegmentPrepCache` — the ~81%
    of repeated segment work across a suite is computed once.
-3. **Replay** — the DES scheduler advances in batched strides
-   (:func:`repro.runtime.scheduler.run_schedule_batched`): only the
-   chunk *interleaving* depends on the replay, so the replay records
-   order and nothing else.  Per-pool accumulation is per-thread
+3. **Replay** — the DES scheduler runs over the precomputed unit-cost
+   durations (:func:`repro.runtime.scheduler.run_schedule_batched`):
+   only the chunk *interleaving* depends on the replay, so the replay
+   records order and nothing else.  Per-pool accumulation is per-thread
    program order and therefore hoisted out of the replay entirely.
 4. **Collect** — the interleaved memory stream feeds the whole-trace
    locality engine (:mod:`repro.profiler.batch`), branch statistics go
@@ -45,7 +45,6 @@ equivalence suite pins identical profiles between the two.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -722,9 +721,6 @@ def profile_workload(
     workload: Union[WorkloadSpec, WorkloadTrace],
     chunk: int = 4096,
     session=None,
-    *,
-    ilp_cache: Optional[ILPTableCache] = None,
-    trace_cache=None,
 ) -> WorkloadProfile:
     """Profile a workload once, for use across all target configurations.
 
@@ -742,32 +738,17 @@ def profile_workload(
         statistics and segment precompute — plus usage counters.  This
         is the one cache surface; construct it with
         ``Session.from_store(...)`` or ``Session.ephemeral()``.
-
-    .. deprecated::
-        ``ilp_cache=`` / ``trace_cache=`` are deprecated shims kept for
-        one release; pass a ``session`` instead.
     """
-    if ilp_cache is not None or trace_cache is not None:
-        warnings.warn(
-            "profile_workload(ilp_cache=..., trace_cache=...) is "
-            "deprecated; pass session=Session(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    traces = trace_cache
-    branch_cache = None
+    ilp_cache = branch_cache = None
     prep_cache = _DEFAULT_PREP_CACHE
     if session is not None:
-        if traces is None:
-            traces = session.traces
-        if ilp_cache is None:
-            ilp_cache = session.ilp
+        ilp_cache = session.ilp
         branch_cache = session.branches
         prep_cache = session.prep
         session.record("profiles")
     if isinstance(workload, WorkloadSpec):
         trace = (
-            traces.get(workload) if traces is not None
+            session.traces.get(workload) if session is not None
             else expand(workload)
         )
     else:

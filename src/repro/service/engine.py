@@ -213,16 +213,6 @@ class PredictionEngine:
         )
         self._gen_checked_at = time.monotonic()
 
-    @property
-    def traces(self):
-        """The session's trace cache (back-compat accessor)."""
-        return self.session.traces
-
-    @property
-    def ilp_cache(self):
-        """The session's ILP-table cache (back-compat accessor)."""
-        return self.session.ilp
-
     # -- bookkeeping --------------------------------------------------------
 
     def _count(self, field_name: str, kind: str) -> None:
@@ -283,7 +273,7 @@ class PredictionEngine:
 
     def _trace(self, ref: BenchmarkRef, scale: float):
         """Expanded trace via the engine-resident content-addressed LRU."""
-        return self.traces.get(self._spec(ref, scale))
+        return self.session.traces.get(self._spec(ref, scale))
 
     def profile_key(self, ref: BenchmarkRef, scale: float) -> str:
         return ProfileStore.profile_key(

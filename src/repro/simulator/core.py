@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.arch.config import CoreConfig
 from repro.branch.predictors import TournamentPredictor
-from repro.core.cpi_stack import CPIStack
 from repro.simulator.caches import MemorySystem
 from repro.workloads.ir import (
     OP_CLASSES,
@@ -195,15 +194,3 @@ class CoreSim:
             fetch_misses=fetch_misses,
             long_loads=long_loads,
         )
-
-
-def costs_to_stack(costs: BlockCosts, n_instructions: int) -> CPIStack:
-    """Convert block costs into a CPI-stack contribution."""
-    return CPIStack(
-        base=costs.base,
-        branch=costs.branch,
-        icache=costs.icache,
-        mem=costs.mem,
-        sync=0.0,
-        instructions=n_instructions,
-    )

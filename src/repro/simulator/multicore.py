@@ -12,7 +12,6 @@ where both Sniper and RPPM honour pthread semantics.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Union
 
 from repro.arch.config import MulticoreConfig
@@ -40,32 +39,12 @@ class MulticoreSimulator:
         workload: Union[WorkloadSpec, WorkloadTrace],
         chunk: int = 4096,
         session=None,
-        *,
-        trace_cache=None,
-    ) -> SimulationResult:
-        if trace_cache is not None:
-            warnings.warn(
-                "run(trace_cache=...) is deprecated; pass "
-                "session=Session(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self._run(workload, chunk, session, trace_cache)
-
-    def _run(
-        self,
-        workload: Union[WorkloadSpec, WorkloadTrace],
-        chunk: int,
-        session,
-        trace_cache,
     ) -> SimulationResult:
         if session is not None:
-            if trace_cache is None:
-                trace_cache = session.traces
             session.record("simulations")
         if isinstance(workload, WorkloadSpec):
             trace = (
-                trace_cache.get(workload) if trace_cache is not None
+                session.traces.get(workload) if session is not None
                 else expand(workload)
             )
         else:
@@ -146,8 +125,6 @@ def simulate(
     config: MulticoreConfig,
     chunk: int = 4096,
     session=None,
-    *,
-    trace_cache=None,
 ) -> SimulationResult:
     """Simulate ``workload`` on ``config`` (convenience wrapper).
 
@@ -155,19 +132,6 @@ def simulate(
     a :class:`~repro.core.session.Session` is given — so simulating
     after profiling the same spec reuses one expansion — and through
     the shared columnar engine otherwise.
-
-    .. deprecated::
-        ``trace_cache=`` is a deprecated shim kept for one release;
-        pass a ``session``.
     """
-    if trace_cache is not None:
-        warnings.warn(
-            "simulate(trace_cache=...) is deprecated; pass "
-            "session=Session(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     with span("simulate", workload=workload.name, config=config.name):
-        return MulticoreSimulator(config)._run(
-            workload, chunk, session, trace_cache
-        )
+        return MulticoreSimulator(config).run(workload, chunk, session)

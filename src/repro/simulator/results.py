@@ -42,13 +42,6 @@ class SimulationResult:
     def n_instructions(self) -> int:
         return sum(t.instructions for t in self.threads)
 
-    @property
-    def total_seconds(self) -> float:
-        """Placeholder: callers convert with their MulticoreConfig."""
-        raise NotImplementedError(
-            "use MulticoreConfig.cycles_to_seconds(result.total_cycles)"
-        )
-
     def average_stack(self) -> CPIStack:
         """Average per-thread CPI stack (the paper's Fig. 5 metric)."""
         return CPIStack.merged(t.stack for t in self.threads)

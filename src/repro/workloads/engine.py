@@ -32,9 +32,10 @@ the legacy helpers.  ``generator.expand`` is preserved as the
 executable spec; the hypothesis suite in ``tests/test_engine.py`` pins
 digest-identical output across the spec space.
 
-:func:`pack_trace` / :func:`unpack_trace` are the columnar wire format
-the content-addressed ``"traces"`` store kind persists
-(:mod:`repro.experiments.store`).
+:func:`pack_trace_arena` / :func:`load_trace_arena` are the raw-buffer
+arena format the content-addressed ``"traces"`` store kind persists and
+mmaps back (:mod:`repro.experiments.store`); it is the only on-disk
+trace format.
 """
 
 from __future__ import annotations
@@ -566,35 +567,18 @@ def expand_many(workloads: Sequence[WorkloadSpec]) -> List[WorkloadTrace]:
     return default_engine().expand_many(workloads)
 
 
-# -- columnar wire format ----------------------------------------------------
-
-
-def pack_trace(trace: WorkloadTrace) -> dict:
-    """Columnar payload of a trace (consumed by the ``"traces"`` store kind).
-
-    One concatenated column per array per thread plus per-segment
-    metadata — the arena layout, serialized.  Pickles compactly (numpy
-    arrays dump as raw buffers) and restores with zero-copy views.
-    """
-    threads = []
-    for t in trace.threads:
-        blocks = [seg.block for seg in t.segments]
-        threads.append({
-            "ns": [b.n_instructions for b in blocks],
-            "op": _concat(blocks, "op", np.uint8),
-            "dep": _concat(blocks, "dep", np.int32),
-            "addr": _concat(blocks, "addr", np.int64),
-            "taken": _concat(blocks, "taken", np.uint8),
-            "iline": _concat(blocks, "iline", np.int64),
-            "events": [seg.event for seg in t.segments],
-            "epochs": [seg.epoch for seg in t.segments],
-            "labels": [seg.label for seg in t.segments],
-            # Static-artifact identities ride along so store-loaded
-            # traces stay eligible for the profiler's segment-prep
-            # memo; payloads predating the field restore to None.
-            "skeys": [seg.block.static_key for seg in t.segments],
-        })
-    return {"name": trace.name, "seed": trace.seed, "threads": threads}
+# -- raw-buffer arena format (mmap-friendly) ---------------------------------
+#
+# The arena layout is the one on-disk trace format: a pickled metadata
+# header (segment lengths, events, epochs, static keys, column
+# directory) followed by the raw column bytes, 64-byte aligned.
+# :func:`load_trace_arena` accepts any buffer — in particular an
+# ``mmap.mmap(..., ACCESS_READ)`` — and builds the ``TraceBlock`` views
+# directly over it via ``np.frombuffer``, so N worker processes mapping
+# the same artifact share one page-cache copy and pay no per-process
+# deserialization of the column data.  Arrays built over a read-only
+# map come out ``writeable=False``, which is the aliasing contract: a
+# consumer cannot corrupt the shared mapping.
 
 
 def _concat(blocks: List[TraceBlock], name: str, dtype) -> np.ndarray:
@@ -603,53 +587,6 @@ def _concat(blocks: List[TraceBlock], name: str, dtype) -> np.ndarray:
         return np.zeros(0, dtype=dtype)
     return np.ascontiguousarray(np.concatenate(arrays), dtype=dtype)
 
-
-def unpack_trace(payload: dict) -> WorkloadTrace:
-    """Rebuild a trace from :func:`pack_trace` output (zero-copy views)."""
-    threads = []
-    for tid, t in enumerate(payload["threads"]):
-        segments = []
-        offset = 0
-        skeys = t.get("skeys") or [None] * len(t["ns"])
-        for n, event, epoch, label, skey in zip(
-            t["ns"], t["events"], t["epochs"], t["labels"], skeys
-        ):
-            if n == 0:
-                block = TraceBlock.empty()
-            else:
-                lo, hi = offset, offset + n
-                block = TraceBlock(
-                    op=t["op"][lo:hi],
-                    dep=t["dep"][lo:hi],
-                    addr=t["addr"][lo:hi],
-                    taken=t["taken"][lo:hi],
-                    iline=t["iline"][lo:hi],
-                    static_key=skey,
-                )
-                offset += n
-            segments.append(
-                Segment(block=block, event=event, epoch=epoch, label=label)
-            )
-        threads.append(ThreadTrace(thread_id=tid, segments=segments))
-    return WorkloadTrace(
-        name=payload["name"], threads=threads, seed=payload["seed"]
-    )
-
-
-# -- raw-buffer arena format (mmap-friendly) ---------------------------------
-#
-# The pickled columnar payload above restores cheaply but still copies
-# every column out of the pickle stream on load.  The *arena* layout
-# below is the zero-copy variant the shared store serves to a pre-fork
-# fleet: a pickled metadata header (segment lengths, events, epochs,
-# static keys, column directory) followed by the raw column bytes,
-# 64-byte aligned.  :func:`load_trace_arena` accepts any buffer — in
-# particular an ``mmap.mmap(..., ACCESS_READ)`` — and builds the
-# ``TraceBlock`` views directly over it via ``np.frombuffer``, so N
-# worker processes mapping the same artifact share one page-cache copy
-# and pay no per-process deserialization of the column data.  Arrays
-# built over a read-only map come out ``writeable=False``, which is
-# the aliasing contract: a consumer cannot corrupt the shared mapping.
 
 ARENA_MAGIC = b"RPPMARN1"
 _ARENA_ALIGN = 64
@@ -729,8 +666,7 @@ def load_trace_arena(buf) -> Tuple[Dict[str, Any], WorkloadTrace]:
     is an ``np.frombuffer`` view over it (read-only when the buffer
     is), and the returned blocks keep the buffer alive through their
     ``.base`` chain — the caller may drop its own reference.  Raises
-    ``ValueError`` on a malformed payload; the store maps that to
-    quarantine exactly like a corrupt pickle.
+    ``ValueError`` on a malformed payload; the store quarantines it.
     """
     mv = memoryview(buf)
     if not is_arena_payload(mv):
@@ -745,27 +681,39 @@ def load_trace_arena(buf) -> Tuple[Dict[str, Any], WorkloadTrace]:
     data_start = header_start + header_len
     data_start += _arena_pad(data_start)
     threads = []
-    for tmeta in header["threads"]:
-        t = {
-            key: tmeta[key]
-            for key in ("ns", "events", "epochs", "labels", "skeys")
-        }
+    for tid, tmeta in enumerate(header["threads"]):
+        cols = {}
         for name, dtype in _ARENA_COLUMNS:
             rel, count = tmeta["cols"][name]
             offset = data_start + rel
             end = offset + count * np.dtype(dtype).itemsize
             if end > len(mv):
                 raise ValueError(f"truncated arena column {name!r}")
-            t[name] = np.frombuffer(
+            cols[name] = np.frombuffer(
                 buf, dtype=dtype, count=count, offset=offset
             )
-        threads.append(t)
-    payload = {
-        "name": header["name"],
-        "seed": header["seed"],
-        "threads": threads,
-    }
-    return header.get("meta", {}), unpack_trace(payload)
+        segments = []
+        lo = 0
+        for n, event, epoch, label, skey in zip(
+            tmeta["ns"], tmeta["events"], tmeta["epochs"],
+            tmeta["labels"], tmeta["skeys"],
+        ):
+            if n == 0:
+                block = TraceBlock.empty()
+            else:
+                block = TraceBlock(
+                    **{name: col[lo:lo + n] for name, col in cols.items()},
+                    static_key=skey,
+                )
+                lo += n
+            segments.append(
+                Segment(block=block, event=event, epoch=epoch, label=label)
+            )
+        threads.append(ThreadTrace(thread_id=tid, segments=segments))
+    trace = WorkloadTrace(
+        name=header["name"], threads=threads, seed=header["seed"]
+    )
+    return header.get("meta", {}), trace
 
 
 __all__ = [
@@ -778,8 +726,6 @@ __all__ = [
     "expand_many",
     "is_arena_payload",
     "load_trace_arena",
-    "pack_trace",
     "pack_trace_arena",
     "static_block_key",
-    "unpack_trace",
 ]

@@ -242,10 +242,6 @@ class ThreadTrace:
         """Total micro-ops across all segments."""
         return sum(seg.block.n_instructions for seg in self.segments)
 
-    def sync_events(self) -> List[SyncOp]:
-        """All terminating events in order."""
-        return [seg.event for seg in self.segments]
-
 
 @dataclass
 class WorkloadTrace:

@@ -21,8 +21,8 @@ from repro.workloads.builder import WorkloadBuilder
 from repro.workloads.engine import (
     EngineStats,
     ExpansionEngine,
-    pack_trace,
-    unpack_trace,
+    load_trace_arena,
+    pack_trace_arena,
 )
 from repro.workloads.generator import expand as legacy_expand
 from repro.workloads.spec import BranchSpec, MemPattern, WorkloadSpec
@@ -248,14 +248,19 @@ def _root(arr):
     return id(arr)
 
 
+def _arena_roundtrip(trace):
+    _, back = load_trace_arena(pack_trace_arena(trace))
+    return back
+
+
 class TestPackUnpack:
     def test_roundtrip_is_bit_identical(self):
         trace = ExpansionEngine().expand(barrier_workload(seed=31))
-        assert_traces_equal(trace, unpack_trace(pack_trace(trace)))
+        assert_traces_equal(trace, _arena_roundtrip(trace))
 
     def test_roundtrip_of_legacy_trace(self):
         trace = legacy_expand(barrier_workload(seed=32))
-        assert_traces_equal(trace, unpack_trace(pack_trace(trace)))
+        assert_traces_equal(trace, _arena_roundtrip(trace))
 
 
 class TestTraceCache:

@@ -1,7 +1,7 @@
 """Tests for the shared artifact plane behind the pre-fork fleet.
 
-Covers the raw-buffer arena trace format (round-trips, digest identity
-with the pickle format, mmap aliasing with read-only maps asserted),
+Covers the raw-buffer arena trace format (round-trips, mmap aliasing
+with read-only maps asserted),
 the zero-copy allocation guard, the multi-writer duplicate-write
 counter, store-generation invalidation of resident engine LRUs, the
 queue-debris prune, and the per-worker identity the server stamps on
@@ -28,9 +28,7 @@ from repro.workloads.builder import WorkloadBuilder
 from repro.workloads.engine import (
     is_arena_payload,
     load_trace_arena,
-    pack_trace,
     pack_trace_arena,
-    unpack_trace,
 )
 from repro.workloads.spec import EpochSpec
 
@@ -72,14 +70,6 @@ class TestArenaFormat:
         meta, back = load_trace_arena(pack_trace_arena(small_trace))
         assert back.content_digest() == small_trace.content_digest()
         assert meta == {}
-
-    def test_digest_identity_with_pickle_format(self, small_trace):
-        """Arena and pickle-columnar loads are bit-identical."""
-        _, via_arena = load_trace_arena(pack_trace_arena(small_trace))
-        via_pickle = unpack_trace(pack_trace(small_trace))
-        assert (
-            via_arena.content_digest() == via_pickle.content_digest()
-        )
 
     def test_meta_rides_along_verbatim(self, small_trace):
         meta = {"schema": SCHEMA_VERSION, "digest": "abc"}
@@ -224,18 +214,6 @@ class TestMmapAliasing:
         second = store.load_trace(self.KEY)
         assert (
             second.content_digest() == small_trace.content_digest()
-        )
-
-    def test_arena_and_pickle_loads_digest_identical(
-        self, store, small_trace
-    ):
-        store.save_trace(self.KEY, small_trace)
-        via_arena = store.load_trace(self.KEY)
-        store.save_trace_pickle("cd" * 32, small_trace)
-        via_pickle = store.load_trace("cd" * 32)
-        assert via_arena is not None and via_pickle is not None
-        assert (
-            via_arena.content_digest() == via_pickle.content_digest()
         )
 
     def test_corrupt_arena_quarantined(self, store, small_trace):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.session import Session
 from repro.experiments.bench import check_bench
 from repro.experiments.store import ProfileStore
 from repro.profiler.ilp import (
@@ -305,12 +306,9 @@ class TestILPTableCache:
 class TestProfilerIntegration:
     def test_profile_identical_with_and_without_cache(self):
         trace_a = profile_workload(barrier_workload(seed=33))
-        # ilp_cache= is the deprecated shim: still functional for one
-        # release, but it must say so.
-        with pytest.warns(DeprecationWarning, match="session"):
-            trace_b = profile_workload(
-                barrier_workload(seed=33), ilp_cache=ILPTableCache()
-            )
+        trace_b = profile_workload(
+            barrier_workload(seed=33), session=Session.ephemeral()
+        )
         for ta, tb in zip(trace_a.threads, trace_b.threads):
             for key, pool in ta.pools.items():
                 other = tb.pools[key]
@@ -321,9 +319,9 @@ class TestProfilerIntegration:
 
 class TestBenchCheck:
     def _record(self, collector=10.0, ilp=16.0, err=0.0, ips=10e6,
-                expand=100.0, mismatches=0, replay=1.0, profiler=2.5,
-                replay_mismatches=0, profile_mismatches=0,
-                memory_replay=1.3, kips=900.0, memory_mismatches=0):
+                expand=100.0, mismatches=0, profiler=2.5,
+                profile_mismatches=0, memory_replay=1.3, kips=900.0,
+                memory_mismatches=0):
         return {
             "collector": {"speedup": collector},
             "ilp": {"speedup": ilp, "max_rel_err": err},
@@ -332,8 +330,6 @@ class TestBenchCheck:
                 "digest_mismatches": mismatches,
             },
             "replay": {
-                "speedup": replay,
-                "digest_mismatches": replay_mismatches,
                 "profiler_speedup": profiler,
                 "profile_mismatches": profile_mismatches,
             },
@@ -353,26 +349,22 @@ class TestBenchCheck:
         assert len(check_bench(self._record(ilp=1.0))) == 1
         assert len(check_bench(self._record(ips=0.2e6))) == 1
         assert len(check_bench(self._record(expand=1.0))) == 1
-        assert len(check_bench(self._record(replay=0.1))) == 1
         assert len(check_bench(self._record(profiler=1.0))) == 1
         assert len(check_bench(self._record(memory_replay=0.9))) == 1
         assert len(check_bench(self._record(kips=100.0))) == 1
         # Bit-identity: any non-zero divergence fires the check — for
-        # the ILP tables, the expanded-trace digests, the batched
-        # replay timelines, the fast-path profiles and the simulator's
-        # memory replay alike.
+        # the ILP tables, the expanded-trace digests, the fast-path
+        # profiles and the simulator's memory replay alike.
         assert len(check_bench(self._record(err=1e-15))) == 1
         assert len(check_bench(self._record(mismatches=1))) == 1
-        assert len(check_bench(self._record(replay_mismatches=1))) == 1
         assert len(check_bench(self._record(profile_mismatches=1))) == 1
         assert len(check_bench(self._record(memory_mismatches=1))) == 1
         assert len(check_bench(
             self._record(collector=0.5, ilp=0.5, err=1.0, ips=1.0,
-                         expand=0.5, mismatches=2, replay=0.1,
-                         profiler=1.0, replay_mismatches=1,
+                         expand=0.5, mismatches=2, profiler=1.0,
                          profile_mismatches=1, memory_replay=0.5,
                          kips=1.0, memory_mismatches=1)
-        )) == 13
+        )) == 11
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed

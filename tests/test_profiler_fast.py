@@ -26,7 +26,12 @@ from repro.profiler.profiler import (
 )
 from repro.workloads import kernels as k
 from repro.workloads.builder import WorkloadBuilder
-from repro.workloads.engine import default_engine, pack_trace, unpack_trace
+from repro.workloads.engine import (
+    default_engine,
+    load_trace_arena,
+    pack_trace_arena,
+)
+from repro.workloads.generator import expand as legacy_expand
 from repro.workloads.ir import OP_CLASSES, TraceBlock
 from repro.workloads.parsec import parsec_workload
 from repro.workloads.rodinia import rodinia_workload
@@ -69,14 +74,16 @@ class TestSuiteEquivalence:
         assert profile_workload(trace).to_dict() == ref
 
     def test_store_roundtrip_trace_with_and_without_static_keys(self):
-        """Traces unpacked from pre-static-key payloads (no ``skeys``)
-        bypass the prep memo but still profile identically."""
-        trace = default_engine().expand(barrier_workload(seed=9))
-        packed = pack_trace(trace)
-        with_keys = unpack_trace(packed)
-        for t in packed["threads"]:
-            t.pop("skeys")
-        without_keys = unpack_trace(packed)
+        """Arena round-trips keep static keys; a key-less trace (from
+        the legacy generator) bypasses the prep memo but still profiles
+        identically."""
+        spec = barrier_workload(seed=9)
+        _, with_keys = load_trace_arena(
+            pack_trace_arena(default_engine().expand(spec))
+        )
+        _, without_keys = load_trace_arena(
+            pack_trace_arena(legacy_expand(spec))
+        )
         assert all(
             seg.block.static_key is not None
             for t in with_keys.threads for seg in t.segments
@@ -86,7 +93,7 @@ class TestSuiteEquivalence:
             seg.block.static_key is None
             for t in without_keys.threads for seg in t.segments
         )
-        ref = profile_workload_reference(trace).to_dict()
+        ref = profile_workload_reference(spec).to_dict()
         assert profile_workload(with_keys).to_dict() == ref
         assert profile_workload(without_keys).to_dict() == ref
 

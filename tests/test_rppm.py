@@ -1,10 +1,18 @@
 """Unit tests for RPPM's end-to-end prediction and the baselines."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.arch.presets import table_iv_config
+from repro.arch.presets import TABLE_IV, table_iv_config
 from repro.core.baselines import predict_crit, predict_main
+from repro.core.cpi_stack import COMPONENTS
 from repro.core.rppm import predict
+from repro.core.session import Session
+from repro.experiments.bench import QUICK_BENCHMARKS
+from repro.experiments.suites import BenchmarkRef, build_workload
 from repro.profiler.profiler import profile_workload
 from repro.simulator.multicore import simulate
 from repro.workloads.builder import WorkloadBuilder
@@ -158,3 +166,95 @@ class TestAgainstSimulation:
         simulate(small_trace, base_config)
         t_sim = time.perf_counter() - t0
         assert t_pred < t_sim
+
+
+def _sha256(records) -> str:
+    return hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestGoldenDigest:
+    """Pins every profiled and predicted number bit-exactly: a change to
+    the profiler, Eq. 1 or the phase-2 replay that moves one counter,
+    one histogram bin or one cycle fails here."""
+
+    PROFILE_GOLDEN = (
+        "fec7a75bab4b49a28eee1bb3919a6539"
+        "00f9c9aa12ea9d0481a030a62934b3a4"
+    )
+    PREDICTION_GOLDEN = (
+        "5ee362bbc5b47a029d5ee5f533f80299"
+        "d7631e684b20b220a1b49880673912a7"
+    )
+
+    @pytest.fixture(scope="class")
+    def profiles(self):
+        session = Session.ephemeral()
+        return [
+            profile_workload(
+                build_workload(BenchmarkRef("rodinia", name), 0.25),
+                session=session,
+            )
+            for name in QUICK_BENCHMARKS
+        ]
+
+    @staticmethod
+    def _record(result):
+        return {
+            "total_cycles": result.total_cycles,
+            "threads": [
+                [t.instructions, t.active_cycles, t.idle_cycles,
+                 [getattr(t.stack, c) for c in COMPONENTS]]
+                for t in result.threads
+            ],
+        }
+
+    def test_profile_digest_pinned(self, profiles):
+        digest = _sha256([profile.to_dict() for profile in profiles])
+        assert digest == self.PROFILE_GOLDEN
+
+    def test_prediction_digest_pinned(self, profiles):
+        session = Session.ephemeral()
+        records = [
+            self._record(predict(
+                profile, table_iv_config(point, cores=cores),
+                session=session,
+            ))
+            for profile in profiles
+            for point in ("smallest", "biggest")
+            for cores in (1, 4)
+        ]
+        assert _sha256(records) == self.PREDICTION_GOLDEN
+
+
+def test_repredicts_perfbench_validate_pins():
+    """Every RPPM cycle count pinned in the repository benchmark's
+    validate grid (26 benchmarks x 5 Table IV points, Parsec's lock,
+    condition-variable and pipeline idioms included) re-predicts
+    exactly.  The pin file is only read."""
+    pins_path = (
+        Path(__file__).resolve().parent.parent
+        / "perfbench" / "digests" / "validate.json"
+    )
+    pins = json.loads(pins_path.read_text())
+    configs = {
+        point: table_iv_config(point, cores=pins["cores"])
+        for point in TABLE_IV
+    }
+    session = Session.ephemeral()
+    mismatches = []
+    checked = 0
+    for label, grid in sorted(pins["grid"].items()):
+        suite, name = label.split(".", 1)
+        profile = profile_workload(
+            build_workload(BenchmarkRef(suite, name), pins["scale"]),
+            session=session,
+        )
+        for point, cycles in grid.items():
+            predicted = predict(profile, configs[point], session=session)
+            checked += 1
+            if float(predicted.total_cycles) != cycles[0]:
+                mismatches.append((label, point))
+    assert checked == 130
+    assert mismatches == []

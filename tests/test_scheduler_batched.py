@@ -1,12 +1,13 @@
-"""Batched DES replay vs the event-at-a-time executable spec.
+"""``run_schedule_batched``, the precomputed-duration wrapper, vs
+``run_schedule`` with a per-segment execute callback.
 
-``run_schedule_batched`` advances threads in whole strides of NONE
-segments between synchronization points; ``run_schedule`` with a
-per-segment execute callback is the preserved spec.  The two must be
-*bit-identical* — same timeline digest, same per-thread active/idle
-totals, same end time — across every synchronization idiom, because
-the profiler derives chunk interleavings and RPPM derives idle time
-from this replay.
+The wrapper runs the same scheduler with a callback that looks each
+duration up and merges the execute calls into ``order`` strides.  Its
+result must equal the plain call's — same timeline digest, same
+per-thread active/idle totals, same end time — and flattening its
+``order`` must give the plain call's execute order, across every
+synchronization idiom, because the profiler derives chunk
+interleavings and RPPM derives idle time from this replay.
 """
 
 from __future__ import annotations
@@ -25,21 +26,28 @@ from repro.workloads.ir import SyncKind, SyncOp
 END = SyncOp(SyncKind.END)
 
 
-def spec_run(programs, durations):
+def spec_run(programs, durations, calls=None):
     def execute(tid, idx, start):
+        if calls is not None:
+            calls.append((tid, idx))
         return durations[tid][idx]
 
     return run_schedule(programs, execute)
 
 
 def assert_equivalent(programs, durations):
-    """Both schedulers, bit-identical outcome; returns the batched result."""
-    ref = spec_run(programs, durations)
+    """Wrapper and plain call, identical outcome and execute order;
+    returns the wrapper's result."""
+    calls = []
+    ref = spec_run(programs, durations, calls)
     fast = run_schedule_batched(programs, durations)
     assert fast.end_time == ref.end_time
     assert fast.active == ref.active
     assert fast.idle == ref.idle
     assert fast.timeline.digest() == ref.timeline.digest()
+    assert [
+        (tid, idx) for tid, lo, hi in fast.order for idx in range(lo, hi)
+    ] == calls
     return fast
 
 
@@ -51,7 +59,7 @@ class TestIdioms:
     def test_single_thread_stride(self):
         programs = [[N(SyncKind.NONE)] * 5 + [END]]
         result = assert_equivalent(programs, [[3, 1, 4, 1, 5, 9]])
-        # One unbounded stride covers all six segments.
+        # One stride covers all six segments.
         assert result.order == [(0, 0, 6)]
 
     def test_create_and_join(self):
@@ -129,8 +137,8 @@ class TestIdioms:
             run_schedule_batched(programs, [[-1, 0]])
 
     def test_negative_duration_inside_stride_rejected(self):
-        # The bad duration sits mid-stride; the batched path must
-        # defer to the spec's per-segment ValueError, not swallow it.
+        # The bad duration sits mid-run of NONE segments; it must
+        # raise the scheduler's per-segment ValueError.
         programs = [[N(SyncKind.NONE), N(SyncKind.NONE),
                      N(SyncKind.NONE), END]]
         with pytest.raises(ValueError):
@@ -171,7 +179,7 @@ def sync_programs(draw):
     Thread 0 creates every other thread up front, then all threads mix
     NONE runs with barriers over the full participant set and
     matched LOCK/UNLOCK pairs — the idioms whose handlers wake other
-    threads, i.e. exactly where batched strides could go wrong.
+    threads and so interleave the execute order.
     """
     n_threads = draw(st.integers(1, 4))
     n_barriers = draw(st.integers(0, 3))

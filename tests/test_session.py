@@ -1,10 +1,10 @@
-"""The Session cache plane: constructors, memos, shims, health.
+"""The Session cache plane: constructors, memos, health.
 
 A :class:`~repro.core.session.Session` is the one surface callers use
 to share trace expansions, ILP tables, branch statistics, segment
 precompute and Eq.-1 memos across the pipeline.  These tests pin its
-constructors, the cost-memo identity rules, the deprecation shims on
-the old per-cache kwargs, and the consolidated health snapshot.
+constructors, the cost-memo identity rules, the warning-free session
+path, and the consolidated health snapshot.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from repro.arch.presets import table_iv_config
 from repro.core.rppm import predict
 from repro.core.session import Session
 from repro.experiments.scaling import run_scaling_curve
-from repro.experiments.store import ProfileStore, TraceCache
+from repro.experiments.store import ProfileStore
 from repro.experiments.suites import RunCache
 from repro.profiler.profiler import profile_workload
-from repro.simulator.multicore import MulticoreSimulator, simulate
+from repro.simulator.multicore import simulate
 from tests.conftest import barrier_workload
 
 
@@ -116,9 +116,6 @@ class TestRunCacheIntegration:
         store = ProfileStore(tmp_path / "rc")
         rc = RunCache(scale=0.05, store=store)
         assert rc.session.store is store
-        # Back-compat accessors delegate to the session.
-        assert rc.traces is rc.session.traces
-        assert rc.ilp_cache is rc.session.ilp
 
     def test_run_cache_accepts_shared_session(self, session):
         rc = RunCache(scale=0.05, session=session)
@@ -137,46 +134,7 @@ class TestRunCacheIntegration:
 
 
 class TestDeprecatedShims:
-    """Old per-cache kwargs still work for one release — warning loudly."""
-
-    def test_profile_workload_trace_cache_kwarg(self):
-        cache = TraceCache()
-        with pytest.warns(DeprecationWarning, match="session"):
-            profile = profile_workload(
-                barrier_workload(seed=61), trace_cache=cache
-            )
-        assert profile.n_instructions > 0
-        assert cache.stats()["misses"] == 1
-
-    def test_predict_cache_kwarg(self, small_profile, base_config):
-        from repro.core.epoch_model import EpochCostCache
-
-        cache = EpochCostCache(small_profile, base_config)
-        with pytest.warns(DeprecationWarning, match="session"):
-            result = predict(small_profile, base_config, cache=cache)
-        assert result.total_cycles == predict(
-            small_profile, base_config
-        ).total_cycles
-
-    def test_simulate_trace_cache_kwarg(self, smallest_config):
-        cache = TraceCache()
-        spec = barrier_workload(seed=67)
-        with pytest.warns(DeprecationWarning, match="session"):
-            result = simulate(spec, smallest_config, trace_cache=cache)
-        assert result.total_cycles > 0
-
-    def test_simulator_run_trace_cache_kwarg(self, smallest_config):
-        sim = MulticoreSimulator(smallest_config)
-        with pytest.warns(DeprecationWarning, match="session"):
-            sim.run(barrier_workload(seed=67), trace_cache=TraceCache())
-
-    def test_scaling_trace_cache_kwarg(self):
-        with pytest.warns(DeprecationWarning, match="session"):
-            curve = run_scaling_curve(
-                "nn", thread_counts=(1,), scale=0.05,
-                trace_cache=TraceCache(),
-            )
-        assert len(curve.points) == 1
+    """The per-cache keywords are gone; the session path warns nothing."""
 
     def test_no_warning_on_session_path(self, recwarn):
         profile_workload(
