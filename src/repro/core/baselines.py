@@ -20,19 +20,18 @@ from __future__ import annotations
 from typing import List
 
 from repro.arch.config import MulticoreConfig
-from repro.core.epoch_model import EpochCostCache, predict_epoch_cycles
+from repro.core.epoch_model import EpochCostCache, predict_active_cycles
 from repro.profiler.profile import WorkloadProfile
 
 
 def _thread_active_cycles(
     profile: WorkloadProfile, config: MulticoreConfig
 ) -> List[float]:
-    cache = EpochCostCache(profile, config)
+    durations, _ = predict_active_cycles(EpochCostCache(profile, config))
     totals = []
-    for thread in profile.threads:
+    for per_segment in durations:
         total = 0.0
-        for segment in thread.segments:
-            cycles, _ = predict_epoch_cycles(cache, thread, segment)
+        for cycles in per_segment:
             total += cycles
         totals.append(total)
     return totals

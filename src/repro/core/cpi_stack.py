@@ -9,6 +9,8 @@ they can be compared bar-for-bar as in the paper's Figure 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable
 
 #: Component order used in reports (matches the paper's stacking).
@@ -33,7 +35,8 @@ class CPIStack:
 
     @property
     def total_cycles(self) -> float:
-        return sum(getattr(self, name) for name in COMPONENTS)
+        # Left to right, not ``sum()``: see Timeline.active_time.
+        return reduce(add, (getattr(self, name) for name in COMPONENTS), 0)
 
     @property
     def active_cycles(self) -> float:

@@ -2,14 +2,21 @@
 
 Each dynamic segment's active execution time is its instruction count
 times the Eq.-1 CPI of its pool on the target configuration.  Costs are
-memoised per (pool, configuration) — this is what makes RPPM "rapid":
-a workload with millions of dynamic synchronization epochs still needs
-only one Eq.-1 evaluation per static code region.
+memoised per pool in an :class:`EpochCostCache`, which is keyed by the
+configuration fields Eq. 1 reads (:func:`equation_key`) — this is what
+makes RPPM "rapid": a workload with millions of dynamic synchronization
+epochs still needs only one Eq.-1 evaluation per static code region,
+and design points that differ only in core count or name share one
+memo.
+
+:func:`predict_active_cycles` is the one phase-1 loop, used by RPPM and
+by the MAIN/CRIT baselines; :func:`predict_epoch_cycles` is its
+per-segment spec.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import MulticoreConfig
 from repro.core.cpi_stack import CPIStack
@@ -17,13 +24,32 @@ from repro.core.equation import EpochCosts, evaluate_equation
 from repro.profiler.profile import SegmentRef, ThreadProfile, WorkloadProfile
 
 
+def equation_key(config: MulticoreConfig) -> tuple:
+    """What Eq. 1 and phase 1 read of ``config``, hashable by value.
+
+    RPPM runs one thread per core, so a prediction does not depend on
+    ``cores``; ``name`` only labels results.  Configurations with equal
+    keys share one :class:`EpochCostCache`.
+    """
+    return (config.core, config.l1i, config.l1d, config.l2, config.llc,
+            config.memory, config.branch_predictor)
+
+
 class EpochCostCache:
-    """Memoised Eq.-1 evaluations per (thread, pool key)."""
+    """Memoised Eq.-1 evaluations per (thread, pool key).
+
+    ``config`` is whichever configuration created the memo; only the
+    fields in its :func:`equation_key` may be read through it.
+    """
 
     def __init__(self, profile: WorkloadProfile, config: MulticoreConfig):
         self.profile = profile
         self.config = config
         self._cache: Dict[Tuple[int, int], EpochCosts] = {}
+
+    def __len__(self) -> int:
+        """Eq.-1 evaluations made so far."""
+        return len(self._cache)
 
     def costs(self, thread: ThreadProfile, key: Optional[int]) -> Optional[
         EpochCosts
@@ -67,3 +93,40 @@ def predict_epoch_cycles(
         instructions=n,
     )
     return costs.cpi_active * n + startup, stack
+
+
+def predict_active_cycles(
+    cache: EpochCostCache,
+) -> Tuple[List[List[float]], List[CPIStack]]:
+    """Phase 1 over ``cache.profile``: every segment's active cycles and
+    every thread's CPI stack (``sync`` left at 0).
+
+    Bit-identical to :func:`predict_epoch_cycles` per segment with the
+    stacks added in segment order: plain left-to-right additions,
+    never ``sum()``.
+    """
+    startup = segment_startup_cycles(cache.config)
+    durations: List[List[float]] = []
+    stacks = [CPIStack() for _ in range(cache.profile.n_threads)]
+    for thread in cache.profile.threads:
+        base = branch = icache = mem = 0.0
+        instructions = 0
+        per_segment: List[float] = []
+        for segment in thread.segments:
+            costs = cache.costs(thread, segment.key)
+            n = segment.n_instructions
+            if costs is None or n == 0:
+                per_segment.append(0.0)
+                continue
+            per_segment.append(costs.cpi_active * n + startup)
+            base += costs.cpi_base * n + startup
+            branch += costs.cpi_branch * n
+            icache += costs.cpi_icache * n
+            mem += costs.cpi_mem * n
+            instructions += n
+        durations.append(per_segment)
+        stacks[thread.thread_id] = CPIStack(
+            base=base, branch=branch, icache=icache, mem=mem,
+            instructions=instructions,
+        )
+    return durations, stacks

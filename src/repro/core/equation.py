@@ -64,9 +64,8 @@ class EpochCosts:
         return self.cpi_base + self.cpi_branch + self.cpi_icache + self.cpi_mem
 
 
-def _port_throughput_cap(pool: EpochProfile, config: MulticoreConfig) -> float:
+def _port_throughput_cap(mix: dict, config: MulticoreConfig) -> float:
     """Max IPC allowed by per-class issue ports given the mix."""
-    mix = pool.mix
     ports = config.core.ports
     cap = float("inf")
     for name, frac in mix.items():
@@ -104,7 +103,8 @@ def evaluate_equation(
     # the profiled ILP table (Van den Steen et al. [37]).
     ilp_hit = pool.ilp.lookup(core.rob_size, lat_hit)
     ilp_full = pool.ilp.lookup(core.rob_size, lat_hit + m3 * mem_cycles)
-    port_cap = _port_throughput_cap(pool, config)
+    mix = pool.mix
+    port_cap = _port_throughput_cap(mix, config)
     deff = min(float(core.dispatch_width), ilp_hit, port_cap)
     deff = max(deff, 1e-3)
     cpi_base = 1.0 / deff
@@ -117,7 +117,7 @@ def evaluate_equation(
     # MSHR throttle: the scoreboard assumes unbounded outstanding
     # misses; hardware tracks at most ``mshr_entries``.  The serialized
     # floor is (misses per instruction) * memory latency / MSHRs.
-    loads_pi = pool.loads_per_instruction
+    loads_pi = mix.get("load", 0.0)
     mshr_floor = loads_pi * m3 * mem_cycles / mlp_cap
     cpi_mem = max(cpi_mem, mshr_floor)
     # Effective memory-level parallelism implied by the component
@@ -141,7 +141,7 @@ def evaluate_equation(
     miss_wait = 0.5 * p_miss_dep * mem_cycles
     c_res = 2.0 + miss_wait
     c_fr = float(core.frontend_depth)
-    bpi = pool.branches_per_instruction
+    bpi = mix.get("branch", 0.0)
     cpi_branch = bpi * m_bpred * (c_res + c_fr)
     # Overlap between branch and D-cache stalls: while a redirect waits
     # on a miss, the window drains on the *same* miss — those cycles

@@ -16,7 +16,7 @@ from typing import List
 
 from repro.arch.config import MulticoreConfig
 from repro.core.cpi_stack import CPIStack
-from repro.core.epoch_model import EpochCostCache, predict_epoch_cycles
+from repro.core.epoch_model import EpochCostCache, predict_active_cycles
 from repro.obs import span
 from repro.profiler.profile import WorkloadProfile
 from repro.runtime.scheduler import run_schedule_batched
@@ -66,8 +66,10 @@ def predict(
 
     ``session`` (a :class:`repro.core.session.Session`) keeps the
     per-(thread, pool) Eq.-1 memo resident across calls for the same
-    (profile, config) pair — the memo is read/extend-only, so reuse is
-    safe and repeat predictions skip every Eq.-1 evaluation.
+    profile and Eq.-1 inputs (:func:`~repro.core.epoch_model.equation_key`)
+    — the memo is read/extend-only, so reuse is safe, and repeat
+    predictions, or predictions at another core count, skip every
+    Eq.-1 evaluation.
     """
     if session is not None:
         cache = session.cost_cache(profile, config)
@@ -77,15 +79,7 @@ def predict(
 
     with span("predict", workload=profile.name, config=config.name):
         # Phase 1: active cycles per segment (memoised per pool).
-        durations: List[List[float]] = []
-        stacks = [CPIStack() for _ in range(profile.n_threads)]
-        for thread in profile.threads:
-            per_segment = []
-            for segment in thread.segments:
-                cycles, stack = predict_epoch_cycles(cache, thread, segment)
-                per_segment.append(cycles)
-                stacks[thread.thread_id].add(stack)
-            durations.append(per_segment)
+        durations, stacks = predict_active_cycles(cache)
 
         # Phase 2: symbolic execution of the synchronization structure
         # (Algorithm 2) over the predicted per-epoch times, on the one

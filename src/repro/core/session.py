@@ -16,8 +16,8 @@ handles:
 * :attr:`prep` — static per-segment profiling precompute keyed by the
   engine's static-artifact identity
   (:class:`~repro.profiler.profiler.SegmentPrepCache`),
-* :meth:`cost_cache` — resident Eq.-1 memos per (profile, config)
-  (:class:`~repro.core.epoch_model.EpochCostCache`),
+* :meth:`cost_cache` — resident Eq.-1 memos per (profile, Eq.-1
+  inputs) (:class:`~repro.core.epoch_model.EpochCostCache`),
 
 plus usage counters and one consolidated :meth:`health` snapshot for
 the serving plane.  Construct with :meth:`Session.from_store` (durable
@@ -37,7 +37,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.arch.config import MulticoreConfig
-from repro.core.epoch_model import EpochCostCache
+from repro.core.epoch_model import EpochCostCache, equation_key
 from repro.profiler.branchprof import BranchStatsCache
 from repro.profiler.ilp_batch import KERNEL_STATS, ILPTableCache
 from repro.profiler.profile import WorkloadProfile
@@ -69,7 +69,8 @@ class Session:
         default the process-wide engine (and its static-artifact memo)
         is shared.
     max_cost_caches:
-        Resident Eq.-1 memos kept, LRU over (profile, config) pairs.
+        Resident Eq.-1 memos kept, LRU over (profile, Eq.-1 inputs)
+        pairs.
     max_trace_bytes:
         Byte bound of the resident trace LRU.
 
@@ -95,7 +96,7 @@ class Session:
         self.branches = BranchStatsCache()
         self.prep = SegmentPrepCache()
         self.max_cost_caches = max_cost_caches
-        self._costs: "OrderedDict[Tuple[Any, str], Tuple[WorkloadProfile, EpochCostCache]]" = (
+        self._costs: "OrderedDict[Tuple[Any, tuple], Tuple[WorkloadProfile, EpochCostCache]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -131,19 +132,19 @@ class Session:
         config: MulticoreConfig,
         key: Optional[str] = None,
     ) -> EpochCostCache:
-        """The resident Eq.-1 memo for ``(profile, config)``.
+        """The resident Eq.-1 memo for ``profile`` on ``config``.
 
-        ``key`` optionally names the profile with a stable identity (a
-        store key); without it the profile *object* identifies the
-        entry, so repeat predictions must pass the same instance to
-        hit.  The memo is only valid for the exact profile object it
-        was built from — if a caller re-loads a profile under the same
-        ``key``, the stale entry is replaced, never reused.
+        Entries are per (profile, :func:`equation_key`), so configs
+        differing only in ``cores`` or ``name`` share one.  ``key``
+        optionally names the profile with a stable identity (a store
+        key); without it the profile *object* identifies the entry, so
+        repeat predictions must pass the same instance to hit.  The
+        memo is only valid for the exact profile object it was built
+        from — if a caller re-loads a profile under the same ``key``,
+        the stale entry is replaced, never reused.
         """
-        from repro.experiments.store import config_fingerprint
-
         ident = key if key is not None else id(profile)
-        ckey = (ident, config_fingerprint(config))
+        ckey = (ident, equation_key(config))
         with self._lock:
             entry = self._costs.get(ckey)
             if entry is not None and entry[0] is profile:
@@ -176,7 +177,8 @@ class Session:
         This is the ``session`` block of the service's ``/healthz``:
         trace cache occupancy and hit rates, ILP table and branch-stat
         memo effectiveness, segment-prep memo occupancy, resident
-        Eq.-1 memos, expansion-engine and ILP-kernel counters, usage
+        Eq.-1 memos (``cost_caches``: one per profile and Eq.-1
+        inputs), expansion-engine and ILP-kernel counters, usage
         counters, and (when durable) the store's degradation counters.
         """
         with self._lock:

@@ -33,6 +33,9 @@ Measures the components the paper's "rapid" claim rests on:
   :class:`~repro.core.session.Session` (trace + prep + branch + ILP
   memos — the "profile once, reuse everywhere" economy the cache
   plane buys), with the cold first pass reported alongside;
+* predict — the suite's profiles at the 20 dse design points through
+  :func:`repro.core.rppm.predict`, a fresh session per rep, every
+  prediction cross-checked against session-less ``predict``;
 * code size — ``src_lines``, the lines of Python under ``src/``.
 
 Results are written as machine-readable ``BENCH_profiler.json`` so the
@@ -47,12 +50,14 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.presets import table_iv_config
+from repro.arch.presets import TABLE_IV, table_iv_config
+from repro.core.rppm import predict
 from repro.core.session import Session
 from repro.experiments.store import TraceCache
 from repro.experiments.suites import (
@@ -90,6 +95,9 @@ from repro.workloads.engine import EngineStats, ExpansionEngine
 from repro.workloads.generator import expand
 from repro.workloads.ir import OP_STORE, fetch_lines
 
+#: 9: adds the ``predict`` section (predictions/s over the suite's
+#: profiles x 20 design points, Eq.-1 evaluations, mismatches against
+#: session-less ``predict``) and commits its floors.
 #: 8: drops the batched-vs-spec DES replay timings from the ``replay``
 #: section (the batched scheduler is gone; the section keeps the
 #: profiler fast path) with its floor, and adds ``src_lines``.
@@ -115,7 +123,7 @@ from repro.workloads.ir import OP_STORE, fetch_lines
 #: ``REPRO_OBS=off`` on the warm suite loop) and commits the
 #: obs-overhead ceiling.
 #: 2: added the ``ilp`` section (batched scoreboard vs scalar spec).
-BENCH_SCHEMA = 8
+BENCH_SCHEMA = 9
 #: Quick-mode subset: three locality personalities plus streamcluster,
 #: whose sparse address space exercises the engine's fallback path.
 QUICK_BENCHMARKS = ("hotspot", "bfs", "srad", "streamcluster")
@@ -141,6 +149,9 @@ CHECK_FLOORS: Dict[str, float] = {
     #: Half the committed full-scale simulator throughput: 866
     #: kinstr/s at ``base`` x 4 cores (schema-7 record, 2-vCPU host).
     "simulate_min_kips": 433.0,
+    #: Half the committed full-scale ``predict`` rate: 1,335
+    #: predictions/s (schema-9 record, 2-vCPU host).
+    "predict_min_per_s": 667.0,
 }
 
 #: Committed serving floors: warm-cache ``/v1/predict`` throughput
@@ -631,6 +642,35 @@ def run_profiler_bench(
     finally:
         set_obs_enabled(obs_prev)
 
+    # -- predict: one profile, many design points ---------------------------
+    # The suite's profiles at the 20 dse points, a fresh session per
+    # timed rep.  Core counts share one Eq.-1 memo, so ``evaluations``
+    # comes to len(TABLE_IV) per pool.
+    profiles = [profile_workload(tcache.get(s), session=session) for s in specs]
+    pairs = [
+        (profile, table_iv_config(point, cores=cores))
+        for profile in profiles
+        for point in TABLE_IV for cores in (1, 2, 4, 8)
+    ]
+
+    def _record(result) -> Tuple:
+        return result.total_cycles, [asdict(t) for t in result.threads]
+
+    check = Session.ephemeral(max_cost_caches=len(pairs))
+    predict_mismatches = sum(
+        1 for p, c in pairs
+        if _record(predict(p, c, session=check)) != _record(predict(p, c))
+    )
+    memos = {id(m): m for m in (check.cost_cache(p, c) for p, c in pairs)}
+    predict_times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        sess = Session.ephemeral()
+        for p, c in pairs:
+            predict(p, c, session=sess)
+        predict_times.append(time.perf_counter() - t0)
+    predict_s = float(np.median(predict_times))
+
     if profile_dump:
         # A *separate* instrumented rerun: cProfile tracing costs
         # ~20%, which must not contaminate the timed number the
@@ -728,6 +768,14 @@ def run_profiler_bench(
             "reference_s": memory_reference_s,
             "replay_speedup": memory_reference_s / memory_replay_s,
             "mismatches": int(memory_mismatches),
+        },
+        "predict": {
+            "profiles": len(profiles),
+            "points": len(pairs) // len(profiles),
+            "predict_s": predict_s,
+            "per_s": len(pairs) / predict_s,
+            "evaluations": sum(len(m) for m in memos.values()),
+            "mismatches": int(predict_mismatches),
         },
         "src_lines": src_lines(),
     }
@@ -1218,6 +1266,20 @@ def check_bench(result: Dict) -> List[str]:
                 f"simulator throughput {sim['kinstr_per_s']:.0f} kinstr/s "
                 f"below committed floor {floor:.0f} kinstr/s"
             )
+    pred = result.get("predict")
+    if pred is not None:
+        if pred["mismatches"] > 0:
+            failures.append(
+                f"{pred['mismatches']} session-memoised prediction(s) "
+                f"diverge from session-less predict (must be identical)"
+            )
+        # Absolute throughput: enforced only at the committed scale.
+        floor = CHECK_FLOORS["predict_min_per_s"]
+        if result.get("scale", 1.0) >= 1.0 and pred["per_s"] < floor:
+            failures.append(
+                f"predict throughput {pred['per_s']:.0f} predictions/s "
+                f"below committed floor {floor:.0f}/s"
+            )
     return failures
 
 
@@ -1231,6 +1293,7 @@ def render_bench(result: Dict) -> str:
     s = result["suite"]
     o = result["obs"]
     m = result["simulate"]
+    p = result["predict"]
     return "\n".join([
         f"profiler bench ({result['mode']}, scale={result['scale']}, "
         f"{len(result['benchmarks'])} benchmarks)",
@@ -1269,6 +1332,9 @@ def render_bench(result: Dict) -> str:
         f"{m['replay_s']:.2f}s vs {m['reference_s']:.2f}s per-access "
         f"spec ({m['replay_speedup']:.1f}x, {m['mismatches']} "
         f"mismatches)",
+        f"  predict              : {p['profiles']} profiles x "
+        f"{p['points']} points, {p['per_s']:.0f}/s, {p['evaluations']} "
+        f"Eq.-1 evaluations, {p['mismatches']} mismatches",
         f"  code size            : {result['src_lines']:,} lines of "
         f"Python under src/",
     ])

@@ -107,11 +107,6 @@ def fingerprint(obj: Any) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def config_fingerprint(config: Any) -> str:
-    """Deterministic digest of an architecture configuration."""
-    return fingerprint(config)
-
-
 def default_root() -> Path:
     env = os.environ.get(CACHE_ENV)
     if env:

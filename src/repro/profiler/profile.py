@@ -13,6 +13,7 @@ is the "one-time-cost profile" artifact of Fig. 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -72,61 +73,53 @@ class ILPTable:
             raise ValueError("load-parallelism shape mismatch")
         if (self.load_par < 1.0 - 1e-9).any():
             raise ValueError("load parallelism must be >= 1")
+        # Python-float copies of the grids for the scalar lookups (three
+        # per Eq.-1 evaluation); the window axis goes through numpy's
+        # log2, as the query does, so every value keeps its bits.
+        self._wgrid = np.log2(
+            np.asarray(self.windows, dtype=np.float64)
+        ).tolist()
+        self._lgrid = [float(lat) for lat in self.load_lats]
+        self._rows = self.ilp.tolist()
+        self._branch_loads = self.branch_loads.tolist()
 
-    def _bilinear(
-        self, grid: np.ndarray, window: int, load_lat: float
-    ) -> float:
-        """Bilinear interpolation (log2 in window, linear in latency)."""
-        w = float(np.clip(window, self.windows[0], self.windows[-1]))
-        lat = float(
-            np.clip(load_lat, self.load_lats[0], self.load_lats[-1])
-        )
-        wgrid = np.log2(np.asarray(self.windows, dtype=np.float64))
-        lgrid = np.asarray(self.load_lats, dtype=np.float64)
-        wi = int(np.searchsorted(wgrid, np.log2(w), side="right") - 1)
-        wi = min(max(wi, 0), len(self.windows) - 2) if len(
-            self.windows
-        ) > 1 else 0
-        li = int(np.searchsorted(lgrid, lat, side="right") - 1)
-        li = min(max(li, 0), len(self.load_lats) - 2) if len(
-            self.load_lats
-        ) > 1 else 0
-        if len(self.windows) == 1 and len(self.load_lats) == 1:
-            return float(grid[0, 0])
-        if len(self.windows) == 1:
-            frac = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
-            return float(
-                grid[0, li] * (1 - frac) + grid[0, li + 1] * frac
-            )
-        if len(self.load_lats) == 1:
-            frac = (np.log2(w) - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
-            return float(
-                grid[wi, 0] * (1 - frac) + grid[wi + 1, 0] * frac
-            )
-        fw = (np.log2(w) - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
-        fl = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
-        top = grid[wi, li] * (1 - fl) + grid[wi, li + 1] * fl
-        bot = grid[wi + 1, li] * (1 - fl) + grid[wi + 1, li + 1] * fl
-        return float(top * (1 - fw) + bot * fw)
+    def _window_pos(self, window: int) -> Tuple[int, float]:
+        """Grid cell and log2-linear fraction of ``window`` (clamped)."""
+        w = float(min(max(window, self.windows[0]), self.windows[-1]))
+        lw = float(np.log2(w))
+        wgrid = self._wgrid
+        wi = min(max(bisect_right(wgrid, lw) - 1, 0), len(wgrid) - 2)
+        return wi, (lw - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
 
     def lookup(self, window: int, load_lat: float) -> float:
-        """Interpolated ILP at a window size and average load latency."""
-        return self._bilinear(self.ilp, window, load_lat)
-
-    def _window_interp(self, values: np.ndarray, window: int) -> float:
-        """Interpolate a per-window vector at ``window`` (log2-linear)."""
-        w = float(np.clip(window, self.windows[0], self.windows[-1]))
-        if len(self.windows) == 1:
-            return float(values[0])
-        wgrid = np.log2(np.asarray(self.windows, dtype=np.float64))
-        wi = int(np.searchsorted(wgrid, np.log2(w), side="right") - 1)
-        wi = min(max(wi, 0), len(self.windows) - 2)
-        frac = (np.log2(w) - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
-        return float(values[wi] * (1 - frac) + values[wi + 1] * frac)
+        """Interpolated ILP at a window size and average load latency
+        (bilinear: log2 in window, linear in latency)."""
+        rows = self._rows
+        lgrid = self._lgrid
+        if len(rows) == 1 and len(lgrid) == 1:
+            return rows[0][0]
+        lat = float(min(max(load_lat, lgrid[0]), lgrid[-1]))
+        li = 0
+        if len(lgrid) > 1:
+            li = min(max(bisect_right(lgrid, lat) - 1, 0), len(lgrid) - 2)
+        if len(rows) == 1:
+            frac = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
+            return rows[0][li] * (1 - frac) + rows[0][li + 1] * frac
+        wi, fw = self._window_pos(window)
+        if len(lgrid) == 1:
+            return rows[wi][0] * (1 - fw) + rows[wi + 1][0] * fw
+        fl = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
+        top = rows[wi][li] * (1 - fl) + rows[wi][li + 1] * fl
+        bot = rows[wi + 1][li] * (1 - fl) + rows[wi + 1][li + 1] * fl
+        return top * (1 - fw) + bot * fw
 
     def lookup_branch_loads(self, window: int) -> float:
         """Interpolated branch backward-slice load count at a window."""
-        return self._window_interp(self.branch_loads, window)
+        values = self._branch_loads
+        if len(values) == 1:
+            return values[0]
+        wi, frac = self._window_pos(window)
+        return values[wi] * (1 - frac) + values[wi + 1] * frac
 
     def equals_exact(self, other: "ILPTable") -> bool:
         """Bit-exact equality on every field.
@@ -303,10 +296,6 @@ class EpochProfile:
     @property
     def loads_per_instruction(self) -> float:
         return self.mix.get("load", 0.0)
-
-    @property
-    def branches_per_instruction(self) -> float:
-        return self.mix.get("branch", 0.0)
 
     @property
     def fetches_per_instruction(self) -> float:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 
@@ -60,13 +62,16 @@ class Timeline:
         if end > start:
             self.idle[tid].append((Interval(start, end), cause))
 
+    # Totals add left to right: from Python 3.12 on, ``sum()`` over
+    # floats compensates rounding, so pinned outputs would move.
+
     def active_time(self, tid: int) -> float:
         """Total time thread ``tid`` spent executing instructions."""
-        return sum(iv.duration for iv in self.active[tid])
+        return reduce(add, (iv.duration for iv in self.active[tid]), 0)
 
     def idle_time(self, tid: int) -> float:
         """Total time thread ``tid`` spent blocked at sync events."""
-        return sum(iv.duration for iv, _ in self.idle[tid])
+        return reduce(add, (iv.duration for iv, _ in self.idle[tid]), 0)
 
     def idle_by_cause(self, tid: int) -> Dict[str, float]:
         """Idle time of ``tid`` broken down by blocking cause."""

@@ -15,8 +15,9 @@ artifacts resident across requests:
   over the store's ``"traces"`` kind), so a cold compare pays trace
   expansion once across profile and simulation and a repeat pays
   none;
-* per-(profile, config) :class:`~repro.core.epoch_model.EpochCostCache`
-  memos, so repeat predictions skip every Eq.-1 evaluation;
+* per-(profile, Eq.-1 inputs) :class:`~repro.core.epoch_model.EpochCostCache`
+  memos, so repeat predictions, and predictions at a new core count,
+  skip every Eq.-1 evaluation;
 * finished response payloads next to their JSON-encoded bodies, keyed
   by the full request tuple, so the HTTP server can answer a repeat
   request on its event loop from bytes
@@ -342,8 +343,9 @@ class PredictionEngine:
         cfg = self._config(config, cores)
         _pkey, profile = self.profile(ref, scale)
         # The session memoises the Eq.-1 cost cache per (profile,
-        # config); profiles stay resident in ``_profiles``, so repeat
-        # predictions skip every Eq.-1 evaluation.
+        # Eq.-1 inputs), which leave out the core count; profiles stay
+        # resident in ``_profiles``, so a repeat prediction, or one at
+        # a new core count, skips every Eq.-1 evaluation.
         result = predict(profile, cfg, session=self.session)
         self._bump("predictions_run")
         self._count("computed", "predict")

@@ -35,6 +35,8 @@ from repro.profiler.histogram import RDHistogram
 #: five configs; a few hundred curves cover every realistic run.
 _SD_CACHE_MAX = 512
 
+#: Content key -> (curve, rates): the stack-distance curve and the miss
+#: rates derived from it per (capacity, include_cold, include_inval).
 _sd_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 _sd_lock = threading.Lock()
 _sd_hits = 0
@@ -57,6 +59,25 @@ def sd_cache_clear() -> None:
         _sd_misses = 0
 
 
+def _sd_entry(hist: RDHistogram) -> tuple:
+    """The memo entry ``(curve, rates)`` of ``hist``'s content."""
+    global _sd_hits, _sd_misses
+    key = (hist.counts.tobytes(), hist.cold, hist.inval)
+    with _sd_lock:
+        entry = _sd_cache.get(key)
+        if entry is not None:
+            _sd_hits += 1
+            _sd_cache.move_to_end(key)
+            return entry
+        _sd_misses += 1
+    entry = (_compute_stack_distances(hist), {})
+    with _sd_lock:
+        _sd_cache[key] = entry
+        if len(_sd_cache) > _SD_CACHE_MAX:
+            _sd_cache.popitem(last=False)
+    return entry
+
+
 def expected_stack_distances(
     hist: RDHistogram,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,21 +92,7 @@ def expected_stack_distances(
     key — callers receive shared arrays and must treat them as
     read-only.
     """
-    global _sd_hits, _sd_misses
-    key = (hist.counts.tobytes(), hist.cold, hist.inval)
-    with _sd_lock:
-        cached = _sd_cache.get(key)
-        if cached is not None:
-            _sd_hits += 1
-            _sd_cache.move_to_end(key)
-            return cached
-        _sd_misses += 1
-    result = _compute_stack_distances(hist)
-    with _sd_lock:
-        _sd_cache[key] = result
-        if len(_sd_cache) > _SD_CACHE_MAX:
-            _sd_cache.popitem(last=False)
-    return result
+    return _sd_entry(hist)[0]
 
 
 def _compute_stack_distances(
@@ -121,13 +128,31 @@ def miss_rate(
     crossing bin is included fractionally (linear interpolation).  Cold
     accesses and coherence-invalidated reuses always miss; the flags let
     callers split the components for CPI-stack attribution.
+
+    Rates are memoised inside the curve memo's entry for the
+    histogram's content, so they share its key, lock and
+    :data:`_SD_CACHE_MAX` bound.
     """
     if cache_lines <= 0:
         raise ValueError("cache capacity must be positive")
+    curve, rates = _sd_entry(hist)
+    key = (cache_lines, include_cold, include_inval)
+    rate = rates.get(key)
+    if rate is None:
+        rate = _miss_rate(hist, curve, *key)
+        with _sd_lock:
+            rates[key] = rate
+    return rate
+
+
+def _miss_rate(
+    hist: RDHistogram, curve: tuple, cache_lines: int,
+    include_cold: bool, include_inval: bool,
+) -> float:
     total = hist.n_total
     if total == 0:
         return 0.0
-    rds, counts, sds = expected_stack_distances(hist)
+    rds, counts, sds = curve
     finite_misses = 0.0
     if len(rds):
         j = int(np.searchsorted(sds, cache_lines, side="left"))

@@ -116,6 +116,27 @@ class TestTimeline:
         assert t.events() == [0, 5, 9]
 
 
+class TestLeftToRightTotals:
+    """Totals add left to right, so pinned outputs do not depend on the
+    interpreter: from Python 3.12 on ``sum()`` compensates rounding and
+    would give ``2**53 + 2`` for these terms."""
+
+    TERMS = (2.0**53, 1.0, 1.0)
+
+    def test_timeline_totals(self):
+        t = Timeline(n_threads=1)
+        for duration in self.TERMS:
+            t.record_active(0, 0.0, duration)
+            t.record_idle(0, 0.0, duration, "barrier")
+        assert t.active_time(0) == 2.0**53
+        assert t.idle_time(0) == 2.0**53
+
+    def test_cpi_stack_total(self):
+        base, branch, icache = self.TERMS
+        s = CPIStack(base=base, branch=branch, icache=icache)
+        assert s.total_cycles == 2.0**53
+
+
 class TestChunking:
     def test_small_blocks_untouched(self):
         trace = expand(single_thread_workload(make_epoch(100)))

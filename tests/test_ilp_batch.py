@@ -321,7 +321,8 @@ class TestBenchCheck:
     def _record(self, collector=10.0, ilp=16.0, err=0.0, ips=10e6,
                 expand=100.0, mismatches=0, profiler=2.5,
                 profile_mismatches=0, memory_replay=1.3, kips=900.0,
-                memory_mismatches=0):
+                memory_mismatches=0, predict_per_s=1e4,
+                predict_mismatches=0):
         return {
             "collector": {"speedup": collector},
             "ilp": {"speedup": ilp, "max_rel_err": err},
@@ -339,6 +340,10 @@ class TestBenchCheck:
                 "kinstr_per_s": kips,
                 "mismatches": memory_mismatches,
             },
+            "predict": {
+                "per_s": predict_per_s,
+                "mismatches": predict_mismatches,
+            },
         }
 
     def test_all_floors_clear(self):
@@ -352,6 +357,7 @@ class TestBenchCheck:
         assert len(check_bench(self._record(profiler=1.0))) == 1
         assert len(check_bench(self._record(memory_replay=0.9))) == 1
         assert len(check_bench(self._record(kips=100.0))) == 1
+        assert len(check_bench(self._record(predict_per_s=1.0))) == 1
         # Bit-identity: any non-zero divergence fires the check — for
         # the ILP tables, the expanded-trace digests, the fast-path
         # profiles and the simulator's memory replay alike.
@@ -359,16 +365,18 @@ class TestBenchCheck:
         assert len(check_bench(self._record(mismatches=1))) == 1
         assert len(check_bench(self._record(profile_mismatches=1))) == 1
         assert len(check_bench(self._record(memory_mismatches=1))) == 1
+        assert len(check_bench(self._record(predict_mismatches=1))) == 1
         assert len(check_bench(
             self._record(collector=0.5, ilp=0.5, err=1.0, ips=1.0,
                          expand=0.5, mismatches=2, profiler=1.0,
                          profile_mismatches=1, memory_replay=0.5,
-                         kips=1.0, memory_mismatches=1)
-        )) == 11
+                         kips=1.0, memory_mismatches=1, predict_per_s=1.0,
+                         predict_mismatches=1)
+        )) == 13
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed
         # scale; probe runs with --scale 0.3 must not fire it.
-        record = self._record(ips=0.2e6, kips=1.0)
+        record = self._record(ips=0.2e6, kips=1.0, predict_per_s=1.0)
         record["scale"] = 0.3
         assert check_bench(record) == []

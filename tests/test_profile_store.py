@@ -10,7 +10,6 @@ from repro.arch.presets import table_iv_config
 from repro.experiments.store import (
     SCHEMA_VERSION,
     ProfileStore,
-    config_fingerprint,
     fingerprint,
 )
 from repro.experiments.suites import BenchmarkRef, RunCache
@@ -33,11 +32,11 @@ def base_cfg():
 
 class TestFingerprint:
     def test_deterministic(self, base_cfg):
-        assert config_fingerprint(base_cfg) == config_fingerprint(base_cfg)
+        assert fingerprint(base_cfg) == fingerprint(base_cfg)
 
     def test_distinguishes_configs(self, base_cfg):
         other = table_iv_config("base", cores=2)
-        assert config_fingerprint(base_cfg) != config_fingerprint(other)
+        assert fingerprint(base_cfg) != fingerprint(other)
 
     def test_dict_order_irrelevant(self):
         assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
