@@ -330,7 +330,6 @@ def cmd_work(args) -> int:
             configs=args.config or ["base"],
             cores=args.cores,
             simulate=args.simulate,
-            baselines=args.baselines,
         )
         queue = WorkQueue(store.root)
         added = queue.enqueue_many(jobs)
@@ -347,14 +346,14 @@ def cmd_work(args) -> int:
             heartbeat_s=args.heartbeat,
             drain=not args.no_drain,
             respawn=not args.no_respawn,
-            install_signals=True,
         )
         queue_stats = summary["queue"]
         print(f"fleet done: {summary['workers']} workers "
               f"({summary['respawned']} respawned), "
               f"{queue_stats['done']} jobs done, "
               f"{queue_stats['pending']} pending, "
-              f"{queue_stats['leased']} leased")
+              f"{queue_stats['leased']} leased, "
+              f"{queue_stats['quarantined']} quarantined")
         return 1 if queue_stats["pending"] else 0
     # stats
     queue = WorkQueue(
@@ -363,7 +362,8 @@ def cmd_work(args) -> int:
     stats = queue.stats()
     print(f"queue root: {queue.root}")
     print(f"  pending {stats['pending']:5d}   leased "
-          f"{stats['leased']:5d}   done {stats['done']:5d}")
+          f"{stats['leased']:5d}   done {stats['done']:5d}   "
+          f"quarantined {stats['quarantined']:5d}")
     for key, meta in sorted(queue.live_leases().items()):
         expired = meta["age_s"] > queue.lease_s
         print(f"  lease {key[:16]}  owner={meta.get('owner', '?')} "
@@ -583,9 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--cores", type=int, default=4)
     wp.add_argument("--simulate", action="store_true",
                     help="also enqueue reference simulations")
-    wp.add_argument("--baselines", action="store_true",
-                    help="also enqueue per-chunk reference profiles "
-                         "(bench equivalence baselines)")
 
     wp = wsub.add_parser(
         "run",
@@ -603,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="do not respawn workers that die")
 
     wp = wsub.add_parser(
-        "stats", help="queue state: pending / leased / done"
+        "stats", help="queue state: pending / leased / done / quarantined"
     )
     add_work_common(wp)
 

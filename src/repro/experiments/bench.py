@@ -36,7 +36,8 @@ Measures the components the paper's "rapid" claim rests on:
 * predict — the suite's profiles at the 20 dse design points through
   :func:`repro.core.rppm.predict`, a fresh session per rep, every
   prediction cross-checked against session-less ``predict``;
-* code size — ``src_lines``, the lines of Python under ``src/``.
+* code size — ``src_lines``, the lines of Python under ``src/``,
+  held under the committed ``src_max_lines`` ceiling.
 
 Results are written as machine-readable ``BENCH_profiler.json`` so the
 speedup is tracked across PRs (``python -m repro bench``; the pytest
@@ -152,6 +153,9 @@ CHECK_FLOORS: Dict[str, float] = {
     #: Half the committed full-scale ``predict`` rate: 1,335
     #: predictions/s (schema-9 record, 2-vCPU host).
     "predict_min_per_s": 667.0,
+    #: Ceiling on ``src_lines``, set to the committed count: a change
+    #: that grows ``src/`` raises it in its own diff.
+    "src_max_lines": 20836,
 }
 
 #: Committed serving floors: warm-cache ``/v1/predict`` throughput
@@ -1266,6 +1270,13 @@ def check_bench(result: Dict) -> List[str]:
                 f"simulator throughput {sim['kinstr_per_s']:.0f} kinstr/s "
                 f"below committed floor {floor:.0f} kinstr/s"
             )
+    # Counted, not timed, so enforced at every scale.
+    ceiling = CHECK_FLOORS["src_max_lines"]
+    if result["src_lines"] > ceiling:
+        failures.append(
+            f"src/ holds {result['src_lines']:,} lines, above the "
+            f"committed ceiling of {ceiling:,}"
+        )
     pred = result.get("predict")
     if pred is not None:
         if pred["mismatches"] > 0:

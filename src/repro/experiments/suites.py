@@ -10,7 +10,9 @@ shared :class:`RunCache` — a three-level pipeline:
    ProfileStore`, shared across processes *and* across runs,
 3. :meth:`RunCache.prefetch`, which fans profiling / prediction /
    simulation of many benchmarks out over a ``ProcessPoolExecutor``
-   and funnels the results back through levels 1-2.
+   (the one parallel runner behind ``report --jobs N``) and funnels
+   the results back through levels 1-2; a pool broken by a dying
+   worker falls back to computing in-process.
 
 Everything is keyed by (suite, benchmark, scale, chunk) plus — for
 predictions and simulations — a deterministic configuration
@@ -339,11 +341,6 @@ class RunCache:
             self._prefetch_serial(todo, configs, simulate)
             return [ref.label for ref in todo]
 
-        if self.store is not None and self._queue_eligible(configs):
-            done = self._prefetch_queue(todo, configs, workers, simulate)
-            if done is not None:
-                return done
-
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 store_root = (
@@ -391,76 +388,6 @@ class RunCache:
                 self.prediction(ref, config)
                 if simulate:
                     self.simulation(ref, config)
-
-    @staticmethod
-    def _queue_eligible(configs: Sequence[MulticoreConfig]) -> bool:
-        """Can ``configs`` travel as work-queue job payloads?
-
-        Queue jobs carry configurations by Table IV design-point name
-        (JSON, host-portable), so only preset-exact configs — same
-        name, same derived parameters, uniform core count — can take
-        the queue path; anything bespoke falls back to the pool.
-        """
-        from repro.arch.presets import TABLE_IV, table_iv_config
-
-        cores = {config.cores for config in configs}
-        if len(cores) > 1:
-            return False
-        return all(
-            config.name in TABLE_IV
-            and table_iv_config(config.name, cores=config.cores)
-            == config
-            for config in configs
-        )
-
-    def _prefetch_queue(
-        self,
-        todo: Sequence[BenchmarkRef],
-        configs: Sequence[MulticoreConfig],
-        workers: int,
-        simulate: bool,
-    ) -> Optional[List[str]]:
-        """Fan ``todo`` out over the crash-safe work queue.
-
-        Enqueues the job plan under this store's root and runs a
-        supervised worker fleet to drain it — the same path any other
-        process (or host sharing the store directory) would join, and
-        the one that survives a worker SIGKILL without losing work.
-        Returns ``None`` to fall back to the process pool when the
-        fleet cannot run (e.g. an unpicklable spawn context).
-        """
-        from repro.experiments.workqueue import (
-            WorkQueue, plan_suite_jobs, run_workers,
-        )
-
-        jobs = plan_suite_jobs(
-            todo,
-            scale=self.scale,
-            chunk=self.chunk,
-            configs=[config.name for config in configs],
-            cores=configs[0].cores if configs else 4,
-            simulate=simulate,
-        )
-        try:
-            queue = WorkQueue(self.store.root)
-            queue.enqueue_many(jobs)
-            run_workers(
-                self.store.root,
-                workers=min(workers, len(todo)),
-                drain=True,
-            )
-            queue.close()
-        except Exception:
-            get_logger("repro.suites").error(
-                "prefetch.queue_failed", todo=len(todo),
-                fallback="process pool",
-            )
-            return None
-        # The artifacts are durable now; pull them into the memory
-        # cache through the normal getters (store hits, or — if a
-        # worker was lost mid-fleet — an in-process recompute).
-        self._prefetch_serial(todo, configs, simulate)
-        return [ref.label for ref in todo]
 
 
 #: Default shared cache used by the benchmark harness.

@@ -1,12 +1,12 @@
 """Crash-safe distributed work queue over the content-addressed store.
 
-``report --jobs N`` used to be a single-host ``ProcessPoolExecutor``
-that died with its parent and silently lost work on a worker crash.
-This module replaces that coupling with a filesystem-backed queue
-living under the artifact-store root: any number of worker processes —
-on one host or on many hosts sharing the store directory — claim jobs
-via atomic lease files and execute them *idempotently*, so at-least-
-once delivery composes with content addressing to give exactly-once
+``repro work`` plans a suite's jobs into a filesystem-backed queue
+under the artifact-store root and drains it with supervised worker
+processes (``repro work run``); the serving fleet's boot-time
+warm-fill uses the same queue.  Any number of workers — on one host
+or on many hosts sharing the store directory — claim jobs via atomic
+lease files and execute them *idempotently*, so at-least-once
+delivery composes with content addressing to give exactly-once
 **effects**.  A worker SIGKILL'd at any instant loses nothing: its
 leases expire one lease period after its last heartbeat and survivors
 re-claim the jobs; every result publishes through the store's
@@ -27,6 +27,10 @@ Layout (all under ``<store root>/queue/``)::
     events/<owner>.jsonl      per-worker append-only event logs (no
                               write races); the chaos scenarios and
                               ``repro work stats`` read them back
+
+A job file that no longer parses (another ``QUEUE_SCHEMA``, an
+unknown kind, corrupt JSON) is moved to ``<store root>/quarantine/
+jobs/`` by the first worker that claims it.
 
 The lease protocol, in full:
 
@@ -67,10 +71,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.store import ProfileStore, fingerprint
 from repro.obs import REGISTRY, get_logger
+from repro.supervise import Supervisor
 from repro.testing.faults import FAULTS
 
 #: Queue artifact schema; bump when the job payload layout changes.
@@ -92,9 +97,8 @@ DEFAULT_HEARTBEAT_S = 3.0
 #: prediction/simulation jobs behind them read the profile artifact
 #: (any worker *can* compute a missing profile itself — idempotent —
 #: but ordering avoids redundant work).
-JOB_KINDS = ("profile", "predict", "simulate", "bench-baseline")
-_PRIORITY = {"profile": 0, "predict": 1, "simulate": 1,
-             "bench-baseline": 2}
+JOB_KINDS = ("profile", "predict", "simulate")
+_PRIORITY = {"profile": 0, "predict": 1, "simulate": 1}
 
 _log = get_logger("repro.work")
 
@@ -128,6 +132,7 @@ class QueueCounters:
         "heartbeat_failures",
         "abandoned",
         "released",
+        "quarantined",
     )
 
     def __init__(self) -> None:
@@ -206,8 +211,14 @@ class Job:
         return {"schema": QUEUE_SCHEMA, "job": dataclasses.asdict(self)}
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Job":
-        if payload.get("schema") != QUEUE_SCHEMA:
+    def from_payload(cls, payload: Any) -> "Job":
+        """The job a payload describes; ValueError or TypeError when
+        it describes none (another schema, an unknown kind or field)."""
+        if (
+            not isinstance(payload, dict)
+            or payload.get("schema") != QUEUE_SCHEMA
+            or not isinstance(payload.get("job"), dict)
+        ):
             raise ValueError("stale work-queue job schema")
         return cls(**payload["job"])
 
@@ -286,6 +297,11 @@ class WorkQueue:
     def events_dir(self) -> Path:
         return self.root / "events"
 
+    @property
+    def quarantine_dir(self) -> Path:
+        """Where unreadable job files go: the store's quarantine tree."""
+        return self.root.parent / "quarantine" / "jobs"
+
     def _job_path(self, job: Job) -> Path:
         return self.jobs_dir / f"p{job.priority}-{job.key}.json"
 
@@ -297,7 +313,7 @@ class WorkQueue:
 
     @staticmethod
     def _key_of(job_path: Path) -> str:
-        return job_path.stem.split("-", 1)[1]
+        return job_path.stem.rpartition("-")[2]
 
     # -- event log ----------------------------------------------------------
 
@@ -425,6 +441,13 @@ class WorkQueue:
         except OSError:
             return 0
 
+    def quarantined(self) -> int:
+        """Job files moved aside because they no longer parse."""
+        try:
+            return sum(1 for _ in self.quarantine_dir.iterdir())
+        except OSError:
+            return 0
+
     def drained(self) -> bool:
         return self.pending() == 0
 
@@ -434,6 +457,7 @@ class WorkQueue:
             "pending": self.pending(),
             "leased": len(self.live_leases()),
             "done": self.done_count(),
+            "quarantined": self.quarantined(),
             "lease_s": self.lease_s,
             "heartbeat_s": self.heartbeat_s,
             "counters": self.counters.snapshot(),
@@ -442,10 +466,37 @@ class WorkQueue:
     # -- claim / lease lifecycle --------------------------------------------
 
     def _read_job(self, job_path: Path) -> Optional[Job]:
+        """The job in ``job_path``; ``None`` when there is none.
+
+        A file that no longer parses (another ``QUEUE_SCHEMA``, an
+        unknown kind, corrupt JSON) can never be claimed, so it is
+        quarantined rather than left pending, which would keep a
+        draining worker waiting for it forever.
+        """
         try:
-            return Job.from_payload(json.loads(job_path.read_text()))
-        except (OSError, ValueError, TypeError):
+            data = job_path.read_bytes()
+        except OSError:
+            return None  # completed or pruned since the scan
+        try:
+            return Job.from_payload(json.loads(data))
+        except (ValueError, TypeError):
+            self._quarantine(job_path)
             return None
+
+    def _quarantine(self, job_path: Path) -> None:
+        """Move an unreadable job file to :attr:`quarantine_dir`."""
+        try:
+            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(job_path, self.quarantine_dir / job_path.name)
+        except OSError:
+            # Unlink instead: the file must leave the pending set.
+            try:
+                os.unlink(job_path)
+            except OSError:
+                return
+        self.counters.bump("quarantined")
+        self._log_event("quarantine", self._key_of(job_path))
+        _log.warning("work.job_quarantined", job=job_path.name)
 
     def _next_token(self) -> str:
         self._token_seq += 1
@@ -504,7 +555,8 @@ class WorkQueue:
         job = self._read_job(job_path)
         if job is None:
             # The job file vanished (completed or pruned) between the
-            # scan and the claim: release the orphan lease.
+            # scan and the claim, or was quarantined: release the
+            # orphan lease.
             try:
                 os.unlink(lease_path)
             except OSError:
@@ -723,28 +775,9 @@ class JobExecutor:
             cache.simulation(
                 ref, table_iv_config(job.config, cores=job.cores)
             )
-        elif job.kind == "bench-baseline":
-            self._baseline(cache, ref)
         if self.settle_s > 0.0:
             time.sleep(self.settle_s)
         return self.store.counters.snapshot()["writes"] > before
-
-    def _baseline(self, cache, ref) -> None:
-        """Reference (per-chunk spec) profile, for equivalence audits.
-
-        Stored under the ``baselines`` kind with the profile's own
-        store key, so a fleet can cross-check the vectorized pipeline
-        against the executable spec without re-running it per audit.
-        """
-        from repro.profiler.profiler import profile_workload_reference
-
-        key = cache._profile_key(ref)
-        if self.store.load_result("baselines", key) is not None:
-            return
-        profile = profile_workload_reference(
-            cache.trace(ref), chunk=cache.chunk
-        )
-        self.store.save_result("baselines", key, profile.to_dict())
 
 
 def plan_suite_jobs(
@@ -754,7 +787,6 @@ def plan_suite_jobs(
     configs: Sequence[str] = (),
     cores: int = 4,
     simulate: bool = False,
-    baselines: bool = False,
 ) -> List[Job]:
     """The job set for a suite sweep: profiles, then per-config work."""
     jobs: List[Job] = []
@@ -774,11 +806,6 @@ def plan_suite_jobs(
                     benchmark=ref.name, scale=scale, chunk=chunk,
                     config=config, cores=cores,
                 ))
-        if baselines:
-            jobs.append(Job(
-                kind="bench-baseline", suite=ref.suite,
-                benchmark=ref.name, scale=scale, chunk=chunk,
-            ))
     return jobs
 
 
@@ -887,117 +914,6 @@ def _worker_main(
     Worker(queue, drain=drain, stop_event=stop).run()
 
 
-class WorkerSupervisor:
-    """``repro work run --workers N``: a self-healing worker fleet.
-
-    Spawns N worker processes over one queue, respawns any that die
-    unexpectedly (the queue's lease protocol already guarantees their
-    jobs are re-claimed — respawn just restores capacity), and drains
-    gracefully on SIGINT/SIGTERM, mirroring the serving plane's
-    semantics: children get SIGTERM (finish the current job, exit),
-    then ``drain_timeout`` to comply before SIGKILL escalation.
-    """
-
-    def __init__(
-        self,
-        queue: WorkQueue,
-        workers: int = 2,
-        drain: bool = True,
-        respawn: bool = True,
-        drain_timeout: float = 30.0,
-        poll_s: float = 0.1,
-    ) -> None:
-        self.queue = queue
-        self.workers = max(1, int(workers))
-        self.drain = drain
-        self.respawn = respawn
-        self.drain_timeout = drain_timeout
-        self.poll_s = poll_s
-        self.respawned = 0
-        self._stopping = threading.Event()
-        self._procs: List[Any] = []
-
-    def _spawn(self, index: int):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(
-                str(self.queue.root.parent),
-                f"{_default_owner()}-w{index}",
-                self.queue.lease_s,
-                self.queue.heartbeat_s,
-                self.drain,
-            ),
-            name=f"repro-work-{index}",
-        )
-        proc.start()
-        return proc
-
-    def stop(self) -> None:
-        self._stopping.set()
-
-    def run(self, install_signals: bool = False) -> Dict[str, Any]:
-        """Run the fleet; returns a summary once stopped/drained."""
-        if install_signals:
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    signal.signal(
-                        sig, lambda s, f: self.stop()
-                    )
-                except ValueError:  # pragma: no cover - non-main thread
-                    pass
-        self._procs = [self._spawn(i) for i in range(self.workers)]
-        try:
-            while not self._stopping.is_set():
-                alive = 0
-                for i, proc in enumerate(self._procs):
-                    if proc.is_alive():
-                        alive += 1
-                        continue
-                    if (
-                        self.respawn
-                        and not self._stopping.is_set()
-                        and not (self.drain and self.queue.drained())
-                    ):
-                        _log.warning(
-                            "work.worker_respawn",
-                            worker=proc.name,
-                            exitcode=proc.exitcode,
-                        )
-                        self._procs[i] = self._spawn(i)
-                        self.respawned += 1
-                        alive += 1
-                if self.drain and self.queue.drained() and all(
-                    not p.is_alive() for p in self._procs
-                ):
-                    break
-                if not alive and not self.respawn:
-                    break
-                time.sleep(self.poll_s)
-        finally:
-            self._shutdown()
-        return {
-            "workers": self.workers,
-            "respawned": self.respawned,
-            "queue": self.queue.stats(),
-        }
-
-    def _shutdown(self) -> None:
-        deadline = time.monotonic() + self.drain_timeout
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()  # SIGTERM: finish current job, exit
-        for proc in self._procs:
-            remaining = max(0.0, deadline - time.monotonic())
-            proc.join(timeout=remaining)
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - escalation path
-                proc.kill()
-                proc.join(timeout=5.0)
-
-
 def run_workers(
     store_root: os.PathLike,
     workers: int = 2,
@@ -1005,16 +921,37 @@ def run_workers(
     heartbeat_s: Optional[float] = None,
     drain: bool = True,
     respawn: bool = True,
-    install_signals: bool = False,
 ) -> Dict[str, Any]:
-    """Spawn and supervise a worker fleet over one shared store root."""
+    """``repro work run --workers N``: a self-healing worker fleet.
+
+    Spawns N worker processes over one queue through the shared
+    :class:`~repro.supervise.Supervisor`, respawns any that die
+    unexpectedly (the lease protocol already guarantees their jobs are
+    re-claimed — respawn just restores capacity), and on SIGINT/SIGTERM
+    sends each child SIGTERM (finish the current job, exit), with the
+    supervisor's default 30 s to comply before SIGKILL.  With ``drain``
+    it returns once the queue is empty and every worker has exited.
+    """
     queue = WorkQueue(
         store_root, lease_s=lease_s, heartbeat_s=heartbeat_s
     )
-    supervisor = WorkerSupervisor(
-        queue, workers=workers, drain=drain, respawn=respawn
+    owner = _default_owner()
+    supervisor = Supervisor(
+        _worker_main,
+        lambda slot: (
+            str(queue.root.parent), f"{owner}-w{slot}",
+            queue.lease_s, queue.heartbeat_s, drain,
+        ),
+        slots=workers,
+        name="repro-work",
+        respawn=respawn,
     )
-    return supervisor.run(install_signals=install_signals)
+    supervisor.run(done=queue.drained if drain else None)
+    return {
+        "workers": supervisor.slots,
+        "respawned": supervisor.respawns,
+        "queue": queue.stats(),
+    }
 
 
 # -- queue-level accounting (cross-process, from the event logs) -------------
@@ -1304,7 +1241,6 @@ __all__ = [
     "WORK_COUNTERS",
     "WorkQueue",
     "Worker",
-    "WorkerSupervisor",
     "effect_audit",
     "plan_suite_jobs",
     "run_work_scenarios",

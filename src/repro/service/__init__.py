@@ -3,13 +3,16 @@
 The paper's pitch is *rapid* prediction; this package makes the
 reproduction serve it: a long-lived engine keeps profiles, ILP tables
 and epoch-cost memos resident (:mod:`~repro.service.engine`), an
-asyncio request coalescer deduplicates and batches concurrent
-computations (:mod:`~repro.service.batching`; cached answers skip it),
-and a stdlib HTTP/JSON front end
+asyncio single-flight coalescer runs each distinct computation as one
+engine-thread job, however many identical requests wait on it
+(:mod:`~repro.service.batching`; cached answers skip it), and a
+stdlib HTTP/JSON front end
 (:mod:`~repro.service.server`, ``python -m repro serve``) exposes
 ``/v1/predict``, ``/v1/compare``, ``/v1/sweep``, ``/v1/profiles`` and
 ``/healthz`` to clients (:mod:`~repro.service.client`) and the
 closed-loop load generator (:mod:`~repro.service.loadgen`).
+``--workers N`` runs N such services as a pre-fork fleet
+(:mod:`~repro.service.fleet`).
 """
 
 from repro.service.batching import Coalescer, LRUCache

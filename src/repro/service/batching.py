@@ -5,24 +5,26 @@ Two transport-agnostic pieces:
 * :class:`LRUCache` — a thread-safe least-recently-used map with hit /
   miss counters, shared by the engine for profiles, epoch-cost caches
   and finished payloads.
-* :class:`Coalescer` — the asyncio front half of the serving data
-  path.  Concurrent requests are (a) *deduplicated*: identical keys
-  in flight collapse onto one future (single-flight), so a stampede of
-  equal requests costs exactly one engine computation; and (b)
-  *batched*: distinct pending requests are drained together into one
-  executor hop, so the engine amortizes its dispatch overhead and
-  serves the whole group from warm caches.
+* :class:`Coalescer` — the asyncio front half of the serving miss
+  path.  Concurrent requests are *deduplicated*: identical keys in
+  flight collapse onto one executor job (single-flight), so a
+  stampede of equal requests costs exactly one engine computation,
+  and each distinct key is one job on the engine's thread pool.
 
 Neither piece knows about HTTP or about the engine's semantics — the
-coalescer takes an opaque ``compute_batch`` callable and opaque request
+coalescer takes an opaque ``compute`` callable and opaque request
 objects keyed by the caller.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import functools
 import threading
+import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Tuple
 
 
@@ -98,46 +100,47 @@ class LRUCache:
             }
 
 
+@dataclass(eq=False)
+class _Flight:
+    """One executor job and the submitters waiting on it."""
+
+    job: concurrent.futures.Future
+    #: The job as an asyncio future; resolves to (result, seconds).
+    result: asyncio.Future
+    waiters: int = 0
+
+
 class Coalescer:
-    """Single-flight dedup + micro-batching over an executor.
+    """Single-flight over an executor: one job per distinct key.
 
-    ``compute_batch`` receives a list of request objects and returns a
-    result per request, in order; it runs on ``executor`` (a thread
-    pool), never on the event loop.  Up to ``max_workers`` batches run
-    concurrently; requests arriving while every worker is busy queue up
-    and ship in the next drain, so batch size adapts to load.
-
-    A request whose key equals one already in flight never reaches the
-    engine: it awaits the in-flight future (``collapsed`` counts these
-    — the single-flight guarantee the concurrency tests pin down).
+    ``compute`` receives one request object and returns its result; it
+    runs on ``executor`` (a thread pool of ``max_workers`` threads),
+    never on the event loop.  A request whose key equals one already
+    in flight never reaches the executor: it awaits the in-flight job
+    (``collapsed`` counts these — the single-flight guarantee the
+    concurrency tests pin down).
     """
 
     def __init__(
         self,
-        compute_batch: Callable[[List[Any]], List[Any]],
-        executor,
+        compute: Callable[[Any], Any],
+        executor: concurrent.futures.Executor,
         max_workers: int = 1,
-        max_batch: int = 64,
     ) -> None:
-        self._compute = compute_batch
+        self._compute = compute
         self._executor = executor
         self._max_workers = max(1, max_workers)
-        self.max_batch = max(1, max_batch)
-        self._pending: List[Tuple[Hashable, Any]] = []
-        self._inflight: Dict[Hashable, asyncio.Future] = {}
-        #: key -> number of awaiting submitters (single-flight sharers).
-        self._waiters: Dict[Hashable, int] = {}
-        self._drainers = 0
+        self._inflight: Dict[Hashable, _Flight] = {}
         #: Requests that collapsed onto an identical in-flight one.
         self.collapsed = 0
-        #: Executor round-trips (each serving >= 1 request).
+        #: Executor jobs submitted, one per distinct in-flight key.
         self.batches = 0
         #: Total requests submitted.
         self.submitted = 0
-        #: Queued requests dropped because every waiter went away
-        #: (client disconnect / deadline) before the work shipped.
+        #: Jobs cancelled before a thread took them, because every
+        #: waiter went away (client disconnect / deadline).
         self.abandoned = 0
-        #: EWMA of per-request engine service time — the basis of the
+        #: EWMA of per-job engine service time — the basis of the
         #: server's ``Retry-After`` estimate under overload.
         self.ewma_service_s = 0.0
 
@@ -155,82 +158,57 @@ class Coalescer:
         """Resolve ``request``, sharing work with identical requests.
 
         Cancellation-aware: if every waiter on a key is cancelled (a
-        client disconnected, a deadline fired) while the work is still
-        queued, the entry is dropped before it ever reaches the
-        engine.  Work already executing cannot be recalled — its
+        client disconnected, a deadline fired) while its job is still
+        queued for a thread, the job is cancelled and never reaches
+        the engine.  A job already running cannot be recalled — its
         result simply resolves a future nobody awaits.
         """
-        loop = asyncio.get_running_loop()
         self.submitted += 1
-        fut = self._inflight.get(key)
-        if fut is not None:
+        flight = self._inflight.get(key)
+        if flight is not None:
             self.collapsed += 1
         else:
-            fut = loop.create_future()
-            self._inflight[key] = fut
-            self._pending.append((key, request))
-            if self._drainers < self._max_workers:
-                self._drainers += 1
-                loop.create_task(self._drain(loop))
-        self._waiters[key] = self._waiters.get(key, 0) + 1
+            job = self._executor.submit(self._timed, request)
+            flight = _Flight(job, asyncio.wrap_future(job))
+            flight.result.add_done_callback(
+                functools.partial(self._resolved, key, flight)
+            )
+            self._inflight[key] = flight
+            self.batches += 1
+        flight.waiters += 1
         try:
-            return await asyncio.shield(fut)
+            result, _seconds = await asyncio.shield(flight.result)
+            return result
         except asyncio.CancelledError:
-            self._abandon(key, fut)
+            if (
+                flight.waiters == 1
+                and self._inflight.get(key) is flight
+                and flight.job.cancel()
+            ):
+                del self._inflight[key]
+                self.abandoned += 1
             raise
         finally:
-            remaining = self._waiters.get(key, 1) - 1
-            if remaining <= 0:
-                self._waiters.pop(key, None)
-            else:
-                self._waiters[key] = remaining
+            flight.waiters -= 1
 
-    def _abandon(self, key: Hashable, fut: asyncio.Future) -> None:
-        """A waiter was cancelled; reap the work if it was the last."""
-        if self._waiters.get(key, 0) > 1:
-            return  # other waiters still want the result
-        if self._inflight.get(key) is not fut:
-            return  # already resolved or superseded
-        for i, (pending_key, _) in enumerate(self._pending):
-            if pending_key == key:
-                del self._pending[i]
-                self._inflight.pop(key, None)
-                if not fut.done():
-                    fut.cancel()
-                self.abandoned += 1
-                return
-        # Not pending: the batch is already on an executor thread.
-        # Let it finish; its result resolves an unawaited future.
+    def _timed(self, request: Any) -> Tuple[Any, float]:
+        """The executor job: compute, timed on the engine thread."""
+        start = time.perf_counter()
+        result = self._compute(request)
+        return result, time.perf_counter() - start
 
-    async def _drain(self, loop) -> None:
-        try:
-            while self._pending:
-                batch = self._pending[: self.max_batch]
-                del self._pending[: len(batch)]
-                self.batches += 1
-                requests = [request for _, request in batch]
-                t0 = loop.time()
-                try:
-                    results = await loop.run_in_executor(
-                        self._executor, self._compute, requests
-                    )
-                except BaseException as exc:
-                    for key, _ in batch:
-                        fut = self._inflight.pop(key, None)
-                        if fut is not None and not fut.done():
-                            fut.set_exception(exc)
-                    continue
-                per_request = (loop.time() - t0) / len(batch)
-                self.ewma_service_s = (
-                    per_request if self.ewma_service_s == 0.0
-                    else 0.8 * self.ewma_service_s + 0.2 * per_request
-                )
-                for (key, _), result in zip(batch, results):
-                    fut = self._inflight.pop(key, None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(result)
-        finally:
-            self._drainers -= 1
+    def _resolved(
+        self, key: Hashable, flight: _Flight, fut: asyncio.Future
+    ) -> None:
+        if self._inflight.get(key) is flight:
+            del self._inflight[key]
+        if fut.cancelled() or fut.exception() is not None:
+            return
+        seconds = fut.result()[1]
+        self.ewma_service_s = (
+            seconds if self.ewma_service_s == 0.0
+            else 0.8 * self.ewma_service_s + 0.2 * seconds
+        )
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -239,27 +217,13 @@ class Coalescer:
             "batches": self.batches,
             "abandoned": self.abandoned,
             "inflight": len(self._inflight),
-            "pending": len(self._pending),
+            # Jobs still queued for an engine thread.
+            "pending": sum(
+                1 for flight in self._inflight.values()
+                if not (flight.job.running() or flight.job.done())
+            ),
             "ewma_service_ms": round(self.ewma_service_s * 1e3, 3),
         }
 
 
-def run_coalesced(
-    coalescer: Coalescer,
-    items: List[Tuple[Hashable, Any]],
-) -> List[Any]:
-    """Synchronous helper: resolve many keyed requests on a fresh loop.
-
-    Test/tooling convenience for exercising a :class:`Coalescer`
-    outside a running server.
-    """
-
-    async def _gather():
-        return await asyncio.gather(*[
-            coalescer.submit(key, request) for key, request in items
-        ])
-
-    return asyncio.run(_gather())
-
-
-__all__ = ["Coalescer", "LRUCache", "run_coalesced"]
+__all__ = ["Coalescer", "LRUCache"]

@@ -37,7 +37,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.arch.config import MulticoreConfig
 from repro.arch.presets import TABLE_IV, table_iv_config
@@ -479,7 +479,7 @@ class PredictionEngine:
             stats["store"] = self.store.health()
         return stats
 
-    # -- batch face (used by the coalescer) ---------------------------------
+    # -- compute face (the coalescer's executor job) -------------------------
 
     def handle(self, request: ServiceRequest) -> Tuple[int, dict]:
         """Serve one request; never raises — errors become payloads."""
@@ -519,17 +519,11 @@ class PredictionEngine:
         except ServiceError as exc:
             self._bump("errors")
             return exc.status, {"error": str(exc)}
-        except Exception as exc:  # engine bug: report, don't kill the batch
+        except Exception as exc:  # engine bug: report, don't kill the job
             self._bump("errors")
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             deactivate(token)
-
-    def handle_batch(
-        self, requests: List[ServiceRequest]
-    ) -> List[Tuple[int, dict]]:
-        """One executor hop serving a coalesced group of requests."""
-        return [self.handle(request) for request in requests]
 
 
 # -- error budget ------------------------------------------------------------

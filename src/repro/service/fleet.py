@@ -24,18 +24,19 @@ services:
   the store once, not N times, and the store's generation stamp lets
   resident engine LRUs notice a prune made by any sibling.
 
-The supervisor mirrors ``experiments.workqueue.WorkerSupervisor``:
-poll-and-respawn of dead workers (the SIGKILL chaos scenario), a
-SIGTERM fan-out for graceful drain, and a kill escalation when a
-child outstays ``drain_timeout``.
+The worker processes run under :class:`repro.supervise.Supervisor`,
+the one supervisor the work queue's ``repro work run`` uses too: a
+dead worker is respawned in its slot (the SIGKILL chaos scenario),
+stop fans SIGTERM out for a graceful drain, and a worker that
+outstays ``drain_timeout`` is SIGKILLed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import signal
+import shutil
 import socket
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -43,6 +44,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs import get_logger
 from repro.obs.logging import ensure_configured
+from repro.supervise import Supervisor
 
 _log = get_logger("repro.fleet")
 
@@ -182,7 +184,6 @@ class ServingFleet:
         drain_timeout: float = 5.0,
         respawn: bool = True,
         warm_profiles: Sequence[Tuple[str, float]] = (),
-        poll_s: float = 0.1,
     ) -> None:
         self.store_root = (
             Path(store_root) if store_root is not None else None
@@ -194,25 +195,27 @@ class ServingFleet:
         self.max_queue = max_queue
         self.deadline_ms = deadline_ms
         self.drain_timeout = float(drain_timeout)
-        self.respawn = respawn
         self.warm_profiles = tuple(warm_profiles)
-        self.poll_s = float(poll_s)
         if self.store_root is not None:
             self.state_dir = self.store_root / "fleet"
-        else:
-            import tempfile
-
-            self.state_dir = Path(
-                tempfile.mkdtemp(prefix="repro-fleet-")
-            )
+        else:  # removed again by stop()
+            self.state_dir = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
         self.reuse_port = reuse_port_supported()
-        self.respawns = 0
         self._probe: Optional[socket.socket] = None
         self._listen_sock: Optional[socket.socket] = None
-        self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-        self._ctx = multiprocessing.get_context("spawn")
-        self._stopping = threading.Event()
-        self._watch_thread: Optional[threading.Thread] = None
+        self._supervisor = Supervisor(
+            _fleet_worker_main,
+            lambda worker_id: (self._worker_config(worker_id),),
+            slots=self.workers,
+            name="repro-fleet",
+            respawn=respawn,
+            stop_timeout_s=self.drain_timeout + 5.0,
+        )
+
+    @property
+    def respawns(self) -> int:
+        """Workers respawned after dying."""
+        return self._supervisor.respawns
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -236,8 +239,7 @@ class ServingFleet:
                 self.host, self.port, reuse_port=False, listen=True
             )
             self.port = self._listen_sock.getsockname()[1]
-        for worker_id in range(self.workers):
-            self._spawn(worker_id)
+        self._supervisor.start()
         _log.info(
             "fleet.started",
             url=f"http://{self.host}:{self.port}",
@@ -267,113 +269,34 @@ class ServingFleet:
             "warm_profiles": self.warm_profiles,
         }
 
-    def _spawn(self, worker_id: int) -> None:
-        proc = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(self._worker_config(worker_id),),
-            name=f"repro-fleet-{worker_id}",
-        )
-        proc.start()
-        self._procs[worker_id] = proc
-
-    def poll(self) -> int:
-        """One supervision step: respawn dead workers; returns alive."""
-        alive = 0
-        for worker_id, proc in list(self._procs.items()):
-            if proc.is_alive():
-                alive += 1
-                continue
-            proc.join(timeout=0)
-            if self._stopping.is_set() or not self.respawn:
-                continue
-            _log.warning(
-                "fleet.worker_died",
-                worker_id=worker_id, exitcode=proc.exitcode,
-            )
-            self.respawns += 1
-            self._spawn(worker_id)
-            alive += 1
-        return alive
-
     def watch(self) -> None:
         """Run the respawn loop on a daemon thread (harness mode)."""
-        if self._watch_thread is not None:
-            return
-
-        def _loop() -> None:
-            while not self._stopping.wait(self.poll_s):
-                self.poll()
-
-        self._watch_thread = threading.Thread(
-            target=_loop, name="repro-fleet-watch", daemon=True
-        )
-        self._watch_thread.start()
-
-    def alive(self) -> int:
-        return sum(1 for p in self._procs.values() if p.is_alive())
+        self._supervisor.watch()
 
     def kill_worker(self, worker_id: int) -> Optional[int]:
         """SIGKILL one worker (chaos hook); returns its pid."""
-        proc = self._procs.get(worker_id)
-        if proc is None or not proc.is_alive():
-            return None
-        pid = proc.pid
-        proc.kill()
-        return pid
+        return self._supervisor.kill(worker_id)
 
     def stop(self, drain: bool = True) -> None:
         """Fan out graceful drain, then escalate to SIGKILL."""
-        self._stopping.set()
-        if self._watch_thread is not None:
-            self._watch_thread.join(timeout=2.0)
-            self._watch_thread = None
-        for proc in self._procs.values():
-            if proc.is_alive():
-                with contextlib.suppress(
-                    ProcessLookupError, ValueError, AttributeError
-                ):
-                    proc.terminate()  # SIGTERM -> worker drains
-        deadline = time.monotonic() + (
-            self.drain_timeout + 5.0 if drain else 1.0
-        )
-        for proc in self._procs.values():
-            remaining = deadline - time.monotonic()
-            proc.join(timeout=max(0.1, remaining))
-            if proc.is_alive():
-                _log.warning(
-                    "fleet.kill_escalation", pid=proc.pid
-                )
-                proc.kill()
-                proc.join(timeout=5.0)
-        self._procs.clear()
+        self._supervisor.stop(timeout_s=None if drain else 1.0)
         for sock in (self._probe, self._listen_sock):
             if sock is not None:
                 with contextlib.suppress(OSError):
                     sock.close()
         self._probe = None
         self._listen_sock = None
+        if self.store_root is None:  # the temp dir __init__ made
+            shutil.rmtree(self.state_dir, ignore_errors=True)
         _log.info("fleet.stopped", respawns=self.respawns)
 
     def run(self) -> None:
         """Blocking entry point for ``repro serve --workers N``."""
         ensure_configured()
         self.start()
-        stopping = self._stopping
-
-        def _signal(_signum, _frame) -> None:
-            stopping.set()
-
-        previous = {}
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(ValueError, OSError):
-                previous[sig] = signal.signal(sig, _signal)
         try:
-            while not stopping.wait(self.poll_s):
-                self.poll()
+            self._supervisor.run()
         finally:
-            for sig, handler in previous.items():
-                with contextlib.suppress(ValueError, OSError):
-                    signal.signal(sig, handler)
             self.stop(drain=True)
 
     def __enter__(self) -> "ServingFleet":

@@ -8,8 +8,8 @@ predict/compare/sweep is parsed once, found in the engine's result
 LRU and answered with the JSON body encoded when it was computed.
 Only computations (result-cache misses) leave the loop: they enter
 the :class:`~repro.service.batching.Coalescer`, which deduplicates
-identical in-flight requests (single-flight) and ships distinct ones
-to the engine's thread pool in micro-batches.
+identical in-flight requests (single-flight) and runs each distinct
+one as its own job on the engine's thread pool.
 
 Overload safety (the serving plane degrades, it does not collapse):
 
@@ -22,8 +22,8 @@ Overload safety (the serving plane degrades, it does not collapse):
 * **Deadlines** — every computation carries a deadline (server
   default ``deadline_ms``, tightened per request via an
   ``X-Deadline-Ms`` header).  Expiry returns ``503`` with the
-  deadline echoed; queued work whose last waiter timed out is
-  reaped before it ever reaches the engine.  A malformed header is a
+  deadline echoed; a queued job whose last waiter timed out is
+  cancelled before it ever reaches the engine.  A malformed header is a
   ``400`` whether or not the answer is cached.
 * **Disconnect cancellation** — a client hanging up while its
   computation is in flight cancels the wait (and the queued work, if
@@ -402,7 +402,7 @@ class PredictionService:
             thread_name_prefix="repro-engine",
         )
         self._coalescer = Coalescer(
-            self.engine.handle_batch,
+            self.engine.handle,
             self._executor,
             max_workers=self.workers,
         )
@@ -878,7 +878,7 @@ class PredictionService:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            # An engine batch failing wholesale (injected chaos, engine
+            # An engine job failing wholesale (injected chaos, engine
             # bug) must degrade to a typed 500, never a hung socket.
             return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
         return status, payload, {}

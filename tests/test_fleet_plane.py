@@ -4,8 +4,8 @@ Covers the raw-buffer arena trace format (round-trips, mmap aliasing
 with read-only maps asserted),
 the zero-copy allocation guard, the multi-writer duplicate-write
 counter, store-generation invalidation of resident engine LRUs, the
-queue-debris prune, and the per-worker identity the server stamps on
-every response.
+queue-debris prune, the per-worker identity the server stamps on
+every response, and the lifetime of the fleet's heartbeat directory.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.experiments.store import SCHEMA_VERSION, ProfileStore
 from repro.service.batching import LRUCache
 from repro.service.client import ServiceClient
 from repro.service.engine import PredictionEngine
+from repro.service.fleet import ServingFleet
 from repro.service.server import BackgroundServer
 from repro.workloads import kernels as k
 from repro.workloads.builder import WorkloadBuilder
@@ -405,6 +406,21 @@ class TestWorkerIdentity:
                 assert client.last_worker_id == "7"
                 metrics = client.metrics()
         assert 'repro_worker_requests_total{worker="7"}' in metrics
+
+
+class TestFleetStateDir:
+    def test_storeless_fleet_removes_its_temp_dir_on_stop(self):
+        fleet = ServingFleet(store_root=None)
+        state_dir = fleet.state_dir
+        assert state_dir.is_dir()
+        fleet.stop()
+        assert not state_dir.exists()
+
+    def test_store_fleet_dir_survives_stop(self, tmp_path):
+        fleet = ServingFleet(store_root=tmp_path)
+        fleet.state_dir.mkdir()
+        fleet.stop()
+        assert fleet.state_dir.is_dir()
 
 
 class TestLRUClear:

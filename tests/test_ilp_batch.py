@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.session import Session
-from repro.experiments.bench import check_bench
+from repro.experiments.bench import CHECK_FLOORS, check_bench
 from repro.experiments.store import ProfileStore
 from repro.profiler.ilp import (
     LOAD_LAT_GRID,
@@ -322,7 +322,7 @@ class TestBenchCheck:
                 expand=100.0, mismatches=0, profiler=2.5,
                 profile_mismatches=0, memory_replay=1.3, kips=900.0,
                 memory_mismatches=0, predict_per_s=1e4,
-                predict_mismatches=0):
+                predict_mismatches=0, src_lines=1000):
         return {
             "collector": {"speedup": collector},
             "ilp": {"speedup": ilp, "max_rel_err": err},
@@ -344,6 +344,7 @@ class TestBenchCheck:
                 "per_s": predict_per_s,
                 "mismatches": predict_mismatches,
             },
+            "src_lines": src_lines,
         }
 
     def test_all_floors_clear(self):
@@ -358,6 +359,8 @@ class TestBenchCheck:
         assert len(check_bench(self._record(memory_replay=0.9))) == 1
         assert len(check_bench(self._record(kips=100.0))) == 1
         assert len(check_bench(self._record(predict_per_s=1.0))) == 1
+        too_big = CHECK_FLOORS["src_max_lines"] + 1
+        assert len(check_bench(self._record(src_lines=too_big))) == 1
         # Bit-identity: any non-zero divergence fires the check — for
         # the ILP tables, the expanded-trace digests, the fast-path
         # profiles and the simulator's memory replay alike.
@@ -371,8 +374,8 @@ class TestBenchCheck:
                          expand=0.5, mismatches=2, profiler=1.0,
                          profile_mismatches=1, memory_replay=0.5,
                          kips=1.0, memory_mismatches=1, predict_per_s=1.0,
-                         predict_mismatches=1)
-        )) == 13
+                         predict_mismatches=1, src_lines=too_big)
+        )) == 14
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed
@@ -380,3 +383,7 @@ class TestBenchCheck:
         record = self._record(ips=0.2e6, kips=1.0, predict_per_s=1.0)
         record["scale"] = 0.3
         assert check_bench(record) == []
+        # Code size is counted, not timed: its ceiling holds at every
+        # scale.
+        record["src_lines"] = CHECK_FLOORS["src_max_lines"] + 1
+        assert len(check_bench(record)) == 1

@@ -1,11 +1,12 @@
 """Tests for the serving subsystem (:mod:`repro.service`).
 
 Covers the batching primitives (LRU semantics, single-flight
-collapse, micro-batching), the engine's caching behaviour, and the
-real HTTP stack end to end — including the acceptance properties: a
-stampede of identical requests costs exactly one engine computation,
-and ``/v1/predict`` responses re-rendered through the shared formatter
-are byte-identical to ``python -m repro predict`` output.
+collapse, cancellation of abandoned jobs), the engine's caching
+behaviour, and the real HTTP stack end to end — including the
+acceptance properties: a stampede of identical requests costs exactly
+one engine computation, and ``/v1/predict`` responses re-rendered
+through the shared formatter are byte-identical to ``python -m repro
+predict`` output.
 """
 
 import asyncio
@@ -86,12 +87,12 @@ class TestCoalescer:
     def test_single_flight_collapses_identical_requests(self):
         """32 identical concurrent requests -> exactly one compute."""
         release = threading.Event()
-        batches = []
+        calls = []
 
-        def compute(batch):
-            batches.append(list(batch))
+        def compute(request):
+            calls.append(request)
             release.wait(10)
-            return [("ok", request) for request in batch]
+            return ("ok", request)
 
         with ThreadPoolExecutor(2) as executor:
             coalescer = Coalescer(compute, executor, max_workers=2)
@@ -106,22 +107,23 @@ class TestCoalescer:
                 return await asyncio.gather(*tasks)
 
             results = self._run(scenario())
-        assert len(batches) == 1 and len(batches[0]) == 1
+        assert calls == [0]
         assert coalescer.collapsed == 31
+        assert coalescer.batches == 1
         assert all(r == ("ok", 0) for r in results)
 
-    def test_distinct_requests_batch_together(self):
-        """Requests queued behind a busy worker drain as one batch."""
+    def test_distinct_requests_run_as_separate_jobs(self):
+        """Requests queued behind a busy worker: one job per key."""
         first_started = threading.Event()
         release = threading.Event()
-        batches = []
+        calls = []
 
-        def compute(batch):
-            batches.append(list(batch))
-            if len(batches) == 1:
+        def compute(request):
+            calls.append(request)
+            if request == 1:
                 first_started.set()
                 release.wait(10)
-            return [request * 10 for request in batch]
+            return request * 10
 
         with ThreadPoolExecutor(1) as executor:
             coalescer = Coalescer(compute, executor, max_workers=1)
@@ -136,16 +138,58 @@ class TestCoalescer:
                     for k, v in (("b", 2), ("c", 3))
                 ]
                 await asyncio.sleep(0.05)
+                queued = coalescer.stats()["pending"]
                 release.set()
-                return await asyncio.gather(first, *rest)
+                return queued, await asyncio.gather(first, *rest)
 
-            results = self._run(scenario())
+            queued, results = self._run(scenario())
+        assert queued == 2
         assert results == [10, 20, 30]
-        assert batches == [[1], [2, 3]]
-        assert coalescer.batches == 2
+        assert calls == [1, 2, 3]
+        assert coalescer.batches == 3
+        assert coalescer.stats()["inflight"] == 0
+        assert coalescer.ewma_service_s > 0.0
+
+    def test_queued_job_whose_waiter_times_out_never_runs(self):
+        """The last waiter leaving cancels a job no thread has taken."""
+        first_started = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        def compute(request):
+            calls.append(request)
+            if request == "busy":
+                first_started.set()
+                release.wait(10)
+            return request
+
+        with ThreadPoolExecutor(1) as executor:
+            coalescer = Coalescer(compute, executor, max_workers=1)
+
+            async def scenario():
+                busy = asyncio.create_task(coalescer.submit("a", "busy"))
+                await asyncio.get_running_loop().run_in_executor(
+                    None, first_started.wait, 10
+                )
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        coalescer.submit("b", "queued"), timeout=0.05
+                    )
+                stats = coalescer.stats()
+                release.set()
+                await busy
+                # Let a cancelled job surface if it were ever run.
+                await asyncio.sleep(0.05)
+                return stats
+
+            stats = self._run(scenario())
+        assert calls == ["busy"]
+        assert coalescer.abandoned == 1
+        assert stats["inflight"] == 1 and stats["pending"] == 0
+        assert coalescer.stats()["inflight"] == 0
 
     def test_compute_exception_propagates(self):
-        def compute(batch):
+        def compute(request):
             raise RuntimeError("engine down")
 
         with ThreadPoolExecutor(1) as executor:

@@ -5,10 +5,12 @@ can win a key however many race it, an expired lease is always
 re-claimable, a heartbeating owner can never be stolen from, and a
 zombie owner (one whose lease was taken over) can never publish a
 completion over its successor.  Alongside the lifecycle: idempotent
-execution through the Worker loop, the effect audit over the event
-logs, the prefetch fallbacks, and the store durability counters.
+execution through the Worker loop, the quarantine of job files that
+no longer parse, the effect audit over the event logs, the prefetch
+fallback, and the store durability counters.
 """
 
+import json
 import os
 import threading
 import time
@@ -77,14 +79,14 @@ class TestJob:
         queue = make_queue(tmp_path)
         jobs = plan_suite_jobs(
             [type("R", (), {"suite": "rodinia", "name": "nn"})()],
-            configs=["base"], simulate=True, baselines=True,
+            configs=["base"], simulate=True,
         )
         queue.enqueue_many(jobs)
         kinds = [
             queue._read_job(p).kind for p in queue._pending_paths()
         ]
         assert kinds[0] == "profile"
-        assert kinds[-1] == "bench-baseline"
+        assert sorted(kinds[1:]) == ["predict", "simulate"]
 
 
 class TestEnqueue:
@@ -322,6 +324,49 @@ class TestWorker:
         assert queue.claim_next() is not None
 
 
+class TestQuarantine:
+    """A job file no worker can parse must leave the pending set, or a
+    draining worker waits for it forever."""
+
+    @pytest.mark.parametrize("body", [
+        # Written under another QUEUE_SCHEMA.
+        json.dumps({"schema": 0, "job": {
+            "kind": "profile", "suite": "rodinia", "benchmark": "nn",
+        }}),
+        # A kind this build does not run (e.g. the retired
+        # bench-baseline).
+        json.dumps({"schema": 1, "job": {
+            "kind": "bench-baseline", "suite": "rodinia",
+            "benchmark": "nn",
+        }}),
+        # Corrupt JSON.
+        '{"schema": 1, "job": {',
+    ], ids=["stale-schema", "unknown-kind", "corrupt-json"])
+    def test_draining_worker_quarantines_and_exits(self, tmp_path, body):
+        queue = make_queue(tmp_path)
+        queue.jobs_dir.mkdir(parents=True)
+        bad = queue.jobs_dir / "p0-unreadable.json"
+        bad.write_text(body)
+        before = queue.counters.snapshot()["quarantined"]
+
+        class NeverRuns:
+            def execute(self, job):  # pragma: no cover - only on failure
+                raise AssertionError("an unreadable job was executed")
+
+        worker = Worker(queue, executor=NeverRuns(), drain=True)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "draining worker never exited"
+        assert queue.pending() == 0
+        assert (queue.quarantine_dir / bad.name).read_text() == body
+        assert queue.quarantine_dir == tmp_path / "quarantine" / "jobs"
+        assert queue.stats()["quarantined"] == 1
+        assert queue.counters.snapshot()["quarantined"] == before + 1
+        # The claim's lease went with it.
+        assert queue.live_leases() == {}
+
+
 class TestObservability:
     def test_work_metrics_exported(self, tmp_path):
         from repro.obs import REGISTRY
@@ -373,35 +418,12 @@ class TestPrefetchFallbacks:
         cache = RunCache(
             scale=0.05, store=ProfileStore(tmp_path, strict=False)
         )
-        # Defeat the queue path so the pool path is exercised.
-        monkeypatch.setattr(
-            cache, "_queue_eligible", lambda configs: False
-        )
         refs = [BenchmarkRef("rodinia", "nn"),
                 BenchmarkRef("rodinia", "bfs")]
         done = cache.prefetch(refs, workers=2)
         assert sorted(done) == ["rodinia.bfs", "rodinia.nn"]
         for ref in refs:
             assert ref.label in cache._profiles
-
-    def test_bespoke_config_not_queue_eligible(self, tmp_path):
-        import dataclasses
-
-        from repro.arch.presets import table_iv_config
-        from repro.experiments.suites import RunCache
-
-        base = table_iv_config("base")
-        bespoke = dataclasses.replace(
-            base,
-            core=dataclasses.replace(
-                base.core, rob_size=base.core.rob_size * 2
-            ),
-        )
-        assert RunCache._queue_eligible([base]) is True
-        assert RunCache._queue_eligible([bespoke]) is False
-        assert RunCache._queue_eligible(
-            [base, table_iv_config("big", cores=8)]
-        ) is False  # mixed core counts cannot share one job plan
 
 
 class TestWorkFloors:
