@@ -155,7 +155,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "predict_min_per_s": 667.0,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20836,
+    "src_max_lines": 20843,
 }
 
 #: Committed serving floors: warm-cache ``/v1/predict`` throughput

@@ -28,9 +28,13 @@ Layout (all under ``<store root>/queue/``)::
                               write races); the chaos scenarios and
                               ``repro work stats`` read them back
 
-A job file that no longer parses (another ``QUEUE_SCHEMA``, an
-unknown kind, corrupt JSON) is moved to ``<store root>/quarantine/
-jobs/`` by the first worker that claims it.
+A job file this build cannot parse (corrupt JSON, another
+``QUEUE_SCHEMA``, or a kind, suite, benchmark or Table IV point it
+does not know) is moved to ``<store root>/quarantine/jobs/`` by the
+first worker that claims it.  That includes a job a newer build
+wrote, so every host sharing a queue must run the same
+``QUEUE_SCHEMA``, ``JOB_KINDS``, benchmarks and Table IV points; a
+quarantined file moved back to ``queue/jobs/`` is claimed again.
 
 The lease protocol, in full:
 
@@ -171,8 +175,9 @@ class Job:
     Everything is JSON-scalar so a job file round-trips bit-exactly;
     configurations travel as Table IV design-point names plus a core
     count (the identity every report artifact uses), never as pickled
-    objects — a queue shared between hosts must not care which build
-    enqueued a job.
+    objects.  Construction checks every name against this build, so a
+    job it could never run fails to parse instead of failing at
+    execution on every claim.
     """
 
     kind: str  # one of JOB_KINDS
@@ -184,10 +189,16 @@ class Job:
     cores: int = 4
 
     def __post_init__(self) -> None:
+        from repro.arch.presets import TABLE_IV
+        from repro.experiments.suites import BenchmarkRef
+
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}")
         if self.kind in ("predict", "simulate") and not self.config:
             raise ValueError(f"{self.kind} jobs need a config name")
+        if self.config is not None and self.config not in TABLE_IV:
+            raise ValueError(f"unknown design point {self.config!r}")
+        BenchmarkRef(self.suite, self.benchmark)
 
     @property
     def key(self) -> str:
@@ -213,7 +224,8 @@ class Job:
     @classmethod
     def from_payload(cls, payload: Any) -> "Job":
         """The job a payload describes; ValueError or TypeError when
-        it describes none (another schema, an unknown kind or field)."""
+        it describes none (another schema, an unknown field, kind or
+        name)."""
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != QUEUE_SCHEMA
@@ -468,10 +480,9 @@ class WorkQueue:
     def _read_job(self, job_path: Path) -> Optional[Job]:
         """The job in ``job_path``; ``None`` when there is none.
 
-        A file that no longer parses (another ``QUEUE_SCHEMA``, an
-        unknown kind, corrupt JSON) can never be claimed, so it is
-        quarantined rather than left pending, which would keep a
-        draining worker waiting for it forever.
+        A file that does not parse (see the module docstring) can
+        never be run, so it is quarantined rather than left pending,
+        which would keep a draining worker waiting for it forever.
         """
         try:
             data = job_path.read_bytes()

@@ -28,7 +28,7 @@ The worker processes run under :class:`repro.supervise.Supervisor`,
 the one supervisor the work queue's ``repro work run`` uses too: a
 dead worker is respawned in its slot (the SIGKILL chaos scenario),
 stop fans SIGTERM out for a graceful drain, and a worker that
-outstays ``drain_timeout`` is SIGKILLed.
+outstays ``drain_timeout`` by 5 s is SIGKILLed.
 """
 
 from __future__ import annotations
@@ -277,9 +277,9 @@ class ServingFleet:
         """SIGKILL one worker (chaos hook); returns its pid."""
         return self._supervisor.kill(worker_id)
 
-    def stop(self, drain: bool = True) -> None:
+    def stop(self) -> None:
         """Fan out graceful drain, then escalate to SIGKILL."""
-        self._supervisor.stop(timeout_s=None if drain else 1.0)
+        self._supervisor.stop()
         for sock in (self._probe, self._listen_sock):
             if sock is not None:
                 with contextlib.suppress(OSError):
@@ -297,7 +297,7 @@ class ServingFleet:
         try:
             self._supervisor.run()
         finally:
-            self.stop(drain=True)
+            self.stop()
 
     def __enter__(self) -> "ServingFleet":
         return self.start()

@@ -152,11 +152,9 @@ class Supervisor:
                 signal.signal(sig, handler)
             self.stop()
 
-    def stop(self, timeout_s: Optional[float] = None) -> None:
-        """SIGTERM every live child, SIGKILL those still up at timeout.
-
-        ``timeout_s`` defaults to ``stop_timeout_s``.  Idempotent.
-        """
+    def stop(self) -> None:
+        """SIGTERM every live child, SIGKILL those still up after
+        ``stop_timeout_s``.  Idempotent."""
         self.stopping.set()
         if self._watcher is not None:
             self._watcher.join(timeout=2.0)
@@ -165,9 +163,7 @@ class Supervisor:
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
-        deadline = time.monotonic() + (
-            self.stop_timeout_s if timeout_s is None else timeout_s
-        )
+        deadline = time.monotonic() + self.stop_timeout_s
         for proc in procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         for proc in procs:

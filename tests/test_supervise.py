@@ -39,7 +39,7 @@ def _wait_dead(proc, timeout_s=10.0):
 
 class TestSupervisor:
     def test_dead_child_is_respawned_in_its_slot(self):
-        sup = _sleeper(60, slots=2)
+        sup = _sleeper(60, slots=2, stop_timeout_s=5.0)
         sup.start()
         try:
             first, victim = sup._procs[0], sup._procs[1]
@@ -52,7 +52,7 @@ class TestSupervisor:
             assert sup._procs[1].is_alive()
             children = list(sup._procs.values())
         finally:
-            sup.stop(timeout_s=5.0)
+            sup.stop()
         assert not any(proc.is_alive() for proc in children)
 
     def test_no_respawn_when_off_or_stopping(self):

@@ -63,7 +63,7 @@ class TestJob:
         ).key
 
     def test_payload_round_trip(self):
-        job = Job(kind="simulate", suite="parsec", benchmark="ferret",
+        job = Job(kind="simulate", suite="parsec", benchmark="canneal",
                   scale=0.5, chunk=2048, config="big", cores=8)
         assert Job.from_payload(job.to_payload()) == job
 
@@ -341,7 +341,17 @@ class TestQuarantine:
         }}),
         # Corrupt JSON.
         '{"schema": 1, "job": {',
-    ], ids=["stale-schema", "unknown-kind", "corrupt-json"])
+        # A benchmark this build does not know (renamed, hand-written).
+        json.dumps({"schema": 1, "job": {
+            "kind": "profile", "suite": "rodinia", "benchmark": "nbody",
+        }}),
+        # A Table IV point this build does not know.
+        json.dumps({"schema": 1, "job": {
+            "kind": "predict", "suite": "rodinia", "benchmark": "nn",
+            "config": "huge",
+        }}),
+    ], ids=["stale-schema", "unknown-kind", "corrupt-json",
+            "unknown-benchmark", "unknown-point"])
     def test_draining_worker_quarantines_and_exits(self, tmp_path, body):
         queue = make_queue(tmp_path)
         queue.jobs_dir.mkdir(parents=True)
