@@ -16,7 +16,10 @@ Measures the components the paper's "rapid" claim rests on:
   content-addressed :class:`~repro.experiments.store.TraceCache`,
   against the preserved per-segment spec
   (:func:`repro.workloads.generator.expand`), with every trace
-  cross-checked digest-identical;
+  cross-checked digest-identical; the trace key timed on its own
+  against its two-pass spec
+  (:func:`repro.testing.specs.trace_key_reference`), every key
+  cross-checked identical;
 * the whole profiler fast path
   (:func:`repro.profiler.profiler.profile_workload`) against the
   preserved per-chunk spec
@@ -60,7 +63,7 @@ import numpy as np
 from repro.arch.presets import TABLE_IV, table_iv_config
 from repro.core.rppm import predict
 from repro.core.session import Session
-from repro.experiments.store import TraceCache
+from repro.experiments.store import ProfileStore, TraceCache
 from repro.experiments.suites import (
     BenchmarkRef,
     build_workload,
@@ -92,10 +95,15 @@ from repro.profiler.reference import (
 from repro.runtime.chunking import chunk_trace
 from repro.simulator.caches import MemorySystem, replay_reference
 from repro.simulator.multicore import simulate
+from repro.testing.specs import trace_key_reference
 from repro.workloads.engine import EngineStats, ExpansionEngine
 from repro.workloads.generator import expand
 from repro.workloads.ir import OP_STORE, fetch_lines
 
+#: 10: adds ``key_ms``, ``key_speedup`` and ``key_mismatches`` to the
+#: ``expand`` section (``trace_key`` timed on its own against its
+#: two-pass spec, so ``speedup_cold`` times the engine alone) and
+#: commits the key floor.
 #: 9: adds the ``predict`` section (predictions/s over the suite's
 #: profiles x 20 design points, Eq.-1 evaluations, mismatches against
 #: session-less ``predict``) and commits its floors.
@@ -124,7 +132,7 @@ from repro.workloads.ir import OP_STORE, fetch_lines
 #: ``REPRO_OBS=off`` on the warm suite loop) and commits the
 #: obs-overhead ceiling.
 #: 2: added the ``ilp`` section (batched scoreboard vs scalar spec).
-BENCH_SCHEMA = 9
+BENCH_SCHEMA = 10
 #: Quick-mode subset: three locality personalities plus streamcluster,
 #: whose sparse address space exercises the engine's fallback path.
 QUICK_BENCHMARKS = ("hotspot", "bfs", "srad", "streamcluster")
@@ -153,9 +161,12 @@ CHECK_FLOORS: Dict[str, float] = {
     #: Half the committed full-scale ``predict`` rate: 1,335
     #: predictions/s (schema-9 record, 2-vCPU host).
     "predict_min_per_s": 667.0,
+    #: Half the committed one-pass ``trace_key`` speedup over its
+    #: two-pass spec: 6.4x (schema-10 record, 2-vCPU host).
+    "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20843,
+    "src_max_lines": 21030,
 }
 
 #: Committed serving floors: warm-cache ``/v1/predict`` throughput
@@ -510,6 +521,17 @@ def run_profiler_bench(
     session = Session(engine=engine)
     tcache = session.traces
     specs = [build_workload(ref, scale) for ref in refs]
+    # The store key first, on its own against its two-pass spec.
+    # TraceCache.key then memoizes each key on its spec, so the cold
+    # pass below times the engine alone.
+    key_s, key_reference_s = _interleaved(
+        lambda: [ProfileStore.trace_key(s) for s in specs],
+        lambda: [trace_key_reference(s) for s in specs],
+        reps,
+    )
+    key_mismatches = sum(
+        1 for s in specs if TraceCache.key(s) != trace_key_reference(s)
+    )
     t0 = time.perf_counter()
     traces = [tcache.get(s) for s in specs]  # cold: arenas + memo fill
     expand_cold_s = time.perf_counter() - t0
@@ -737,6 +759,9 @@ def run_profiler_bench(
             ),
             "arena_bytes": int(engine_stats["arena_bytes"]),
             "digest_mismatches": int(digest_mismatches),
+            "key_ms": key_s / len(specs) * 1e3,
+            "key_speedup": key_reference_s / key_s,
+            "key_mismatches": int(key_mismatches),
         },
         "replay": {
             "profiler_fast_s": suite_s,
@@ -1212,6 +1237,18 @@ def check_bench(result: Dict) -> List[str]:
             f"{mismatches} engine-expanded trace(s) diverge from the "
             f"legacy generator spec (digests must be identical)"
         )
+    key_speedup = result["expand"]["key_speedup"]
+    if key_speedup < CHECK_FLOORS["trace_key_speedup"]:
+        failures.append(
+            f"trace_key speedup {key_speedup:.2f}x over its two-pass "
+            f"spec below committed floor "
+            f"{CHECK_FLOORS['trace_key_speedup']:.1f}x"
+        )
+    if result["expand"]["key_mismatches"] > 0:
+        failures.append(
+            f"{result['expand']['key_mismatches']} trace key(s) differ "
+            f"from the two-pass spec (store keys must be identical)"
+        )
     replay = result["replay"]
     if replay["profiler_speedup"] < CHECK_FLOORS["profiler_speedup"]:
         failures.append(
@@ -1326,6 +1363,9 @@ def render_bench(result: Dict) -> str:
         f"memo {e['memo_hit_rate']:.0%}, "
         f"arenas {e['arena_bytes'] / 2**20:.0f} MiB, "
         f"{e['digest_mismatches']} digest mismatches)",
+        f"  trace key            : {e['key_ms']:.2f} ms per spec "
+        f"({e['key_speedup']:.1f}x its two-pass spec, "
+        f"{e['key_mismatches']} mismatches)",
         f"  profiler fast path   : {r['profiler_fast_s']:.2f}s vs "
         f"{r['profiler_reference_s']:.2f}s per-chunk reference  "
         f"({r['profiler_speedup']:.1f}x, {r['profile_mismatches']} "

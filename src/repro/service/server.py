@@ -975,7 +975,13 @@ def _deadline_ms(
 def _build_request(
     kind: str, query: str, body: bytes
 ) -> ServiceRequest:
-    """Merge query-string and JSON-body parameters into a request."""
+    """Merge query-string and JSON-body parameters into a request.
+
+    Any malformed input raises ValueError, which the caller answers
+    with a 400: a body nested past the decoder's recursion limit, or a
+    ``cores`` / ``scale`` that ``int()`` / ``float()`` cannot hold
+    (``Infinity``, ``1e400``, an integer past float range).
+    """
     params = {
         key: values[-1]
         for key, values in parse_qs(query, keep_blank_values=True).items()
@@ -983,6 +989,8 @@ def _build_request(
     if body:
         try:
             decoded = json.loads(body)
+        except RecursionError:
+            raise ValueError("JSON body nests too deeply")
         except ValueError:
             raise ValueError("body is not valid JSON")
         if not isinstance(decoded, dict):
@@ -994,7 +1002,7 @@ def _build_request(
     try:
         cores = int(params.get("cores", 4))
         scale = float(params.get("scale", 1.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("'cores' must be an int and 'scale' a float")
     # Bounds double as a resource guard: scale drives workload
     # expansion, so inf/NaN or absurd values must not reach a worker.

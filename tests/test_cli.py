@@ -156,6 +156,8 @@ class TestCommands:
         assert 0.0 <= expand["memo_hit_rate"] <= 1.0
         # Equivalence is not timing-sensitive: enforce it even here.
         assert expand["digest_mismatches"] == 0
+        assert expand["key_mismatches"] == 0
+        assert expand["key_ms"] > 0 and expand["key_speedup"] > 0
 
 
 class TestStoreCommand:

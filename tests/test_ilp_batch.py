@@ -322,13 +322,16 @@ class TestBenchCheck:
                 expand=100.0, mismatches=0, profiler=2.5,
                 profile_mismatches=0, memory_replay=1.3, kips=900.0,
                 memory_mismatches=0, predict_per_s=1e4,
-                predict_mismatches=0, src_lines=1000):
+                predict_mismatches=0, src_lines=1000, key_speedup=10.0,
+                key_mismatches=0):
         return {
             "collector": {"speedup": collector},
             "ilp": {"speedup": ilp, "max_rel_err": err},
             "expand": {
                 "speedup": expand,
                 "digest_mismatches": mismatches,
+                "key_speedup": key_speedup,
+                "key_mismatches": key_mismatches,
             },
             "replay": {
                 "profiler_speedup": profiler,
@@ -359,6 +362,7 @@ class TestBenchCheck:
         assert len(check_bench(self._record(memory_replay=0.9))) == 1
         assert len(check_bench(self._record(kips=100.0))) == 1
         assert len(check_bench(self._record(predict_per_s=1.0))) == 1
+        assert len(check_bench(self._record(key_speedup=1.0))) == 1
         too_big = CHECK_FLOORS["src_max_lines"] + 1
         assert len(check_bench(self._record(src_lines=too_big))) == 1
         # Bit-identity: any non-zero divergence fires the check — for
@@ -369,13 +373,15 @@ class TestBenchCheck:
         assert len(check_bench(self._record(profile_mismatches=1))) == 1
         assert len(check_bench(self._record(memory_mismatches=1))) == 1
         assert len(check_bench(self._record(predict_mismatches=1))) == 1
+        assert len(check_bench(self._record(key_mismatches=1))) == 1
         assert len(check_bench(
             self._record(collector=0.5, ilp=0.5, err=1.0, ips=1.0,
                          expand=0.5, mismatches=2, profiler=1.0,
                          profile_mismatches=1, memory_replay=0.5,
                          kips=1.0, memory_mismatches=1, predict_per_s=1.0,
-                         predict_mismatches=1, src_lines=too_big)
-        )) == 14
+                         predict_mismatches=1, src_lines=too_big,
+                         key_speedup=1.0, key_mismatches=1)
+        )) == 16
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed

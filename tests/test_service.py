@@ -18,6 +18,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.service.batching import Coalescer, LRUCache
@@ -34,7 +36,14 @@ from repro.service.engine import (
     resolve_benchmark,
 )
 from repro.service.loadgen import run_loadgen
-from repro.service.server import BackgroundServer
+from repro.service.server import (
+    _MAX_CORES,
+    _MAX_SCALE,
+    BackgroundServer,
+    _build_request,
+    _deadline_ms,
+    _parse_head,
+)
 
 SCALE = 0.25
 
@@ -430,6 +439,144 @@ class TestHTTPEndpoints:
         assert b"\r\nConnection: close\r\n" in data
         assert json.loads(data.split(b"\r\n\r\n", 1)[1])["error"]
         assert client.healthz()["status"] == "ok"
+
+
+#: Bodies whose parameters ``int()`` / ``float()`` or the JSON decoder
+#: cannot take: each must be answered 400, not drop the connection.
+_UNPARSEABLE_BODIES = {
+    "cores-infinity": b'{"benchmark":"rodinia.nn","cores":Infinity}',
+    "cores-minus-infinity": b'{"benchmark":"rodinia.nn","cores":-Infinity}',
+    "cores-1e400": b'{"benchmark":"rodinia.nn","cores":1e400}',
+    "scale-huge-int": (
+        b'{"benchmark":"rodinia.nn","scale":1' + b"0" * 400 + b"}"
+    ),
+    "nested-100k": b"[" * 100_000,
+}
+
+
+class TestMalformedParameters:
+    @pytest.mark.parametrize("name", sorted(_UNPARSEABLE_BODIES))
+    def test_answered_400_on_a_usable_connection(
+        self, server, name, caplog
+    ):
+        """Each body gets a typed 400, the keep-alive connection then
+        serves a predict, and asyncio logs no unhandled exception."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=30
+        )
+        try:
+            conn.request(
+                "POST", "/v1/predict", body=_UNPARSEABLE_BODIES[name],
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert json.loads(resp.read())["error"]
+            conn.request(
+                "GET", f"/v1/predict?benchmark=rodinia.nn&scale={SCALE}"
+            )
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["benchmark"] == "rodinia.nn"
+        finally:
+            conn.close()
+        assert not [
+            r for r in caplog.records
+            if "Unhandled exception" in r.getMessage()
+        ]
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**300, max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=8), children, max_size=3),
+    ),
+    max_leaves=10,
+)
+_PARAM = st.sampled_from(
+    ["benchmark", "cores", "scale", "config", "configs", "other"]
+)
+_BODIES = st.one_of(
+    st.just(b""),
+    st.dictionaries(_PARAM, _JSON_VALUES, max_size=5).map(
+        lambda d: json.dumps(d).encode()
+    ),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.integers(min_value=1, max_value=200_000).map(
+        lambda n: b"[" * n + b"]" * n
+    ),
+    st.binary(max_size=64),
+)
+_QUERIES = st.one_of(
+    st.text(max_size=40),
+    st.dictionaries(_PARAM, st.text(max_size=12), max_size=5).map(
+        lambda d: "&".join(f"{k}={v}" for k, v in d.items())
+    ),
+)
+
+
+class TestRequestBoundaryFuzz:
+    """The HTTP parsing helpers are total: a result or a ValueError
+    (answered 4xx), never another exception escaping the handler."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=256),
+        st.binary(max_size=128).map(
+            lambda b: b"GET /v1/predict HTTP/1.1\r\n" + b + b"\r\n\r\n"
+        ),
+    ))
+    def test_parse_head_never_raises(self, head):
+        parsed = _parse_head(head)
+        if parsed is not None:
+            method, target, headers = parsed
+            assert isinstance(method, str) and isinstance(target, str)
+            assert all(
+                isinstance(k, str) and isinstance(v, str)
+                for k, v in headers.items()
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.none(), st.text(max_size=24)),
+        st.one_of(
+            st.none(),
+            st.floats(min_value=1e-3, max_value=1e9),
+        ),
+    )
+    def test_deadline_is_none_positive_or_value_error(self, raw, default):
+        headers = {} if raw is None else {"x-deadline-ms": raw}
+        try:
+            deadline = _deadline_ms(headers, default)
+        except ValueError:
+            return
+        assert deadline is None or (
+            isinstance(deadline, float) and deadline > 0
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["predict", "compare", "sweep"]), _QUERIES,
+           _BODIES)
+    def test_build_request_is_bounded_or_value_error(
+        self, kind, query, body
+    ):
+        try:
+            request = _build_request(kind, query, body)
+        except ValueError:
+            return
+        assert 1 <= request.cores <= _MAX_CORES
+        assert 0 < request.scale <= _MAX_SCALE
+        assert isinstance(request.benchmark, str) and request.benchmark
+        assert all(isinstance(c, str) for c in request.configs)
 
 
 def _series_sum(text: str, name: str) -> float:
