@@ -7,7 +7,7 @@ configuration fields Eq. 1 reads (:func:`equation_key`) — this is what
 makes RPPM "rapid": a workload with millions of dynamic synchronization
 epochs still needs only one Eq.-1 evaluation per static code region,
 and design points that differ only in core count or name share one
-memo.
+memo, and with it one phase-1 and phase-2 result.
 
 :func:`predict_active_cycles` is the one phase-1 loop, used by RPPM and
 by the MAIN/CRIT baselines; :func:`predict_epoch_cycles` is its
@@ -22,30 +22,43 @@ from repro.arch.config import MulticoreConfig
 from repro.core.cpi_stack import CPIStack
 from repro.core.equation import EpochCosts, evaluate_equation
 from repro.profiler.profile import SegmentRef, ThreadProfile, WorkloadProfile
+from repro.runtime.scheduler import ScheduleResult
 
 
 def equation_key(config: MulticoreConfig) -> tuple:
     """What Eq. 1 and phase 1 read of ``config``, hashable by value.
 
+    The contract :func:`repro.core.rppm.predict` keeps: it reads these
+    fields of its configuration and ``name`` (a label), nothing else.
     RPPM runs one thread per core, so a prediction does not depend on
-    ``cores``; ``name`` only labels results.  Configurations with equal
-    keys share one :class:`EpochCostCache`.
+    ``cores``, and phase 2 reads no configuration at all.
+    Configurations with equal keys share one :class:`EpochCostCache`,
+    so they share one prediction up to its label.
     """
     return (config.core, config.l1i, config.l1d, config.l2, config.llc,
             config.memory, config.branch_predictor)
 
 
 class EpochCostCache:
-    """Memoised Eq.-1 evaluations per (thread, pool key).
+    """Memoised Eq.-1 evaluations per (thread, pool key), and what
+    :func:`repro.core.rppm.predict` derives from them.
 
     ``config`` is whichever configuration created the memo; only the
     fields in its :func:`equation_key` may be read through it.
+
+    :attr:`phases` holds ``predict``'s phase-1 per-thread CPI stacks
+    (``sync`` at 0) and its phase-2
+    :class:`~repro.runtime.scheduler.ScheduleResult`.  The first
+    ``predict`` through the memo sets it and every later one reads it;
+    both are read-only once set.  Two threads that race on an empty
+    memo compute equal values, and the last write wins.
     """
 
     def __init__(self, profile: WorkloadProfile, config: MulticoreConfig):
         self.profile = profile
         self.config = config
         self._cache: Dict[Tuple[int, int], EpochCosts] = {}
+        self.phases: Optional[Tuple[List[CPIStack], ScheduleResult]] = None
 
     def __len__(self) -> int:
         """Eq.-1 evaluations made so far."""

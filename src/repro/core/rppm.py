@@ -7,19 +7,23 @@ synchronization structure symbolically through the shared DES scheduler
 barriers, locks, condition variables and joins.  The result carries the
 same per-thread structure as a simulation result, so accuracy and CPI
 stacks compare directly.
+
+Neither phase reads more of the configuration than
+:func:`~repro.core.epoch_model.equation_key`, so a session runs both
+once per (profile, key) and answers every core count from that result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from repro.arch.config import MulticoreConfig
 from repro.core.cpi_stack import CPIStack
 from repro.core.epoch_model import EpochCostCache, predict_active_cycles
 from repro.obs import span
 from repro.profiler.profile import WorkloadProfile
-from repro.runtime.scheduler import run_schedule_batched
+from repro.runtime.scheduler import ScheduleResult, run_schedule_batched
 from repro.runtime.timeline import Timeline
 
 
@@ -40,7 +44,11 @@ class ThreadPrediction:
 
 @dataclass
 class PredictionResult:
-    """RPPM's prediction for one workload on one configuration."""
+    """RPPM's prediction for one workload on one configuration.
+
+    ``timeline`` may be shared with other results predicted through
+    the same session memo: treat it as read-only.
+    """
 
     workload: str
     config: str
@@ -57,6 +65,28 @@ class PredictionResult:
         return CPIStack.merged(t.stack for t in self.threads)
 
 
+def _phases(cache: EpochCostCache) -> Tuple[List[CPIStack], ScheduleResult]:
+    """Phase 1 and phase 2 over ``cache.profile``: per-thread CPI stacks
+    (``sync`` left at 0) and the replayed schedule."""
+    # Phase 1: active cycles per segment (memoised per pool).
+    durations, stacks = predict_active_cycles(cache)
+    # Phase 2: symbolic execution of the synchronization structure
+    # (Algorithm 2) over the predicted per-epoch times, on the one DES
+    # scheduler.  Only the profiler reads the execution ``order``, so
+    # the memo does not keep it.
+    programs = [
+        [segment.event for segment in thread.segments]
+        for thread in cache.profile.threads
+    ]
+    schedule = run_schedule_batched(programs, durations)
+    return stacks, ScheduleResult(
+        timeline=schedule.timeline,
+        end_time=schedule.end_time,
+        active=schedule.active,
+        idle=schedule.idle,
+    )
+
+
 def predict(
     profile: WorkloadProfile,
     config: MulticoreConfig,
@@ -64,12 +94,17 @@ def predict(
 ) -> PredictionResult:
     """Predict multithreaded execution on ``config`` from ``profile``.
 
-    ``session`` (a :class:`repro.core.session.Session`) keeps the
-    per-(thread, pool) Eq.-1 memo resident across calls for the same
-    profile and Eq.-1 inputs (:func:`~repro.core.epoch_model.equation_key`)
-    — the memo is read/extend-only, so reuse is safe, and repeat
-    predictions, or predictions at another core count, skip every
-    Eq.-1 evaluation.
+    Reads only ``config``'s :func:`~repro.core.epoch_model.equation_key`
+    fields and its ``name``.  ``session`` (a
+    :class:`repro.core.session.Session`) keeps one
+    :class:`~repro.core.epoch_model.EpochCostCache` per (profile,
+    ``equation_key``): the Eq.-1 memo plus phase 1's stacks and phase
+    2's schedule, computed by the first call and read by every later
+    one, so a repeat prediction, or one at another core count, runs
+    neither phase again (``session.counters``: ``predictions`` counts
+    calls, ``schedules`` counts phase-2 runs).  Each result still gets
+    its own :class:`ThreadPrediction` and :class:`CPIStack` objects;
+    only the read-only ``timeline`` is shared.
     """
     if session is not None:
         cache = session.cost_cache(profile, config)
@@ -78,32 +113,24 @@ def predict(
         cache = EpochCostCache(profile, config)
 
     with span("predict", workload=profile.name, config=config.name):
-        # Phase 1: active cycles per segment (memoised per pool).
-        durations, stacks = predict_active_cycles(cache)
-
-        # Phase 2: symbolic execution of the synchronization structure
-        # (Algorithm 2) over the predicted per-epoch times, on the one
-        # DES scheduler.
-        programs = [
-            [segment.event for segment in thread.segments]
+        if cache.phases is None:
+            cache.phases = _phases(cache)
+            if session is not None:
+                session.record("schedules")
+        stacks, schedule = cache.phases
+        threads = [
+            ThreadPrediction(
+                thread_id=thread.thread_id,
+                instructions=thread.n_instructions,
+                active_cycles=schedule.active[thread.thread_id],
+                idle_cycles=schedule.idle[thread.thread_id],
+                stack=replace(
+                    stacks[thread.thread_id],
+                    sync=schedule.idle[thread.thread_id],
+                ),
+            )
             for thread in profile.threads
         ]
-        schedule = run_schedule_batched(programs, durations)
-
-        threads = []
-        for thread in profile.threads:
-            tid = thread.thread_id
-            stack = stacks[tid]
-            stack.sync = schedule.idle[tid]
-            threads.append(
-                ThreadPrediction(
-                    thread_id=tid,
-                    instructions=thread.n_instructions,
-                    active_cycles=schedule.active[tid],
-                    idle_cycles=schedule.idle[tid],
-                    stack=stack,
-                )
-            )
         return PredictionResult(
             workload=profile.name,
             config=config.name,

@@ -17,10 +17,15 @@ handles:
   engine's static-artifact identity
   (:class:`~repro.profiler.profiler.SegmentPrepCache`),
 * :meth:`cost_cache` — resident Eq.-1 memos per (profile, Eq.-1
-  inputs) (:class:`~repro.core.epoch_model.EpochCostCache`),
+  inputs) (:class:`~repro.core.epoch_model.EpochCostCache`), each
+  also holding the phase-1 stacks and phase-2 schedule that
+  :func:`~repro.core.rppm.predict` derives from it, so configurations
+  differing only in ``cores`` or ``name`` run each phase once,
 
 plus usage counters and one consolidated :meth:`health` snapshot for
-the serving plane.  Construct with :meth:`Session.from_store` (durable
+the serving plane.  ``predict`` counts ``predictions`` per call and
+``schedules`` per phase-2 run, so 1 - schedules / predictions is the
+memo's hit rate.  Construct with :meth:`Session.from_store` (durable
 artifacts under the default cache root) or :meth:`Session.ephemeral`
 (in-memory only); pass the instance as ``session=`` to
 :func:`~repro.profiler.profiler.profile_workload`,
@@ -69,8 +74,8 @@ class Session:
         default the process-wide engine (and its static-artifact memo)
         is shared.
     max_cost_caches:
-        Resident Eq.-1 memos kept, LRU over (profile, Eq.-1 inputs)
-        pairs.
+        Resident Eq.-1 memos kept (each with its prediction phases),
+        LRU over (profile, Eq.-1 inputs) pairs.
     max_trace_bytes:
         Byte bound of the resident trace LRU.
 
@@ -135,7 +140,8 @@ class Session:
         """The resident Eq.-1 memo for ``profile`` on ``config``.
 
         Entries are per (profile, :func:`equation_key`), so configs
-        differing only in ``cores`` or ``name`` share one.  ``key``
+        differing only in ``cores`` or ``name`` share one, and with it
+        one prediction (see :func:`~repro.core.rppm.predict`).  ``key``
         optionally names the profile with a stable identity (a store
         key); without it the profile *object* identifies the entry, so
         repeat predictions must pass the same instance to hit.  The

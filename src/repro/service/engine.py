@@ -17,7 +17,7 @@ artifacts resident across requests:
   none;
 * per-(profile, Eq.-1 inputs) :class:`~repro.core.epoch_model.EpochCostCache`
   memos, so repeat predictions, and predictions at a new core count,
-  skip every Eq.-1 evaluation;
+  skip every Eq.-1 evaluation and both prediction phases;
 * finished response payloads next to their JSON-encoded bodies, keyed
   by the full request tuple, so the HTTP server can answer a repeat
   request on its event loop from bytes
@@ -343,9 +343,11 @@ class PredictionEngine:
         cfg = self._config(config, cores)
         _pkey, profile = self.profile(ref, scale)
         # The session memoises the Eq.-1 cost cache per (profile,
-        # Eq.-1 inputs), which leave out the core count; profiles stay
-        # resident in ``_profiles``, so a repeat prediction, or one at
-        # a new core count, skips every Eq.-1 evaluation.
+        # Eq.-1 inputs), which leave out the core count, and with it
+        # phase 1's stacks and phase 2's schedule; profiles stay
+        # resident in ``_profiles``, so a prediction at a new core count
+        # runs no Eq.-1 evaluation and neither phase (``schedules``
+        # stays put in /healthz's session counters).
         result = predict(profile, cfg, session=self.session)
         self._bump("predictions_run")
         self._count("computed", "predict")

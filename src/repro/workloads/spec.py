@@ -10,10 +10,52 @@ concrete :class:`~repro.workloads.ir.WorkloadTrace` deterministically.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 from repro.workloads.ir import OP_CODES, PC_SLOTS_PER_LINE, SyncOp
+
+#: Bounds of the expander's address layout (:mod:`repro.workloads.patterns`):
+#: a pattern's footprint fits its region, a thread's private regions stay
+#: below the next thread's, a code region's lines stay inside it, and a
+#: code line's PCs (``PC_SLOTS_PER_LINE`` per line) fit in int64.
+MAX_LINES = 1 << 26
+MAX_REGION = 255
+MAX_CODE_LINES = 1 << 22
+MAX_CODE_REGION = (1 << 36) - 1
+#: Dependence distances are drawn into int32; at this mean a draw past
+#: 2**31 has probability ~e**-2048.
+MAX_MEAN_DEP = float(1 << 20)
+#: A periodic branch's hidden pattern is one array of ``period`` outcomes.
+MAX_PERIOD = 1 << 16
+#: The expander normalises an epoch's pattern weights by their sum; this
+#: keeps the sum far from float overflow in any summation order.
+MAX_TOTAL_WEIGHT = 1e300
+_INT64_MAX = (1 << 63) - 1
+
+
+def _check_int(name: str, value, low: int, high: int = _INT64_MAX) -> None:
+    """``value`` must be an integer (never a bool) in [low, high]."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, Integral)
+    ):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], not {value}")
+
+
+def _check_real(name: str, value, low: float, high: float) -> None:
+    """``value`` must be an int or a float (never a bool) in the finite
+    range [low, high], which NaN and the infinities always fall out of."""
+    if type(value) not in (int, float) and (
+        isinstance(value, bool) or not isinstance(value, (Integral, float))
+    ):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], not {value}")
+
 
 #: Default instruction mix: a generic integer-dominated workload.
 DEFAULT_MIX: Dict[str, float] = {
@@ -70,16 +112,17 @@ class MemPattern:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.lines <= 0:
-            raise ValueError("pattern footprint must be positive")
-        if self.weight <= 0:
+        _check_int("pattern footprint (lines)", self.lines, 1, MAX_LINES)
+        _check_real("pattern weight", self.weight, 0.0, MAX_TOTAL_WEIGHT)
+        if self.weight == 0:
             raise ValueError("pattern weight must be positive")
-        if not 0.0 <= self.hot_frac <= 1.0:
-            raise ValueError("hot_frac must be a probability")
-        if self.hot_lines < 0 or self.hot_lines > self.lines:
-            raise ValueError("hot_lines must be within the footprint")
-        if self.stride <= 0 or self.reuse <= 0:
-            raise ValueError("stride and reuse must be positive")
+        _check_int("region", self.region, 0, MAX_REGION)
+        _check_real("hot_frac", self.hot_frac, 0.0, 1.0)
+        _check_int("hot_lines (within the footprint)", self.hot_lines, 0,
+                   self.lines)
+        _check_int("stride (within the footprint)", self.stride, 1,
+                   self.lines)
+        _check_int("reuse", self.reuse, 1)
 
     def effective_hot_lines(self) -> int:
         """Hot-subset size; defaults to 1/16 of the footprint."""
@@ -116,12 +159,9 @@ class BranchSpec:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown branch kind {self.kind!r}")
-        if not 0.0 <= self.p_taken <= 1.0:
-            raise ValueError("p_taken must be a probability")
-        if self.period < 2:
-            raise ValueError("period must be at least 2")
-        if not 0.0 <= self.noise <= 0.5:
-            raise ValueError("noise must be in [0, 0.5]")
+        _check_real("p_taken", self.p_taken, 0.0, 1.0)
+        _check_int("period", self.period, 2, MAX_PERIOD)
+        _check_real("noise", self.noise, 0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -167,22 +207,36 @@ class EpochSpec:
     code_region: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("instruction count must be non-negative")
+        _check_int("instruction count", self.n, 0)
+        if not isinstance(self.mix, Mapping):
+            raise ValueError(f"mix must be a mapping, not {self.mix!r}")
         unknown = set(self.mix) - set(OP_CODES)
         if unknown:
-            raise ValueError(f"unknown micro-op classes {sorted(unknown)}")
+            raise ValueError(
+                f"unknown micro-op classes {sorted(unknown, key=repr)}"
+            )
+        for name, fraction in self.mix.items():
+            _check_real(f"mix[{name!r}]", fraction, 0.0, 1.0)
         total = sum(self.mix.values())
         if self.n > 0 and abs(total - 1.0) > 1e-6:
             raise ValueError(f"mix must sum to 1 (got {total})")
-        if self.mean_dep < 1.0:
-            raise ValueError("mean dependence distance must be >= 1")
-        if not 0.0 <= self.load_chain_frac <= 1.0:
-            raise ValueError("load_chain_frac must be a probability")
+        _check_real("mean dependence distance", self.mean_dep, 1.0,
+                    MAX_MEAN_DEP)
+        _check_real("load_chain_frac", self.load_chain_frac, 0.0, 1.0)
         if not self.mem:
             raise ValueError("at least one memory pattern is required")
-        if self.code_lines <= 0 or self.instrs_per_line <= 0:
-            raise ValueError("code footprint must be positive")
+        if not all(isinstance(p, MemPattern) for p in self.mem):
+            raise ValueError("mem must hold MemPattern objects")
+        if sum(p.weight for p in self.mem) > MAX_TOTAL_WEIGHT:
+            raise ValueError(
+                f"the patterns' total weight exceeds {MAX_TOTAL_WEIGHT}"
+            )
+        if not isinstance(self.branch, BranchSpec):
+            raise ValueError("branch must be a BranchSpec")
+        _check_int("code footprint (code_lines)", self.code_lines, 1,
+                   MAX_CODE_LINES)
+        _check_int("instrs_per_line", self.instrs_per_line, 1)
+        _check_int("code_region", self.code_region, 0, MAX_CODE_REGION)
         if self.instrs_per_line > PC_SLOTS_PER_LINE:
             # The synthetic PC encoding packs at most PC_SLOTS_PER_LINE
             # ops per instruction-cache line; beyond that,
@@ -231,8 +285,8 @@ class WorkloadSpec:
     seed: int = 0x5EED
 
     def __post_init__(self) -> None:
-        if self.n_threads <= 0:
-            raise ValueError("need at least one thread")
+        _check_int("n_threads (need at least one thread)", self.n_threads, 1)
+        _check_int("seed", self.seed, 0)
         if len(self.plans) != self.n_threads:
             raise ValueError("one plan list per thread required")
 

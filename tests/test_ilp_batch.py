@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.arch.presets import TABLE_IV
 from repro.core.session import Session
 from repro.experiments.bench import CHECK_FLOORS, check_bench
 from repro.experiments.store import ProfileStore
@@ -323,7 +324,10 @@ class TestBenchCheck:
                 profile_mismatches=0, memory_replay=1.3, kips=900.0,
                 memory_mismatches=0, predict_per_s=1e4,
                 predict_mismatches=0, src_lines=1000, key_speedup=10.0,
-                key_mismatches=0):
+                key_mismatches=0, schedules=None):
+        profiles = 16
+        if schedules is None:
+            schedules = profiles * len(TABLE_IV)
         return {
             "collector": {"speedup": collector},
             "ilp": {"speedup": ilp, "max_rel_err": err},
@@ -346,6 +350,8 @@ class TestBenchCheck:
             "predict": {
                 "per_s": predict_per_s,
                 "mismatches": predict_mismatches,
+                "profiles": profiles,
+                "schedules": schedules,
             },
             "src_lines": src_lines,
         }
@@ -363,6 +369,11 @@ class TestBenchCheck:
         assert len(check_bench(self._record(kips=100.0))) == 1
         assert len(check_bench(self._record(predict_per_s=1.0))) == 1
         assert len(check_bench(self._record(key_speedup=1.0))) == 1
+        # Phase 2 runs exactly once per (profile, Table IV point), not
+        # once per (profile, dse point) as without the memo.
+        once = 16 * len(TABLE_IV)
+        assert len(check_bench(self._record(schedules=once + 1))) == 1
+        assert len(check_bench(self._record(schedules=16 * 20))) == 1
         too_big = CHECK_FLOORS["src_max_lines"] + 1
         assert len(check_bench(self._record(src_lines=too_big))) == 1
         # Bit-identity: any non-zero divergence fires the check — for
@@ -380,8 +391,9 @@ class TestBenchCheck:
                          profile_mismatches=1, memory_replay=0.5,
                          kips=1.0, memory_mismatches=1, predict_per_s=1.0,
                          predict_mismatches=1, src_lines=too_big,
-                         key_speedup=1.0, key_mismatches=1)
-        )) == 16
+                         key_speedup=1.0, key_mismatches=1,
+                         schedules=once - 1)
+        )) == 17
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed

@@ -3,6 +3,9 @@
 * the session's Eq.-1 memo is keyed by exactly what Eq. 1 reads
   (:func:`~repro.core.epoch_model.equation_key`), so design points that
   differ only in core count share one memo and predict bit-identically;
+* ``predict`` reads nothing else of its configuration but ``name``, so
+  the memo also holds phase 1 and phase 2: they run once per (profile,
+  key), and every result still owns its thread and CPI-stack objects;
 * :class:`~repro.profiler.profile.ILPTable` lookups equal the NumPy
   formulas they replaced (kept here as the oracle);
 * memoised :func:`~repro.statstack.statstack.miss_rate` equals a fresh
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.presets import TABLE_IV, table_iv_config
+from repro.core import rppm
 from repro.core.cpi_stack import COMPONENTS, CPIStack
 from repro.core.epoch_model import (
     EpochCostCache,
@@ -131,6 +135,15 @@ class TestEquationKey:
                 cache = session.cost_cache(profile, table_iv_config(point))
                 assert len(cache) == n_pools
 
+    def test_predict_reads_only_the_key_and_name(self, quick_profiles):
+        config = table_iv_config("base", cores=4)
+        keyed = _Recorder(config)
+        equation_key(keyed)
+        for profile in quick_profiles:
+            used = _Recorder(config)
+            predict(profile, used)
+            assert used.reads == keyed.reads | {"name"}
+
     def test_key_separates_what_eq1_reads(self):
         base = table_iv_config("base", cores=4)
         assert equation_key(base) == equation_key(
@@ -141,6 +154,71 @@ class TestEquationKey:
             base, memory=dataclasses.replace(base.memory, latency_ns=90.0)
         )
         assert equation_key(base) != equation_key(slower)
+
+
+class TestPredictionMemo:
+    """Phase 1 and phase 2 run once per (profile, ``equation_key``)."""
+
+    @pytest.fixture()
+    def schedules(self, monkeypatch):
+        calls = []
+        run = rppm.run_schedule_batched
+
+        def counted(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(rppm, "run_schedule_batched", counted)
+        return calls
+
+    def test_phase_two_runs_once_per_point(self, quick_profiles, schedules):
+        session = Session.ephemeral()
+        configs = [
+            table_iv_config(point, cores=cores)
+            for point in TABLE_IV for cores in CORE_COUNTS
+        ]
+        for _ in range(2):
+            for profile in quick_profiles:
+                for config in configs:
+                    predict(profile, config, session=session)
+            # The repeat adds no phase-2 run.
+            assert len(schedules) == len(TABLE_IV) * len(quick_profiles)
+        assert session.counters == {
+            "predictions": 2 * len(configs) * len(quick_profiles),
+            "schedules": len(schedules),
+        }
+
+    def test_results_own_their_objects(self, quick_profiles):
+        session = Session.ephemeral()
+        profile = quick_profiles[0]
+        one = table_iv_config("base", cores=1)
+        a = predict(profile, one, session=session)
+        b = predict(profile, table_iv_config("base", cores=8), session=session)
+        assert a.timeline is b.timeline
+        for kind in (
+            lambda r: r.threads,
+            lambda r: [t.stack for t in r.threads],
+        ):
+            assert not {id(x) for x in kind(a)} & {id(x) for x in kind(b)}
+        before_a, before_b = _record(a), _record(b)
+        a.threads[0].stack.add(CPIStack(base=1.0))
+        assert _record(a) != before_a
+        assert _record(b) == before_b
+        assert _record(predict(profile, one, session=session)) == before_a
+
+    def test_evicted_memos_predict_identically(self, quick_profiles):
+        session = Session.ephemeral(max_cost_caches=1)
+        points = [("base", 1), ("big", 2), ("base", 8), ("big", 8)] * 2
+        for profile in quick_profiles:
+            for point, cores in points:
+                config = table_iv_config(point, cores=cores)
+                assert _record(predict(profile, config, session=session)) == (
+                    _record(predict(profile, config))
+                )
+        # One memo resident: every change of point evicts the other.
+        assert session.counters["schedules"] == len(points) * len(
+            quick_profiles
+        )
 
 
 # -- ILP lookups vs the NumPy formulas --------------------------------------------

@@ -18,6 +18,7 @@ from repro.experiments.scaling import run_scaling_curve
 from repro.experiments.store import ProfileStore
 from repro.experiments.suites import RunCache
 from repro.profiler.profiler import profile_workload
+from repro.service.engine import PredictionEngine
 from repro.simulator.multicore import simulate
 from tests.conftest import barrier_workload
 
@@ -162,3 +163,27 @@ class TestHealth:
         assert "workloads" in health["expand_engine"]
         assert "pools" in health["ilp_kernel"]
         assert "dropped_writes" in health["store"]
+
+    def test_counters_show_the_prediction_memo(self, session):
+        """``predictions`` counts calls and ``schedules`` phase-2 runs:
+        core counts share one run, another Table IV point does not."""
+        profile = profile_workload(barrier_workload(seed=79), session=session)
+        for point, cores in (("base", 4), ("base", 16), ("big", 4)):
+            predict(profile, table_iv_config(point, cores=cores),
+                    session=session)
+        counters = session.health()["counters"]
+        assert counters["predictions"] == 3
+        assert counters["schedules"] == 2
+
+    def test_healthz_counters_show_the_prediction_memo(self):
+        """The same counters ride /healthz as engine.session.counters:
+        a new core count on a warm (benchmark, point) is one more
+        prediction and no schedule."""
+        engine = PredictionEngine(store=None)
+        engine.predict("rodinia.nn", "base", cores=4, scale=0.05)
+        before = engine.health()["session"]["counters"]
+        engine.predict("rodinia.nn", "base", cores=16, scale=0.05)
+        after = engine.health()["session"]["counters"]
+        assert before["schedules"] == 1
+        assert after["predictions"] == before["predictions"] + 1
+        assert after["schedules"] == before["schedules"]
