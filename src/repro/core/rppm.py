@@ -10,7 +10,8 @@ stacks compare directly.
 
 Neither phase reads more of the configuration than
 :func:`~repro.core.epoch_model.equation_key`, so a session runs both
-once per (profile, key) and answers every core count from that result.
+once per (profile, key) and answers every core count from that result
+(:func:`prediction_result`, the builder that runs neither).
 """
 
 from __future__ import annotations
@@ -117,24 +118,39 @@ def predict(
             cache.phases = _phases(cache)
             if session is not None:
                 session.record("schedules")
-        stacks, schedule = cache.phases
-        threads = [
-            ThreadPrediction(
-                thread_id=thread.thread_id,
-                instructions=thread.n_instructions,
-                active_cycles=schedule.active[thread.thread_id],
-                idle_cycles=schedule.idle[thread.thread_id],
-                stack=replace(
-                    stacks[thread.thread_id],
-                    sync=schedule.idle[thread.thread_id],
-                ),
-            )
-            for thread in profile.threads
-        ]
-        return PredictionResult(
-            workload=profile.name,
-            config=config.name,
-            total_cycles=schedule.end_time,
-            threads=threads,
-            timeline=schedule.timeline,
+        return prediction_result(profile, config, cache.phases)
+
+
+def prediction_result(
+    profile: WorkloadProfile,
+    config: MulticoreConfig,
+    phases: Tuple[List[CPIStack], ScheduleResult],
+) -> PredictionResult:
+    """:func:`predict`'s answer from a memo's finished ``phases``.
+
+    Only builds objects: each thread gets its own
+    :class:`ThreadPrediction` and :class:`CPIStack` (phase 1's stack
+    with phase 2's idle time as ``sync``); the ``timeline`` is shared.
+    Reads ``config.name`` alone.
+    """
+    stacks, schedule = phases
+    threads = [
+        ThreadPrediction(
+            thread_id=thread.thread_id,
+            instructions=thread.n_instructions,
+            active_cycles=schedule.active[thread.thread_id],
+            idle_cycles=schedule.idle[thread.thread_id],
+            stack=replace(
+                stacks[thread.thread_id],
+                sync=schedule.idle[thread.thread_id],
+            ),
         )
+        for thread in profile.threads
+    ]
+    return PredictionResult(
+        workload=profile.name,
+        config=config.name,
+        total_cycles=schedule.end_time,
+        threads=threads,
+        timeline=schedule.timeline,
+    )

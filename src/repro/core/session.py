@@ -75,7 +75,8 @@ class Session:
         is shared.
     max_cost_caches:
         Resident Eq.-1 memos kept (each with its prediction phases),
-        LRU over (profile, Eq.-1 inputs) pairs.
+        LRU over (profile, Eq.-1 inputs) pairs; 0 keeps none, so every
+        prediction runs Eq. 1 and both phases.
     max_trace_bytes:
         Byte bound of the resident trace LRU.
 
@@ -163,6 +164,30 @@ class Session:
             while len(self._costs) > self.max_cost_caches:
                 self._costs.popitem(last=False)
         return cache
+
+    def resident_cost_cache(
+        self, profile: WorkloadProfile, config: MulticoreConfig
+    ) -> Optional[EpochCostCache]:
+        """The memo :meth:`cost_cache` would return for an unkeyed
+        ``profile``, if it is resident with both prediction phases set;
+        ``None`` otherwise.
+
+        A lookup that never computes: it creates no memo and evaluates
+        nothing, so a caller holding the result can build a prediction
+        (:func:`~repro.core.rppm.prediction_result`) without running
+        Eq. 1 or either phase.
+        """
+        ckey = (id(profile), equation_key(config))
+        with self._lock:
+            entry = self._costs.get(ckey)
+            if (
+                entry is None
+                or entry[0] is not profile
+                or entry[1].phases is None
+            ):
+                return None
+            self._costs.move_to_end(ckey)
+            return entry[1]
 
     # -- accounting ---------------------------------------------------------
 

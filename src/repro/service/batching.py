@@ -59,6 +59,12 @@ class LRUCache:
             self.hits += 1
             return value
 
+    def peek(self, key: Hashable) -> Any:
+        """The value for ``key`` (or ``None``), counting nothing and
+        leaving the recency order as it is."""
+        with self._lock:
+            return self._data.get(key)
+
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:
             self._data[key] = value

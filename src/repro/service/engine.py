@@ -21,7 +21,9 @@ artifacts resident across requests:
 * finished response payloads next to their JSON-encoded bodies, keyed
   by the full request tuple, so the HTTP server can answer a repeat
   request on its event loop from bytes
-  (:meth:`PredictionEngine.cached_body`).
+  (:meth:`PredictionEngine.cached_body`), and a new core count or
+  sweep over resident memos by building the result there
+  (:meth:`PredictionEngine.resident_body`).
 
 The engine is synchronous and thread-safe — transports (the asyncio
 HTTP server, the CLI, tests) call it from whatever execution context
@@ -37,11 +39,11 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.arch.config import MulticoreConfig
 from repro.arch.presets import TABLE_IV, table_iv_config
-from repro.core.rppm import PredictionResult, predict
+from repro.core.rppm import PredictionResult, predict, prediction_result
 from repro.core.session import Session
 from repro.experiments.store import ProfileStore
 from repro.obs import span
@@ -166,6 +168,12 @@ class ServiceError(Exception):
         self.status = status
 
 
+#: Resident Eq.-1 memos an engine keeps by default: every (benchmark,
+#: Table IV point) pair of the suites at two scales, so the serving hot
+#: set of one scale fits with headroom.  Core counts share a memo.
+DEFAULT_COST_CACHES = 2 * len(TABLE_IV) * (len(RODINIA) + len(PARSEC))
+
+
 class PredictionEngine:
     """Resident profiles + caches serving predict/compare/sweep calls."""
 
@@ -174,7 +182,7 @@ class PredictionEngine:
         store: Optional[ProfileStore] = None,
         chunk: int = 4096,
         max_profiles: int = 32,
-        max_cost_caches: int = 128,
+        max_cost_caches: int = DEFAULT_COST_CACHES,
         max_results: int = 4096,
         max_trace_bytes: int = 256 << 20,
         session: Optional[Session] = None,
@@ -323,6 +331,22 @@ class PredictionEngine:
 
     # -- entry points -------------------------------------------------------
 
+    def _answer(
+        self, request: ServiceRequest, compute: Callable[[], dict]
+    ) -> CachedResult:
+        """Every entry point's bookkeeping around ``compute``: count
+        the request, answer a result-LRU hit, else count, remember and
+        return ``compute()``'s payload.  The executor's entry points and
+        :meth:`resident_body` share it, so both count alike.
+        """
+        self._count("requests", request.kind)
+        cached = self.results.get(request.key())
+        if cached is not None:
+            return cached
+        payload = compute()
+        self._count("computed", request.kind)
+        return self._remember(request, payload)
+
     def predict(
         self,
         benchmark: str,
@@ -335,23 +359,22 @@ class PredictionEngine:
             "predict", benchmark, config, cores, scale
         )
         self._check_generation()
-        self._count("requests", "predict")
-        cached = self.results.get(request.key())
-        if cached is not None:
-            return cached.payload
-        ref = self._ref(benchmark)
-        cfg = self._config(config, cores)
-        _pkey, profile = self.profile(ref, scale)
-        # The session memoises the Eq.-1 cost cache per (profile,
-        # Eq.-1 inputs), which leave out the core count, and with it
-        # phase 1's stacks and phase 2's schedule; profiles stay
-        # resident in ``_profiles``, so a prediction at a new core count
-        # runs no Eq.-1 evaluation and neither phase (``schedules``
-        # stays put in /healthz's session counters).
-        result = predict(profile, cfg, session=self.session)
-        self._bump("predictions_run")
-        self._count("computed", "predict")
-        return self._remember(request, prediction_payload(result, cfg))
+
+        def compute() -> dict:
+            ref = self._ref(benchmark)
+            cfg = self._config(config, cores)
+            _pkey, profile = self.profile(ref, scale)
+            # The session memoises the Eq.-1 cost cache per (profile,
+            # Eq.-1 inputs), which leave out the core count, and with
+            # it phase 1's stacks and phase 2's schedule; profiles stay
+            # resident in ``_profiles``, so a prediction at a new core
+            # count runs no Eq.-1 evaluation and neither phase
+            # (``schedules`` stays put in /healthz's session counters).
+            result = predict(profile, cfg, session=self.session)
+            self._bump("predictions_run")
+            return prediction_payload(result, cfg)
+
+        return self._answer(request, compute).payload
 
     def compare(
         self,
@@ -365,19 +388,20 @@ class PredictionEngine:
             "compare", benchmark, config, cores, scale
         )
         self._check_generation()
-        self._count("requests", "compare")
-        cached = self.results.get(request.key())
-        if cached is not None:
-            return cached.payload
-        ref = self._ref(benchmark)
-        cfg = self._config(config, cores)
-        _pkey, profile = self.profile(ref, scale)
-        pred = predict(profile, cfg, session=self.session)
-        self._bump("predictions_run")
-        sim = simulate(self._trace(ref, scale), cfg, session=self.session)
-        self._bump("simulations_run")
-        self._count("computed", "compare")
-        return self._remember(request, compare_payload(pred, sim, cfg))
+
+        def compute() -> dict:
+            ref = self._ref(benchmark)
+            cfg = self._config(config, cores)
+            _pkey, profile = self.profile(ref, scale)
+            pred = predict(profile, cfg, session=self.session)
+            self._bump("predictions_run")
+            sim = simulate(
+                self._trace(ref, scale), cfg, session=self.session
+            )
+            self._bump("simulations_run")
+            return compare_payload(pred, sim, cfg)
+
+        return self._answer(request, compute).payload
 
     def sweep(
         self,
@@ -391,29 +415,19 @@ class PredictionEngine:
             "sweep", benchmark, "", cores, scale, tuple(configs)
         )
         self._check_generation()
-        self._count("requests", "sweep")
-        cached = self.results.get(request.key())
-        if cached is not None:
-            return cached.payload
         names = tuple(configs) or tuple(TABLE_IV)
-        results = [
-            self.predict(benchmark, name, cores, scale) for name in names
-        ]
-        self._count("computed", "sweep")
-        return self._remember(request, {
-            "benchmark": benchmark,
-            "cores": cores,
-            "scale": scale,
-            "configs": list(names),
-            "results": results,
-        })
+        return self._answer(request, lambda: _sweep_payload(
+            request, names,
+            [self.predict(benchmark, name, cores, scale) for name in names],
+        )).payload
 
-    def _remember(self, request: ServiceRequest, payload: dict) -> dict:
+    def _remember(
+        self, request: ServiceRequest, payload: dict
+    ) -> CachedResult:
         """Memoize a computed payload together with its encoded body."""
-        self.results.put(
-            request.key(), CachedResult(payload, encode_json(payload))
-        )
-        return payload
+        entry = CachedResult(payload, encode_json(payload))
+        self.results.put(request.key(), entry)
+        return entry
 
     def cached_body(self, request: ServiceRequest) -> Optional[bytes]:
         """The encoded answer to ``request`` if the result LRU holds it.
@@ -430,6 +444,86 @@ class PredictionEngine:
             return None
         self._count("requests", request.kind)
         return entry.body
+
+    # -- answers from resident state (the event loop's miss path) -----------
+
+    def _resident_profile(
+        self, benchmark: str, scale: float
+    ) -> Optional[Tuple[str, WorkloadProfile]]:
+        """The (key, profile) :meth:`profile` would return if it is
+        resident, else ``None``.
+
+        Peeks at the seed and profile LRUs, counting nothing; never
+        builds a workload spec, reads the store or profiles.
+        """
+        try:
+            label = resolve_benchmark(benchmark).label
+        except ValueError:
+            return None
+        seed = self._seeds.peek((label, scale))
+        if seed is None:
+            return None
+        key = ProfileStore.profile_key(label, seed, scale, self.chunk)
+        entry = self._profiles.peek(key)
+        return None if entry is None else (key, entry[1])
+
+    def resident_body(self, request: ServiceRequest) -> Optional[bytes]:
+        """The encoded answer to a result-LRU miss that needs no
+        computation, or ``None`` having counted nothing.
+
+        A predict or sweep is answered when its profile and, for each
+        design point, the session's Eq.-1 memo with both phases
+        (:meth:`~repro.core.session.Session.resident_cost_cache`) are
+        resident: the answer is then built by
+        :func:`~repro.core.rppm.prediction_result`, the builder
+        :func:`~repro.core.rppm.predict` uses, and remembered and
+        counted as :meth:`predict` / :meth:`sweep` would.  Never loads,
+        expands, profiles, evaluates Eq. 1, runs a phase or fires the
+        ``engine.compute`` fault point; compares and unknown names
+        return ``None``.
+        """
+        if request.kind == "predict":
+            names = (request.config,)
+        elif request.kind == "sweep":
+            names = request.configs or tuple(TABLE_IV)
+        else:
+            return None
+        self._check_generation()
+        resident = self._resident_profile(request.benchmark, request.scale)
+        if resident is None:
+            return None
+        pkey, profile = resident
+        points = []
+        for name in names:
+            try:
+                cfg = table_iv_config(name, cores=request.cores)
+            except ValueError:
+                return None
+            memo = self.session.resident_cost_cache(profile, cfg)
+            if memo is None:
+                return None
+            points.append((cfg, memo))
+
+        def answer(cfg: MulticoreConfig, memo) -> CachedResult:
+            def build() -> dict:
+                self._profiles.get(pkey)  # the hit profile() counts
+                self.session.record("predictions")
+                with span("predict", workload=profile.name, config=cfg.name):
+                    result = prediction_result(profile, cfg, memo.phases)
+                self._bump("predictions_run")
+                return prediction_payload(result, cfg)
+
+            return self._answer(ServiceRequest(
+                "predict", request.benchmark, cfg.name, request.cores,
+                request.scale,
+            ), build)
+
+        with span("engine", kind=request.kind, benchmark=request.benchmark):
+            if request.kind == "predict":
+                return answer(*points[0]).body
+            return self._answer(request, lambda: _sweep_payload(
+                request, names, [answer(*point).payload for point in points]
+            )).body
 
     def profiles(self) -> dict:
         """``/v1/profiles``: resident + persisted profile inventory."""
@@ -497,8 +591,9 @@ class PredictionEngine:
                 # The delay occupies this worker thread exactly like a
                 # real degraded engine would, which is how the overload
                 # scenarios manufacture a known, bounded capacity.  The
-                # server answers result-cache hits on its event loop,
-                # so served requests only get here to be computed.
+                # server answers result-cache hits, and misses whose
+                # answer is resident (resident_body), on its event
+                # loop, so served requests only get here to be computed.
                 FAULTS.fire("engine.compute")
                 if request.kind == "predict":
                     return 200, self.predict(
@@ -526,6 +621,18 @@ class PredictionEngine:
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             deactivate(token)
+
+
+def _sweep_payload(
+    request: ServiceRequest, names: Tuple[str, ...], results: list
+) -> dict:
+    return {
+        "benchmark": request.benchmark,
+        "cores": request.cores,
+        "scale": request.scale,
+        "configs": list(names),
+        "results": results,
+    }
 
 
 # -- error budget ------------------------------------------------------------
@@ -692,6 +799,7 @@ def format_compare(payload: dict) -> str:
 __all__ = [
     "ERROR_BUDGET_THRESHOLDS",
     "CachedResult",
+    "DEFAULT_COST_CACHES",
     "EngineStats",
     "PredictionEngine",
     "ServiceError",

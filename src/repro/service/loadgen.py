@@ -320,12 +320,13 @@ def _fresh_keys() -> Callable[[], Dict]:
     """Draw predict parameters that no earlier draw produced.
 
     Cycles the five Table IV points crossed with 1-1024 cores (5120
-    keys) at the scenario's fixed scale, so against an engine warmed
-    with nothing but the profile each request is a real Eq.-1
-    computation.  Result-cache hits are answered on the server's event
-    loop and never reach the (slowed) engine or the admission queue,
-    so only misses can overload them.  ``next`` on an
-    ``itertools.count`` is atomic, so any thread may draw.
+    keys) at the scenario's fixed scale, so no draw is a result-cache
+    hit.  A draw is a real Eq.-1 computation only against an engine
+    that keeps no prediction memo (:func:`_compute_engine`): the server
+    answers result-cache hits, and misses whose profile and memo are
+    resident, on its event loop, where neither the (slowed) engine nor
+    the admission queue sees them.  ``next`` on an ``itertools.count``
+    is atomic, so any thread may draw.
     """
     from repro.arch.presets import TABLE_IV
 
@@ -340,6 +341,21 @@ def _fresh_keys() -> Callable[[], Dict]:
         }
 
     return draw
+
+
+def _compute_engine(benchmark: str, scale: float):
+    """An engine on which every :func:`_fresh_keys` draw computes.
+
+    It keeps no Eq.-1 memo resident (``max_cost_caches=0``), so each
+    request runs Eq. 1 and both prediction phases on the executor, as
+    before memos held them; only the profile is built up front, so no
+    answer is cached either.
+    """
+    from repro.service.engine import PredictionEngine, resolve_benchmark
+
+    engine = PredictionEngine(store=None, max_cost_caches=0)
+    engine.profile(resolve_benchmark(benchmark), scale)
+    return engine
 
 
 def _result_hit_rate(engine, before: Dict[str, int]) -> float:
@@ -358,20 +374,19 @@ def _scenario_stampede(
     A deliberately slowed engine (chaos ``engine.compute`` delay)
     pins capacity at ~``workers / delay`` req/s; 32 closed-loop
     workers each asking for a design point nobody asked for before
-    (:func:`_fresh_keys`, so neither single-flight nor the result LRU
-    can absorb the load) then offer several times the queue can hold.
-    The contract under test: everything not served is a well-formed
-    429 + Retry-After.
+    (:func:`_fresh_keys` on :func:`_compute_engine`, so neither
+    single-flight, the result LRU nor the event loop can absorb the
+    load) then offer several times the queue can hold.  The contract
+    under test: everything not served is a well-formed 429 +
+    Retry-After, and nearly every attempt is either ``admitted`` or
+    shed (``loop_answered`` counts the exceptions).
     """
-    from repro.service.engine import PredictionEngine, resolve_benchmark
     from repro.service.server import BackgroundServer
     from repro.testing.faults import inject
 
     max_queue = 8
     concurrency = 32
-    engine = PredictionEngine(store=None)
-    # The one-time profile cost only: no answer is cached up front.
-    engine.profile(resolve_benchmark(benchmark), scale)
+    engine = _compute_engine(benchmark, scale)
     with BackgroundServer(
         engine=engine, workers=2, max_queue=max_queue,
     ) as server:
@@ -401,6 +416,8 @@ def _scenario_stampede(
         ),
         **drive,
         "result_hit_rate": _result_hit_rate(engine, cache0),
+        "admitted": _health_value(health, "coalescer.submitted"),
+        "loop_answered": _health_value(health, "admission.loop_answered"),
         "server_shed": _health_value(health, "admission.shed"),
         "server_queue_depth_max": max_queue,
     }
@@ -411,21 +428,18 @@ def _scenario_slow_engine(
 ) -> Dict:
     """Engine running ~10x past the request deadline.
 
-    Every request asks for a fresh design point (:func:`_fresh_keys`),
-    so every one computes and must end in a ``503`` that echoes the
-    deadline — never a hang, never a raw socket error — and queued
-    work abandoned by its timed-out waiter must be reaped before it
-    wastes an engine worker.
+    Every request asks for a fresh design point (:func:`_fresh_keys` on
+    :func:`_compute_engine`), so every one computes and must end in a
+    ``503`` that echoes the deadline — never a hang, never a raw socket
+    error — and queued work abandoned by its timed-out waiter must be
+    reaped before it wastes an engine worker.
     """
-    from repro.service.engine import PredictionEngine, resolve_benchmark
     from repro.service.server import BackgroundServer
     from repro.testing.faults import inject
 
     deadline_ms = 100.0
     concurrency = 8
-    engine = PredictionEngine(store=None)
-    # The one-time profile cost only: no answer is cached up front.
-    engine.profile(resolve_benchmark(benchmark), scale)
+    engine = _compute_engine(benchmark, scale)
     with BackgroundServer(
         engine=engine, workers=2, deadline_ms=deadline_ms,
     ) as server:
@@ -451,6 +465,8 @@ def _scenario_slow_engine(
         "deadline_ms": deadline_ms,
         **drive,
         "result_hit_rate": _result_hit_rate(engine, cache0),
+        "admitted": _health_value(health, "coalescer.submitted"),
+        "loop_answered": _health_value(health, "admission.loop_answered"),
         "server_deadline_expired": _health_value(
             health, "admission.deadline_expired"
         ),
@@ -511,6 +527,7 @@ def _scenario_kill_mid_burst(
         "killed_at_s": kill_at_s,
         **drive,
         "result_hit_rate": _result_hit_rate(engine, cache0),
+        "loop_answered": server.service.loop_answered,
     }
 
 
@@ -541,11 +558,12 @@ def _cold_mix_call(
     """A request stream no result LRU can absorb.
 
     Cycles every Table IV config crossed with 1..1024 cores — more
-    distinct request keys than the engine's result cache holds, so
-    each request is a real Eq.-1 evaluation.  The *profile* stays
-    resident (cores and config are not part of the profile key), which
-    is exactly the cold-traffic shape the fleet exists for: compute
-    bound, GIL-limited in one process.
+    distinct request keys than the engine's result cache holds.  The
+    *profile* stays resident (cores and config are not part of the
+    profile key), and so do the five points' prediction memos, so
+    after a worker's first computation per point its event loop builds
+    each answer (no Eq.-1 evaluation, no phase): CPU bound on result
+    building and serialization, GIL-limited in one process.
     """
     from repro.arch.presets import TABLE_IV
 

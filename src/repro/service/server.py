@@ -3,11 +3,14 @@
 Stdlib only: ``asyncio.start_server`` plus a small HTTP/1.1
 keep-alive parser — no web framework, so the service runs anywhere the
 reproduction runs.  The event loop owns parsing and routing, and it
-answers every request whose answer is already cached: a repeat
+answers every request whose answer needs no computation: a repeat
 predict/compare/sweep is parsed once, found in the engine's result
-LRU and answered with the JSON body encoded when it was computed.
-Only computations (result-cache misses) leave the loop: they enter
-the :class:`~repro.service.batching.Coalescer`, which deduplicates
+LRU and answered with the JSON body encoded when it was computed, and
+a result-cache miss whose profile and prediction memos are resident
+(a predict or sweep at a new core count) is built right there
+(:meth:`~repro.service.engine.PredictionEngine.resident_body`).  Only
+computations leave the loop: they enter the
+:class:`~repro.service.batching.Coalescer`, which deduplicates
 identical in-flight requests (single-flight) and runs each distinct
 one as its own job on the engine's thread pool.
 
@@ -17,8 +20,8 @@ Overload safety (the serving plane degrades, it does not collapse):
   (``max_queue`` distinct computations admitted at once).  Overflow is
   shed immediately with ``429 Too Many Requests`` plus a
   ``Retry-After`` header derived from the coalescer's EWMA service
-  time, so clients back off instead of piling on.  A cached answer
-  never enters the queue, so it is never shed.
+  time, so clients back off instead of piling on.  An answer the loop
+  gives never enters the queue, so it is never shed.
 * **Deadlines** — every computation carries a deadline (server
   default ``deadline_ms``, tightened per request via an
   ``X-Deadline-Ms`` header).  Expiry returns ``503`` with the
@@ -206,6 +209,11 @@ class PredictionService:
             "repro_disconnects_total",
             "In-flight requests cancelled by a client disconnect",
         )
+        self._m_loop_answered = self.metrics.counter(
+            "repro_loop_answered_total",
+            "Result-cache misses answered on the event loop from "
+            "resident profiles and prediction memos",
+        )
         self._m_response_failures = self.metrics.counter(
             "repro_response_failures_total",
             "Responses that failed to reach the client",
@@ -249,6 +257,10 @@ class PredictionService:
     @property
     def disconnects(self) -> int:
         return int(self._m_disconnects.value())
+
+    @property
+    def loop_answered(self) -> int:
+        return int(self._m_loop_answered.value())
 
     @property
     def response_failures(self) -> int:
@@ -741,8 +753,8 @@ class PredictionService:
         close: bool, extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
         if isinstance(payload, bytes):
-            # A JSON body encoded when the answer was computed (a
-            # result-cache hit, see PredictionEngine.cached_body).
+            # A JSON body the engine encoded with its answer (see
+            # PredictionEngine.cached_body and resident_body).
             body = payload
             content_type = "application/json"
         elif isinstance(payload, str):
@@ -781,8 +793,8 @@ class PredictionService:
         """Answer one request; ``None`` if the client hung up first.
 
         Everything but a computation runs to completion right here on
-        the event loop, a cached answer included; only a result-cache
-        miss awaits the coalescer.
+        the event loop: a cached answer, and a miss the engine answers
+        from resident state; only a computation awaits the coalescer.
         """
         if path == "/healthz":
             if method != "GET":
@@ -828,6 +840,15 @@ class PredictionService:
             cached = self.engine.cached_body(request)
             if cached is not None:
                 return 200, cached, {}
+            built = self.engine.resident_body(request)
+            if built is not None:
+                self._m_loop_answered.inc()
+                # Reading a buffered request and draining below the
+                # high-water mark never yield, so without this a
+                # pipelined burst of these would hold the loop until
+                # its end while other connections wait.
+                await asyncio.sleep(0)
+                return 200, built, {}
             return await self._admit_watched(
                 reader, writer, request, deadline_ms
             )
@@ -899,6 +920,7 @@ class PredictionService:
             "deadline_expired": int(self._m_deadline_expired.value()),
             "disconnects": int(self._m_disconnects.value()),
             "response_failures": int(self._m_response_failures.value()),
+            "loop_answered": int(self._m_loop_answered.value()),
             "draining": self.draining,
         }
         out = {

@@ -180,10 +180,10 @@ POINTS = (
     "store.read",        # raises / mutates bytes read from the store
     "store.write",       # raises / mutates bytes about to be written
     "store.crash",       # SimulatedCrash between tmp write and rename
-    "engine.compute",    # delays / raises inside an engine request;
-                         # the server answers result-cache hits on its
-                         # event loop, so a served request reaches it
-                         # only when it is computed
+    "engine.compute",    # delays / raises inside an engine request,
+                         # on the compute path only: the server answers
+                         # result-cache hits, and misses built from
+                         # resident memos, on its event loop
     "server.respond",    # raises while writing an HTTP response
     "obs.emit",          # raises inside telemetry emission (best-effort:
                          # a broken sink must never fail a request)

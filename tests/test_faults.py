@@ -393,6 +393,47 @@ class TestServingChaos:
                 )
                 assert result["total_cycles"] > 0
 
+    def test_engine_delay_holds_cold_misses_only(self):
+        """``engine.compute`` fires on the compute path only: a warm
+        miss (new core count, resident memo) is answered on the event
+        loop well inside an injected 0.2 s delay, a cold miss (new
+        point) still waits for it."""
+        from repro.service.client import ServiceClient
+
+        with self._boot() as server:
+            with ServiceClient(port=server.port) as client:
+                client.predict(benchmark="rodinia.nn", scale=SCALE)
+                with inject("engine.compute", delay_s=0.2) as fault:
+                    t0 = time.perf_counter()
+                    warm = client.predict(
+                        benchmark="rodinia.nn", cores=16, scale=SCALE,
+                        retries=0,
+                    )
+                    warm_s = time.perf_counter() - t0
+                    t0 = time.perf_counter()
+                    cold = client.predict(
+                        benchmark="rodinia.nn", config="small",
+                        scale=SCALE, retries=0,
+                    )
+                    cold_s = time.perf_counter() - t0
+        assert warm["cores"] == 16 and cold["config"] == "small"
+        assert warm_s < 0.1
+        assert cold_s >= 0.2
+        assert fault.fired == 1
+
+    def test_stampede_draws_all_reach_admission(self):
+        """Every stampede draw needs the executor, so admission admits
+        or sheds at least 95 % of the window's attempts.  Were draws
+        answered on the event loop, only those before the first
+        computation at each point would get there."""
+        from repro.service.loadgen import _scenario_stampede
+
+        rec = _scenario_stampede("rodinia.nn", SCALE, duration_s=1.0)
+        assert rec["unexplained_errors"] == 0 and rec["hung_workers"] == 0
+        assert rec["ok"] > 0 and rec["shed"] > 0
+        assert rec["admitted"] + rec["shed"] >= 0.95 * rec["attempts"]
+        assert rec["loop_answered"] <= 0.05 * rec["attempts"]
+
     def test_corrupted_response_is_protocol_error(self):
         from repro.service.client import (
             ServiceClient, ServiceProtocolError,

@@ -19,7 +19,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro.arch.presets import TABLE_IV
 from repro.core.session import Session
-from repro.experiments.bench import CHECK_FLOORS, check_bench
+from repro.experiments.bench import (
+    CHECK_FLOORS,
+    OBS_PAIRS,
+    _paired_cpu_ratios,
+    check_bench,
+)
 from repro.experiments.store import ProfileStore
 from repro.profiler.ilp import (
     LOAD_LAT_GRID,
@@ -394,6 +399,34 @@ class TestBenchCheck:
                          key_speedup=1.0, key_mismatches=1,
                          schedules=once - 1)
         )) == 17
+
+    def test_obs_ceiling_gates_the_median_pair_ratio(self):
+        record = self._record()
+        record["obs"] = {"pairs": OBS_PAIRS, "overhead_frac": 0.04}
+        assert check_bench(record) == []
+        record["obs"]["overhead_frac"] = 0.06
+        assert len(check_bench(record)) == 1
+        # Fewer pairs than the gate's median needs fail on their own.
+        record["obs"] = {"pairs": OBS_PAIRS - 1, "overhead_frac": 0.0}
+        assert len(check_bench(record)) == 1
+
+    def test_paired_ratios_alternate_order_and_time_cpu(self):
+        calls = []
+
+        def burn(name: str, n: int) -> None:
+            calls.append(name)
+            total = 0
+            for i in range(n):
+                total += i
+
+        ratios, a_s, b_s = _paired_cpu_ratios(
+            lambda: burn("a", 600_000), lambda: burn("b", 200_000), 4
+        )
+        assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
+        assert len(ratios) == 4
+        # Three times the work reads about 3x, whatever the host does.
+        assert 1.8 < float(np.median(ratios)) < 5.0
+        assert a_s > b_s > 0
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed

@@ -12,16 +12,20 @@ predict`` output.
 import asyncio
 import http.client
 import json
+import random
 import socket
 import threading
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.presets import TABLE_IV
 from repro.cli import main
+from repro.obs.tracing import TRACE_RING
 from repro.service.batching import Coalescer, LRUCache
 from repro.service.client import (
     ServiceClient,
@@ -31,6 +35,7 @@ from repro.service.client import (
 from repro.service.engine import (
     PredictionEngine,
     ServiceRequest,
+    encode_json,
     format_compare,
     format_prediction,
     resolve_benchmark,
@@ -44,6 +49,8 @@ from repro.service.server import (
     _deadline_ms,
     _parse_head,
 )
+from repro.workloads.parsec import PARSEC
+from repro.workloads.rodinia import RODINIA
 
 SCALE = 0.25
 
@@ -264,6 +271,31 @@ class TestEngine:
             ServiceRequest("predict", "rodinia.nn", config="huge")
         )
         assert status == 400
+
+    def test_memos_hold_every_pair_of_one_scale(self):
+        """The default Eq.-1 memo LRU holds every (benchmark, Table IV
+        point) pair of the suites at one scale: once all 130 are warm
+        at 4 cores, 2,000 predictions at new core counts run no phase
+        2 (with 128 memos, 41 of them re-ran it)."""
+        scale = 0.05
+        labels = [f"rodinia.{b}" for b in RODINIA] + [
+            f"parsec.{b}" for b in PARSEC
+        ]
+        engine = PredictionEngine(store=None)
+        for label in labels:
+            for point in TABLE_IV:
+                engine.predict(label, point, 4, scale)
+        warm = engine.session.counters["schedules"]
+        assert warm == len(labels) * len(TABLE_IV) == 130
+        misses = random.Random(21).sample([
+            (label, point, cores)
+            for label in labels for point in TABLE_IV
+            for cores in range(1, 65) if cores != 4
+        ], 2000)
+        for label, point, cores in misses:
+            engine.predict(label, point, cores, scale)
+        assert engine.session.counters["schedules"] == warm
+        assert engine.stats.computed["predict"] == 130 + 2000
 
 
 @pytest.fixture(scope="module")
@@ -635,6 +667,7 @@ class TestObservability:
             "repro_engine_requests",
             "repro_engine_computed",
             "repro_coalescer_submitted",
+            "repro_loop_answered_total",
             # session caches
             "repro_cache_hits",
             "repro_cache_misses",
@@ -691,6 +724,7 @@ class TestObservability:
              "repro_admission_deadline_expired_total"),
             ("disconnects", "repro_disconnects_total"),
             ("response_failures", "repro_response_failures_total"),
+            ("loop_answered", "repro_loop_answered_total"),
         ):
             assert admission[key] == _series_sum(text, series)
 
@@ -866,6 +900,196 @@ class TestHitPath:
         key = ServiceRequest("predict", "rodinia.nn", scale=SCALE).key()
         payload = engine.results.get(key).payload
         assert body == json.dumps(payload).encode()
+
+
+def _read_response(sock, buf: bytearray) -> tuple:
+    """One whole HTTP response off ``sock``: (status, headers, body)."""
+    while True:
+        end = buf.find(b"\r\n\r\n")
+        if end >= 0:
+            head = bytes(buf[:end]).decode("latin-1").split("\r\n")
+            headers = dict(
+                line.split(": ", 1) for line in head[1:] if line
+            )
+            total = end + 4 + int(headers["Content-Length"])
+            if len(buf) >= total:
+                body = bytes(buf[end + 4:total])
+                del buf[:total]
+                return int(head[0].split()[1]), headers, body
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            raise ConnectionError("the server closed the connection")
+        buf += chunk
+
+
+class TestLoopAnswers:
+    """A result-cache miss whose profile and prediction memo are
+    resident (a new core count at a predicted point) is built on the
+    event loop: no admission, coalescer or executor hop, and the bytes
+    and counters of a computed answer."""
+
+    PREDICT = f"/v1/predict?benchmark=rodinia.nn&scale={SCALE}"
+
+    @pytest.fixture()
+    def warm(self):
+        """A dedicated server whose engine predicted rodinia.nn at
+        ``base`` x 4 cores, so counter deltas are exact."""
+        engine = PredictionEngine(store=None)
+        with BackgroundServer(engine=engine, workers=2) as srv:
+            with ServiceClient(port=srv.port) as c:
+                c.predict("rodinia.nn", scale=SCALE)
+                yield engine, srv, c
+
+    def test_warm_miss_moves_the_loop_counter_only(self, warm):
+        _, server, client = warm
+        before = client.healthz()
+        status, _, body = _raw_get(server.port, self.PREDICT + "&cores=16")
+        after = client.healthz()
+        assert status == 200
+        assert body == encode_json(PredictionEngine(store=None).predict(
+            "rodinia.nn", cores=16, scale=SCALE
+        ))
+        loop = [h["admission"]["loop_answered"] for h in (before, after)]
+        assert loop[1] == loop[0] + 1
+        for name in ("submitted", "batches"):
+            assert after["coalescer"][name] == before["coalescer"][name]
+        # Counted as the executor counts a computed answer.
+        e0, e1 = before["engine"], after["engine"]
+        for counts in ("requests", "computed"):
+            assert e1[counts]["predict"] - e0[counts]["predict"] == 1
+        assert e1["predictions_run"] - e0["predictions_run"] == 1
+        r0, r1 = e0["result_cache"], e1["result_cache"]
+        assert (r1["hits"], r1["misses"]) == (r0["hits"], r0["misses"] + 1)
+        c0, c1 = e0["session"]["counters"], e1["session"]["counters"]
+        assert c1["predictions"] == c0["predictions"] + 1
+        assert c1["schedules"] == c0["schedules"]
+        # The repeat is a result-cache hit.
+        assert _raw_get(server.port, self.PREDICT + "&cores=16")[2] == body
+        assert client.healthz()["admission"]["loop_answered"] == loop[1]
+
+    def test_cold_miss_moves_the_coalescer_only(self, warm):
+        _, _, client = warm
+        before = client.healthz()
+        client.predict("rodinia.nn", config="small", scale=SCALE)
+        after = client.healthz()
+        assert (
+            after["admission"]["loop_answered"]
+            == before["admission"]["loop_answered"]
+        )
+        for name in ("submitted", "batches"):
+            assert after["coalescer"][name] == before["coalescer"][name] + 1
+
+    def test_resident_sweep_is_answered_on_the_loop(self, warm):
+        _, _, client = warm
+        points = ["smallest", "base"]
+        client.sweep("rodinia.nn", configs=points, scale=SCALE)
+        before = client.healthz()
+        payload = client.sweep(
+            "rodinia.nn", configs=points, cores=8, scale=SCALE
+        )
+        middle = client.healthz()
+        assert payload == PredictionEngine(store=None).sweep(
+            "rodinia.nn", configs=points, cores=8, scale=SCALE
+        )
+        assert (
+            middle["admission"]["loop_answered"]
+            == before["admission"]["loop_answered"] + 1
+        )
+        assert middle["coalescer"]["submitted"] == (
+            before["coalescer"]["submitted"]
+        )
+        # One point without a memo sends the whole sweep to the executor.
+        client.sweep("rodinia.nn", configs=["small", "base"], scale=SCALE)
+        after = client.healthz()
+        assert after["admission"]["loop_answered"] == (
+            middle["admission"]["loop_answered"]
+        )
+        assert after["coalescer"]["submitted"] == (
+            middle["coalescer"]["submitted"] + 1
+        )
+
+    def test_draining_server_refuses_a_warm_miss(self, warm):
+        _, server, client = warm
+        server.service.draining = True
+        with pytest.raises(ServiceTimeout) as exc_info:
+            client.predict("rodinia.nn", cores=16, scale=SCALE, retries=0)
+        assert exc_info.value.status == 503
+        assert "draining" in exc_info.value.payload["error"]
+        assert server.service.loop_answered == 0
+
+    def test_warm_miss_never_computes(self, warm, monkeypatch):
+        from repro.core import rppm
+        from repro.core.session import Session
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm miss must not compute")
+
+        monkeypatch.setattr(Session, "cost_cache", refuse)
+        monkeypatch.setattr(rppm, "_phases", refuse)
+        _, _, client = warm
+        payload = client.predict("rodinia.nn", cores=16, scale=SCALE)
+        assert payload["cores"] == 16
+        assert client.healthz()["admission"]["loop_answered"] == 1
+
+    def test_warm_miss_trace_keeps_engine_and_predict_spans(self, warm):
+        _, server, client = warm
+        rid = "loop-answer-trace-1"
+        status, _, _ = _raw_get(
+            server.port, self.PREDICT + "&cores=16", {"X-Request-Id": rid}
+        )
+        assert status == 200
+        names = [s["name"] for s in client.debug_trace(rid)["spans"]]
+        assert names == ["route", "engine", "predict"]
+
+    def test_pipelined_burst_does_not_starve_another_connection(self, warm):
+        """Connection A writes 200 warm misses in one write; connection
+        B's one request is answered before A's burst is half done.
+        Reading a buffered request and draining below the high-water
+        mark never yield to the event loop, so without a yield per loop
+        answer B would wait for all 200."""
+        _, server, _ = warm
+        tag = uuid.uuid4().hex[:8]
+        cores = range(5, 205)
+        burst = b"".join(
+            f"GET {self.PREDICT}&cores={n} HTTP/1.1\r\nHost: t\r\n"
+            f"X-Request-Id: {tag}-a-{n}\r\n\r\n".encode()
+            for n in cores
+        )
+        probe = (
+            f"GET {self.PREDICT} HTTP/1.1\r\nHost: t\r\n"
+            f"X-Request-Id: {tag}-b\r\n\r\n"
+        ).encode()
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=30
+        ) as a, socket.create_connection(
+            ("127.0.0.1", server.port), timeout=30
+        ) as b:
+            a_buf, b_buf = bytearray(), bytearray()
+
+            def exchange(sock, buf, suffix: bytes) -> None:
+                sock.sendall(probe.replace(b"-b\r", suffix + b"\r"))
+                assert _read_response(sock, buf)[0] == 200
+
+            for sock, buf in ((a, a_buf), (b, b_buf)):  # both accepted
+                exchange(sock, buf, b"-first")
+            a.sendall(burst)
+            b.sendall(probe)
+            assert _read_response(b, b_buf)[0] == 200
+            answers = [_read_response(a, a_buf) for _ in cores]
+            # A connection serves its next request only after it has
+            # recorded the trace of the one before.
+            for sock, buf in ((a, a_buf), (b, b_buf)):
+                exchange(sock, buf, b"-last")
+        assert [json.loads(body)["cores"] for _, _, body in answers] == (
+            list(cores)
+        )
+        finished = [
+            t["trace_id"]
+            for t in reversed(TRACE_RING.summaries(TRACE_RING.capacity))
+            if t["trace_id"].startswith(tag)
+        ]
+        before_b = finished[:finished.index(f"{tag}-b")]
+        assert sum(tid.startswith(f"{tag}-a-") for tid in before_b) < 100
 
 
 class TestConcurrentServing:
