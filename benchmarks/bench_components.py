@@ -1,7 +1,7 @@
 """Component throughput benches: profiler, simulator, predictor parts.
 
 Not a paper artifact — these track the toolchain's own performance so
-regressions in the hot paths (locality collection, the core
+regressions in the hot paths (reuse-distance replay, the core
 scoreboard, the tournament predictor, StatStack) are visible.
 """
 
@@ -13,7 +13,7 @@ from repro.core.equation import evaluate_equation
 from repro.profiler.branchprof import branch_stats
 from repro.profiler.histogram import RDHistogram
 from repro.profiler.ilp import build_ilp_table
-from repro.profiler.locality import LocalityCollector, PoolLocality
+from repro.profiler.batch import PoolLocality, replay_data, replay_fetch
 from repro.profiler.profiler import profile_workload
 from repro.simulator.multicore import simulate
 from repro.statstack.statstack import miss_rate
@@ -39,19 +39,22 @@ def test_bench_profile(benchmark, trace):
     assert profile.n_instructions == trace.n_instructions
 
 
-def test_bench_locality_collector(benchmark):
+def test_bench_locality_replay(benchmark):
+    """The profiler's reuse-distance engine on one 50k-access stream:
+    the data replay and the fetch replay of the same lines."""
     rng = np.random.default_rng(0)
     addrs = rng.integers(0, 4096, size=50_000)
     stores = rng.random(50_000) < 0.2
 
     def run():
-        collector = LocalityCollector(1)
-        pool = PoolLocality()
-        collector.process(0, addrs, stores, pool)
-        return pool
+        pool, hist = PoolLocality(), RDHistogram()
+        replay_data([(0, 0, addrs, stores)], 1, [pool])
+        replay_fetch([(0, addrs)], [hist])
+        return pool, hist
 
-    pool = benchmark(run)
+    pool, hist = benchmark(run)
     assert pool.n_accesses == 50_000
+    assert hist.cold + hist.n_finite == 50_000
 
 
 @pytest.mark.perf

@@ -68,7 +68,8 @@ def test_bench_ilp_megabatch_kernel(benchmark, ilp_pools):
 
 
 def test_bench_ilp_prediction_grid(benchmark, ilp_pools):
-    """The aux=False per-op-latency replay the predictor issues."""
+    """``hierarchy_ilp``'s aux=False per-op-latency replay.  No
+    production code calls it: ROADMAP item 1 decides whether it stays."""
     from repro.profiler.ilp import hierarchy_ilp
 
     samples = [s for pool in ilp_pools[:20] for s in pool]

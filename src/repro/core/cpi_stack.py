@@ -51,15 +51,6 @@ class CPIStack:
     def total_cpi(self) -> float:
         return self.total_cycles / max(1, self.instructions)
 
-    def normalized(self) -> Dict[str, float]:
-        """Component shares of the total (sums to 1 when non-empty)."""
-        total = self.total_cycles
-        if total <= 0:
-            return {name: 0.0 for name in COMPONENTS}
-        return {
-            name: getattr(self, name) / total for name in COMPONENTS
-        }
-
     def add(self, other: "CPIStack") -> None:
         """Accumulate ``other`` into this stack (in place)."""
         for name in COMPONENTS:

@@ -12,7 +12,7 @@ handles:
 * :attr:`ilp` — content-addressed per-pool ILP tables
   (:class:`~repro.profiler.ilp_batch.ILPTableCache`),
 * :attr:`branches` — content-addressed branch statistics
-  (:class:`~repro.profiler.branchprof.BranchStatsCache`),
+  (:func:`~repro.profiler.branchprof.cached_branch_stats`),
 * :attr:`prep` — static per-segment profiling precompute keyed by the
   engine's static-artifact identity
   (:class:`~repro.profiler.profiler.SegmentPrepCache`),
@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.arch.config import MulticoreConfig
 from repro.core.epoch_model import EpochCostCache, equation_key
-from repro.profiler.branchprof import BranchStatsCache
+from repro.lru import LRUCache
+from repro.profiler.branchprof import BRANCH_STATS_ENTRIES
 from repro.profiler.ilp_batch import KERNEL_STATS, ILPTableCache
 from repro.profiler.profile import WorkloadProfile
 from repro.profiler.profiler import SegmentPrepCache
@@ -80,8 +80,8 @@ class Session:
     max_trace_bytes:
         Byte bound of the resident trace LRU.
 
-    Thread-safe: the component caches carry their own locks and the
-    cost-memo LRU locks here.
+    Thread-safe: every cache keeps its entries in a
+    :class:`~repro.lru.LRUCache`.
     """
 
     def __init__(
@@ -99,12 +99,10 @@ class Session:
             store=store, engine=engine, max_bytes=max_trace_bytes
         )
         self.ilp = ILPTableCache(store)
-        self.branches = BranchStatsCache()
+        self.branches = LRUCache(BRANCH_STATS_ENTRIES)
         self.prep = SegmentPrepCache()
-        self.max_cost_caches = max_cost_caches
-        self._costs: "OrderedDict[Tuple[Any, tuple], Tuple[WorkloadProfile, EpochCostCache]]" = (
-            OrderedDict()
-        )
+        #: (profile identity, equation_key) -> (profile, EpochCostCache)
+        self._costs = LRUCache(max_cost_caches)
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
 
@@ -152,17 +150,11 @@ class Session:
         """
         ident = key if key is not None else id(profile)
         ckey = (ident, equation_key(config))
-        with self._lock:
-            entry = self._costs.get(ckey)
-            if entry is not None and entry[0] is profile:
-                self._costs.move_to_end(ckey)
-                return entry[1]
+        entry = self._costs.get(ckey)
+        if entry is not None and entry[0] is profile:
+            return entry[1]
         cache = EpochCostCache(profile, config)
-        with self._lock:
-            self._costs[ckey] = (profile, cache)
-            self._costs.move_to_end(ckey)
-            while len(self._costs) > self.max_cost_caches:
-                self._costs.popitem(last=False)
+        self._costs.put(ckey, (profile, cache))
         return cache
 
     def resident_cost_cache(
@@ -177,17 +169,10 @@ class Session:
         (:func:`~repro.core.rppm.prediction_result`) without running
         Eq. 1 or either phase.
         """
-        ckey = (id(profile), equation_key(config))
-        with self._lock:
-            entry = self._costs.get(ckey)
-            if (
-                entry is None
-                or entry[0] is not profile
-                or entry[1].phases is None
-            ):
-                return None
-            self._costs.move_to_end(ckey)
-            return entry[1]
+        entry = self._costs.get((id(profile), equation_key(config)))
+        if entry is None or entry[0] is not profile or entry[1].phases is None:
+            return None
+        return entry[1]
 
     # -- accounting ---------------------------------------------------------
 
@@ -212,18 +197,15 @@ class Session:
         inputs), expansion-engine and ILP-kernel counters, usage
         counters, and (when durable) the store's degradation counters.
         """
-        with self._lock:
-            n_costs = len(self._costs)
-            counters = dict(self._counters)
         out: Dict[str, Any] = {
             "trace_cache": self.traces.stats(),
-            "ilp_cache": {"hits": self.ilp.hits, "misses": self.ilp.misses},
+            "ilp_cache": self.ilp.stats(),
             "branch_cache": self.branches.stats(),
             "prep_cache": self.prep.stats(),
-            "cost_caches": n_costs,
+            "cost_caches": len(self._costs),
             "expand_engine": self.traces.engine.stats.snapshot(),
             "ilp_kernel": KERNEL_STATS.snapshot(),
-            "counters": counters,
+            "counters": self.counters,
             "durable": self.store is not None,
         }
         if self.store is not None:

@@ -75,7 +75,7 @@ from repro.obs.tracing import (
     enabled as obs_enabled,
     set_enabled as set_obs_enabled,
 )
-from repro.profiler.batch import replay_data, replay_fetch
+from repro.profiler.batch import PoolLocality, replay_data, replay_fetch
 from repro.profiler.histogram import RDHistogram
 from repro.profiler.ilp import build_ilp_table
 from repro.profiler.ilp_batch import (
@@ -83,7 +83,6 @@ from repro.profiler.ilp_batch import (
     KERNEL_STATS,
     build_ilp_tables,
 )
-from repro.profiler.locality import PoolLocality
 from repro.profiler.profiler import (
     ILP_SAMPLES_PER_POOL,
     ilp_sample,
@@ -176,7 +175,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 21394,
+    "src_max_lines": 20863,
 }
 
 #: Interleaved on/off pairs the obs-overhead ceiling takes its median

@@ -37,12 +37,12 @@ import struct
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.lru import LRUCache
 from repro.profiler.profile import ILPTable, WorkloadProfile
 from repro.testing.faults import FAULTS, SimulatedCrash
 from repro.workloads.engine import (
@@ -1009,6 +1009,14 @@ class ProfileStore:
         return {"removed": removed, "bytes": nbytes}
 
 
+#: Traces a :class:`TraceCache` keeps resident, and the size above which
+#: an expanded trace stays in memory only: a guard against unbounded
+#: store growth from huge one-off scales (``repro store prune``
+#: reclaims what does get persisted).
+MAX_TRACES = 64
+MAX_PERSIST_BYTES = 64 << 20
+
+
 class TraceCache:
     """Content-addressed, byte-bounded LRU over expanded traces.
 
@@ -1031,26 +1039,13 @@ class TraceCache:
         self,
         store: Optional[ProfileStore] = None,
         max_bytes: int = 512 << 20,
-        max_traces: int = 64,
-        max_persist_bytes: int = 64 << 20,
         engine: Optional[ExpansionEngine] = None,
     ) -> None:
         self.store = store
         self.engine = engine if engine is not None else default_engine()
-        self.max_bytes = max_bytes
-        self.max_traces = max_traces
-        #: Traces larger than this stay in memory only — a guard
-        #: against unbounded store growth from huge one-off scales
-        #: (``repro store prune`` reclaims what does get persisted).
-        self.max_persist_bytes = max_persist_bytes
-        self._data: "OrderedDict[str, WorkloadTrace]" = OrderedDict()
-        self._nbytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.store_hits = 0
-        self.store_saves = 0
-        self.evictions = 0
+        self._lru = LRUCache(
+            MAX_TRACES, max_bytes, counters=("store_hits", "store_saves")
+        )
 
     @staticmethod
     def key(spec: WorkloadSpec) -> str:
@@ -1075,64 +1070,23 @@ class TraceCache:
     def get(self, spec: WorkloadSpec) -> WorkloadTrace:
         """The expanded trace of ``spec`` (LRU -> store -> engine)."""
         key = self.key(spec)
-        with self._lock:
-            trace = self._data.get(key)
-            if trace is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return trace
-            self.misses += 1
-        trace = None
+        trace = self._lru.get(key)
+        if trace is not None:
+            return trace
         if self.store is not None:
             trace = self.store.load_trace(key)
         if trace is not None:
-            with self._lock:
-                self.store_hits += 1
+            self._lru.count("store_hits")
         else:
             trace = self.engine.expand(spec)
-            if (
-                self.store is not None
-                and trace.nbytes <= self.max_persist_bytes
-            ):
+            if self.store is not None and trace.nbytes <= MAX_PERSIST_BYTES:
                 self.store.save_trace(key, trace)
-                with self._lock:
-                    self.store_saves += 1
-        self._put(key, trace)
+                self._lru.count("store_saves")
+        self._lru.put(key, trace)
         return trace
 
-    def _put(self, key: str, trace: WorkloadTrace) -> None:
-        with self._lock:
-            old = self._data.pop(key, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-            self._data[key] = trace
-            self._nbytes += trace.nbytes
-            while self._data and (
-                len(self._data) > self.max_traces
-                or self._nbytes > self.max_bytes
-            ):
-                _, evicted = self._data.popitem(last=False)
-                self._nbytes -= evicted.nbytes
-                self.evictions += 1
-
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    @property
-    def nbytes(self) -> int:
-        with self._lock:
-            return self._nbytes
+        return len(self._lru)
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "store_hits": self.store_hits,
-                "store_saves": self.store_saves,
-                "evictions": self.evictions,
-                "traces": len(self._data),
-                "bytes": self._nbytes,
-                "max_bytes": self.max_bytes,
-            }
+        return self._lru.stats()

@@ -32,10 +32,10 @@ import os
 import threading
 import time
 import uuid
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.lru import LRUCache
 from repro.obs.metrics import REGISTRY
 from repro.testing.faults import FAULTS
 
@@ -191,27 +191,19 @@ class TraceRing:
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, Trace]" = OrderedDict()
+        self._traces = LRUCache(capacity)
 
     def put(self, trace: Trace) -> None:
-        with self._lock:
-            self._traces[trace.trace_id] = trace
-            self._traces.move_to_end(trace.trace_id)
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
+        self._traces.put(trace.trace_id, trace)
 
     def get(self, trace_id: str) -> Optional[Trace]:
-        with self._lock:
-            return self._traces.get(trace_id)
+        return self._traces.peek(trace_id)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
+        return len(self._traces)
 
     def summaries(self, limit: int = 32) -> List[Dict[str, Any]]:
-        with self._lock:
-            recent = list(self._traces.values())[-limit:]
+        recent = [t for _, t in self._traces.items()[-limit:]]
         return [
             {
                 "trace_id": t.trace_id,

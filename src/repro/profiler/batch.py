@@ -1,4 +1,15 @@
-"""Whole-trace batch reuse-distance engine.
+"""Whole-trace batch reuse-distance engine (StatStack inputs, §III-A).
+
+Two distance notions per the paper's Fig. 2:
+
+* **private**: accesses by the *same thread* between two accesses by
+  that thread to a line (drives private L1/L2 miss prediction).  If any
+  other thread *wrote* the line in between, the reuse is broken by
+  coherence and recorded as an invalidation (infinite distance).
+* **global**: accesses by *any thread* since the last access to the
+  line by any thread (drives shared-LLC miss prediction; captures both
+  positive interference from sharing and negative interference from
+  competition).
 
 :func:`repro.profiler.profiler.profile_workload` records the chunk
 interleaving produced by the functional replay and hands the complete
@@ -8,18 +19,21 @@ paying dozens of NumPy dispatches per (often small) chunk, the whole
 workload costs one unique-key sort, one cumulative sum for coherence
 and a handful of per-pool bincount scatters.
 
-The math mirrors the incremental collectors exactly (and is checked
-bit-for-bit against :mod:`repro.profiler.reference`):
+The math reproduces the per-access scalar collectors of
+:mod:`repro.profiler.reference` bit-for-bit (the executable spec;
+``tests/test_locality_vectorized.py`` checks the equivalence):
 
 * Let ``g`` be the position of an access in the interleaved stream
-  (the collector's ``global_seq``) and ``c`` its thread-local counter.
+  (the scalar collector's ``global_seq``) and ``c`` its thread-local
+  counter.
 * **View A** sorts accesses by ``(line, g)``.  Within a line's group,
   consecutive entries are global reuse pairs (``rd = g2 - g1 - 1``);
   group heads are global cold misses.
 * **Private pairs** need no second sort: a thread's subsequence of
   view A is still grouped by line with ``g`` ascending inside each
   group, so consecutive same-line entries of the subsequence are that
-  thread's private reuse pairs (``rd = c2 - c1 - 1``).
+  thread's private reuse pairs (``rd = c2 - c1 - 1``); a thread's first
+  access to a line is a private cold miss.
 * **Coherence**: a private pair is invalidated iff *any* store to the
   line falls strictly between its endpoints (such a store is
   necessarily foreign — the thread's own store would be an access
@@ -42,7 +56,38 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.profiler.histogram import NBINS, RDHistogram, _bin_indices
-from repro.profiler.locality import PoolLocality
+
+
+class PoolLocality:
+    """Accumulated locality statistics of one (thread, pool)."""
+
+    __slots__ = (
+        "priv_counts", "priv_cold", "priv_inval",
+        "glob_counts", "glob_cold",
+        "n_accesses", "n_stores",
+    )
+
+    def __init__(self) -> None:
+        self.priv_counts = np.zeros(NBINS, dtype=np.float64)
+        self.priv_cold = 0
+        self.priv_inval = 0
+        self.glob_counts = np.zeros(NBINS, dtype=np.float64)
+        self.glob_cold = 0
+        self.n_accesses = 0
+        self.n_stores = 0
+
+    def private_hist(self) -> RDHistogram:
+        return RDHistogram(
+            counts=self.priv_counts.copy(),
+            cold=self.priv_cold,
+            inval=self.priv_inval,
+        )
+
+    def shared_hist(self) -> RDHistogram:
+        return RDHistogram(
+            counts=self.glob_counts.copy(), cold=self.glob_cold
+        )
+
 
 #: A recorded data-access chunk: (tid, pool index, addrs, stores).
 DataChunk = Tuple[int, int, np.ndarray, np.ndarray]
@@ -51,12 +96,12 @@ DataChunk = Tuple[int, int, np.ndarray, np.ndarray]
 def _group_sort(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sort stream positions so ``values`` ascend, stably.
 
-    Returns ``(pos_sorted, group_keys)`` — the whole-stream analogue of
-    :func:`repro.profiler.locality._group_by_line`: a single unique-key
+    Returns ``(pos_sorted, group_keys)`` from a single unique-key
     quicksort of ``(value - min) << shift | position`` when the value
-    range permits.  ``group_keys`` ascend and change exactly at value
-    boundaries, but are only meaningful for *equality* comparison (the
-    fallback path returns dense group ids, not the values).
+    range permits (~10x cheaper than a stable argsort).  ``group_keys``
+    ascend and change exactly at value boundaries, but are only
+    meaningful for *equality* comparison (the fallback path returns
+    dense group ids, not the values).
     """
     n = len(values)
     shift = max(1, (n - 1).bit_length())

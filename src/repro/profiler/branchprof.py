@@ -35,12 +35,11 @@ floor is bit-identical to the reference path
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.profiler.profile import BranchStats
 
 #: History depths profiled; the predictor model interpolates.
@@ -208,71 +207,35 @@ def _legacy_group_order(group_keys: np.ndarray, depth: int) -> np.ndarray:
     return np.argsort(legacy, kind="stable")
 
 
-class BranchStatsCache:
-    """Content-addressed memo of per-pool branch statistics.
-
-    ``branch_stats`` is a pure function of the concatenated
-    (pc, taken) stream, so re-profiling a trace the session has seen
-    before can skip the shared-sort analysis entirely.  Keys hash the
-    concatenated stream content — how the stream was split into chunk
-    pieces does not matter, exactly as it does not matter to
-    :func:`branch_stats` itself.  Returned :class:`BranchStats` objects
-    are shared and must be treated as read-only (all consumers are).
-    """
-
-    def __init__(self, max_entries: int = 8192) -> None:
-        self._memo: "OrderedDict[bytes, BranchStats]" = OrderedDict()
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(pcs: np.ndarray, taken: np.ndarray) -> bytes:
-        h = hashlib.sha256()
-        h.update(f"branch|{len(pcs)}|".encode())
-        h.update(np.ascontiguousarray(pcs).tobytes())
-        h.update(np.ascontiguousarray(taken).tobytes())
-        return h.digest()
-
-    def get(self, key: bytes) -> Optional[BranchStats]:
-        with self._lock:
-            stats = self._memo.get(key)
-            if stats is not None:
-                self._memo.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        return stats
-
-    def put(self, key: bytes, stats: BranchStats) -> None:
-        with self._lock:
-            self._memo[key] = stats
-            while len(self._memo) > self.max_entries:
-                self._memo.popitem(last=False)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._memo),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+#: Branch statistics a session keeps resident (:attr:`Session.branches
+#: <repro.core.session.Session.branches>`).
+BRANCH_STATS_ENTRIES = 8192
 
 
 def cached_branch_stats(
     streams: List[Tuple[np.ndarray, np.ndarray]],
-    cache: Optional[BranchStatsCache] = None,
+    cache: Optional[LRUCache] = None,
     depths: Sequence[int] = DEPTH_GRID,
 ) -> BranchStats:
-    """:func:`branch_stats` through an optional content-addressed memo."""
+    """:func:`branch_stats` through an optional content-addressed memo.
+
+    ``branch_stats`` is a pure function of the concatenated (pc, taken)
+    stream, so re-profiling a trace the session has seen before skips
+    the shared-sort analysis.  The key hashes that stream's content,
+    however it was split into chunk pieces.  Cached :class:`BranchStats`
+    objects are shared and must be treated as read-only (all consumers
+    are).
+    """
     if cache is None:
         return branch_stats(streams, depths)
     pieces = [(p, t) for p, t in streams if len(p)]
     if not pieces:
         return branch_stats(pieces, depths)
     pcs, taken = _concat_streams(pieces)
-    key = cache.key(pcs, taken)
+    h = hashlib.sha256(f"branch|{len(pcs)}|".encode())
+    h.update(np.ascontiguousarray(pcs).tobytes())
+    h.update(np.ascontiguousarray(taken).tobytes())
+    key = h.digest()
     stats = cache.get(key)
     if stats is None:
         stats = branch_stats([(pcs, taken)], depths)

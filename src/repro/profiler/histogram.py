@@ -76,10 +76,9 @@ def _bin_indices(rds: np.ndarray) -> np.ndarray:
 def bin_counts(rds: np.ndarray) -> np.ndarray:
     """Per-bin counts of a batch of reuse distances (len == NBINS).
 
-    The bulk-binning primitive of the vectorized locality engine: the
-    result is integer-valued, so adding it into a float64 ``counts``
-    array is exact and therefore bit-identical to binning the distances
-    one at a time in any order.
+    The bulk-binning primitive: the result is integer-valued, so adding
+    it into a float64 ``counts`` array is exact and therefore
+    bit-identical to binning the distances one at a time in any order.
     """
     if len(rds) == 0:
         return np.zeros(NBINS, dtype=np.float64)

@@ -64,6 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.obs import span
 from repro.profiler.ilp import (
     CANONICAL_LAT,
@@ -271,23 +272,14 @@ def _workspace(
     n: int, s: int, w: int, lats: int, aux: bool, windows: tuple
 ) -> _Workspace:
     key = (n, s, w, lats, aux, windows)
-    cache: Optional[dict] = getattr(_TLS, "ws", None)
+    cache: Optional[LRUCache] = getattr(_TLS, "ws", None)
     if cache is None:
-        cache = _TLS.ws = {}
-    ws = cache.pop(key, None)
+        cache = _TLS.ws = LRUCache(_WORKSPACE_SLOTS, _WORKSPACE_MAX_BYTES)
+    ws = cache.get(key)
     if ws is None:
+        # One larger than the whole budget is used once, never pinned.
         ws = _Workspace(key)
-        if ws.nbytes > _WORKSPACE_MAX_BYTES:
-            # Larger than the whole budget: use once, never pin.
-            ws.reset()
-            return ws
-        total = sum(other.nbytes for other in cache.values())
-        while cache and (
-            len(cache) >= _WORKSPACE_SLOTS
-            or total + ws.nbytes > _WORKSPACE_MAX_BYTES
-        ):
-            total -= cache.pop(next(iter(cache))).nbytes  # true LRU
-    cache[key] = ws  # (re-)insert at the fresh end
+        cache.put(key, ws)
     ws.reset()
     return ws
 
@@ -672,23 +664,29 @@ def _empty_table(
     )
 
 
+#: ILP tables an :class:`ILPTableCache` keeps resident.  The 26 suite
+#: benchmarks hold 136 distinct tables at scale 0.05 and 251 at scale
+#: 1.0, so a session profiling the whole suite at two scales evicts
+#: none; each table is ~1.2 KB.
+MAX_ILP_TABLES = 512
+
+
 class ILPTableCache:
     """Content-addressed memo for per-pool ILP tables.
 
     The profiling grid is configuration-independent, so a pool's table
     is a pure function of its micro-trace samples and the grids.  The
-    cache layers an in-process dict over the optional on-disk
+    cache layers an in-process LRU over the optional on-disk
     :class:`~repro.experiments.store.ProfileStore`, sharing tables
     across design-space configurations, runs and processes.  Keys are
     independent of kernel batching, so entries persisted by earlier
-    engine generations remain valid.
+    engine generations remain valid.  A table loaded from the store
+    counts as a hit: ``misses`` counts the tables the kernel computes.
     """
 
     def __init__(self, store=None) -> None:
         self.store = store
-        self._memo = {}
-        self.hits = 0
-        self.misses = 0
+        self._memo = LRUCache(MAX_ILP_TABLES)
 
     @staticmethod
     def key(
@@ -709,21 +707,21 @@ class ILPTableCache:
         return digest.hexdigest()
 
     def get(self, key: str) -> Optional[ILPTable]:
-        table = self._memo.get(key)
+        table = self._memo.get(key, count_miss=self.store is None)
         if table is None and self.store is not None:
             table = self.store.load_ilp_table(key)
             if table is not None:
-                self._memo[key] = table
-        if table is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+                self._memo.put(key, table)
+            self._memo.count("misses" if table is None else "hits")
         return table
 
     def put(self, key: str, table: ILPTable) -> None:
-        self._memo[key] = table
+        self._memo.put(key, table)
         if self.store is not None:
             self.store.save_ilp_table(key, table)
+
+    def stats(self) -> Dict[str, int]:
+        return self._memo.stats()
 
 
 def build_ilp_tables(
@@ -782,15 +780,3 @@ def _build_ilp_tables(
     for pi, src in alias.items():
         tables[pi] = tables[src]
     return tables
-
-
-def build_ilp_table_batch(
-    samples: Sequence[Sample],
-    windows: Sequence[int] = WINDOW_GRID,
-    load_lats: Sequence[int] = LOAD_LAT_GRID,
-    cache: Optional[ILPTableCache] = None,
-) -> ILPTable:
-    """One pool's table via the batch engine (scalar-spec equivalent)."""
-    return build_ilp_tables(
-        [list(samples)], windows, load_lats, cache=cache
-    )[0]

@@ -44,19 +44,17 @@ equivalence suite pins identical profiles between the two.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.obs import span
-from repro.profiler.batch import replay_data, replay_fetch
-from repro.profiler.branchprof import BranchStatsCache, cached_branch_stats
+from repro.profiler.batch import PoolLocality, replay_data, replay_fetch
+from repro.profiler.branchprof import cached_branch_stats
 from repro.profiler.histogram import RDHistogram
 from repro.profiler.ilp import MICROTRACE_LEN
 from repro.profiler.ilp_batch import ILPTableCache, build_ilp_tables
-from repro.profiler.locality import PoolLocality
 from repro.profiler.profile import (
     DataLocalityStats,
     EpochProfile,
@@ -135,7 +133,7 @@ class _PoolAccum:
     def finalize(
         self,
         ilp: ILPTable,
-        branch_cache: Optional[BranchStatsCache] = None,
+        branch_cache: Optional[LRUCache] = None,
     ) -> EpochProfile:
         return EpochProfile(
             key=self.key,
@@ -408,6 +406,12 @@ def _segment_static(block: TraceBlock, chunk: int) -> _SegmentStatic:
     return st
 
 
+#: Segment-prep entries a :class:`SegmentPrepCache` keeps, and their
+#: byte bound.
+PREP_MAX_ENTRIES = 4096
+PREP_MAX_BYTES = 256 << 20
+
+
 class SegmentPrepCache:
     """Bounded memo of per-``(static_key, chunk)`` segment precompute.
 
@@ -418,52 +422,21 @@ class SegmentPrepCache:
     pre-key store payloads) bypass the cache and compute directly.
     """
 
-    def __init__(
-        self, max_entries: int = 4096, max_bytes: int = 256 << 20
-    ) -> None:
-        self._memo: "OrderedDict[Tuple, _SegmentStatic]" = OrderedDict()
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+    def __init__(self) -> None:
+        self._memo = LRUCache(PREP_MAX_ENTRIES, PREP_MAX_BYTES)
 
     def get(self, block: TraceBlock, chunk: int) -> _SegmentStatic:
-        skey = block.static_key
-        if skey is None:
+        if block.static_key is None:
             return _segment_static(block, chunk)
-        key = (skey, chunk)
-        with self._lock:
-            st = self._memo.get(key)
-            if st is not None:
-                self._memo.move_to_end(key)
-                self.hits += 1
-                return st
-            self.misses += 1
-        st = _segment_static(block, chunk)
-        with self._lock:
-            old = self._memo.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._memo[key] = st
-            self._bytes += st.nbytes
-            while self._memo and (
-                len(self._memo) > self.max_entries
-                or self._bytes > self.max_bytes
-            ):
-                _, evicted = self._memo.popitem(last=False)
-                self._bytes -= evicted.nbytes
+        key = (block.static_key, chunk)
+        st = self._memo.get(key)
+        if st is None:
+            st = _segment_static(block, chunk)
+            self._memo.put(key, st)
         return st
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._memo),
-                "bytes": self._bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        return self._memo.stats()
 
 
 #: Shared prep memo for sessionless calls (mirrors ``default_engine``).
@@ -503,7 +476,7 @@ def _profile_trace(
     trace: WorkloadTrace,
     chunk: int,
     ilp_cache: Optional[ILPTableCache],
-    branch_cache: Optional[BranchStatsCache],
+    branch_cache: Optional[LRUCache],
     prep_cache: SegmentPrepCache,
 ) -> WorkloadProfile:
     """The vectorized profiling pipeline (prepare -> replay -> collect)."""

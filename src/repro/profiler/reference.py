@@ -2,15 +2,16 @@
 
 This module preserves the original per-access Python implementation of
 the locality collectors (the pre-vectorization seed code) as an
-executable specification.  The vectorized engine in
-:mod:`repro.profiler.locality` must reproduce these collectors
+executable specification.  The batch engine in
+:mod:`repro.profiler.batch` must reproduce these collectors
 *bit-for-bit* — ``tests/test_locality_vectorized.py`` checks the
 equivalence on randomized multi-thread interleavings, and
 ``benchmarks/bench_profiler.py`` measures the speedup against them.
 
-The classes mirror the public interface of their vectorized
-counterparts (``process`` signatures, pool accumulation), so either
-implementation can drive :func:`repro.profiler.profiler.profile_workload`.
+Fed chunk by chunk in the scheduler's interleaving order, they
+accumulate into the same :class:`~repro.profiler.batch.PoolLocality`
+pools and histograms as :func:`~repro.profiler.batch.replay_data` and
+:func:`~repro.profiler.batch.replay_fetch`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.profiler.histogram import RDHistogram, bin_index
-from repro.profiler.locality import PoolLocality
+from repro.profiler.batch import PoolLocality
 
 _EXACT = 8
 

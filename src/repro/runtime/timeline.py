@@ -121,26 +121,3 @@ class Timeline:
                 points.add(iv.start)
                 points.add(iv.end)
         return sorted(points)
-
-    def parallelism_profile(self) -> List[Tuple[Interval, int]]:
-        """Piecewise-constant count of concurrently *running* threads.
-
-        Only actively-executing threads count (idle waiters do not),
-        matching the bottlegraph definition of parallelism [13].
-        Implemented as a sweep over interval boundaries so it stays
-        linear in the number of intervals.
-        """
-        deltas: Dict[float, int] = {}
-        for ivs in self.active:
-            for iv in ivs:
-                deltas[iv.start] = deltas.get(iv.start, 0) + 1
-                deltas[iv.end] = deltas.get(iv.end, 0) - 1
-        if not deltas:
-            return []
-        points = sorted(deltas)
-        profile: List[Tuple[Interval, int]] = []
-        count = 0
-        for lo, hi in zip(points[:-1], points[1:]):
-            count += deltas[lo]
-            profile.append((Interval(lo, hi), count))
-        return profile

@@ -15,7 +15,7 @@ closed-loop load generator (:mod:`~repro.service.loadgen`).
 (:mod:`~repro.service.fleet`).
 """
 
-from repro.service.batching import Coalescer, LRUCache
+from repro.service.batching import Coalescer
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -37,7 +37,6 @@ from repro.service.server import BackgroundServer, PredictionService
 __all__ = [
     "BackgroundServer",
     "Coalescer",
-    "LRUCache",
     "PredictionEngine",
     "PredictionService",
     "ServiceClient",

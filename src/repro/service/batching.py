@@ -1,19 +1,14 @@
 """Request coalescing primitives for the prediction service.
 
-Two transport-agnostic pieces:
+:class:`Coalescer` is the asyncio front half of the serving miss path.
+Concurrent requests are *deduplicated*: identical keys in flight
+collapse onto one executor job (single-flight), so a stampede of equal
+requests costs exactly one engine computation, and each distinct key
+is one job on the engine's thread pool.
 
-* :class:`LRUCache` — a thread-safe least-recently-used map with hit /
-  miss counters, shared by the engine for profiles, epoch-cost caches
-  and finished payloads.
-* :class:`Coalescer` — the asyncio front half of the serving miss
-  path.  Concurrent requests are *deduplicated*: identical keys in
-  flight collapse onto one executor job (single-flight), so a
-  stampede of equal requests costs exactly one engine computation,
-  and each distinct key is one job on the engine's thread pool.
-
-Neither piece knows about HTTP or about the engine's semantics — the
-coalescer takes an opaque ``compute`` callable and opaque request
-objects keyed by the caller.
+It knows nothing about HTTP or about the engine's semantics: it takes
+an opaque ``compute`` callable and opaque request objects keyed by the
+caller.
 """
 
 from __future__ import annotations
@@ -21,89 +16,9 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import functools
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Tuple
-
-
-class LRUCache:
-    """Thread-safe LRU map with hit/miss accounting."""
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(
-        self, key: Hashable, default: Any = None, count_miss: bool = True
-    ) -> Any:
-        """The value for ``key``, refreshed as most recently used.
-
-        ``count_miss=False`` leaves a miss uncounted: a probe whose miss
-        a later ``get`` on the compute path counts again.
-        """
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                if count_miss:
-                    self.misses += 1
-                return default
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def peek(self, key: Hashable) -> Any:
-        """The value for ``key`` (or ``None``), counting nothing and
-        leaving the recency order as it is."""
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def items(self) -> List[Tuple[Hashable, Any]]:
-        """Snapshot, least- to most-recently used."""
-        with self._lock:
-            return list(self._data.items())
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were evicted.
-
-        Hit/miss counters survive — invalidation is not amnesia about
-        past performance.
-        """
-        with self._lock:
-            dropped = len(self._data)
-            self._data.clear()
-            return dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
+from typing import Any, Callable, Dict, Hashable, Tuple
 
 
 @dataclass(eq=False)
@@ -232,4 +147,4 @@ class Coalescer:
         }
 
 
-__all__ = ["Coalescer", "LRUCache"]
+__all__ = ["Coalescer"]

@@ -49,9 +49,9 @@ from repro.experiments.store import ProfileStore
 from repro.obs import span
 from repro.obs.tracing import activate, deactivate
 from repro.experiments.suites import BenchmarkRef, build_workload
+from repro.lru import LRUCache
 from repro.profiler.profile import WorkloadProfile
 from repro.profiler.profiler import profile_workload
-from repro.service.batching import LRUCache
 from repro.simulator.multicore import simulate
 from repro.testing.faults import FAULTS
 from repro.workloads.parsec import PARSEC
@@ -173,6 +173,12 @@ class ServiceError(Exception):
 #: set of one scale fits with headroom.  Core counts share a memo.
 DEFAULT_COST_CACHES = 2 * len(TABLE_IV) * (len(RODINIA) + len(PARSEC))
 
+#: Resident profiles and finished results an engine keeps, and the
+#: byte bound of its session's trace LRU.
+MAX_PROFILES = 32
+MAX_RESULTS = 4096
+MAX_TRACE_BYTES = 256 << 20
+
 
 class PredictionEngine:
     """Resident profiles + caches serving predict/compare/sweep calls."""
@@ -181,10 +187,7 @@ class PredictionEngine:
         self,
         store: Optional[ProfileStore] = None,
         chunk: int = 4096,
-        max_profiles: int = 32,
         max_cost_caches: int = DEFAULT_COST_CACHES,
-        max_results: int = 4096,
-        max_trace_bytes: int = 256 << 20,
         session: Optional[Session] = None,
     ) -> None:
         #: The artifact cache plane: content-addressed traces, ILP
@@ -195,7 +198,7 @@ class PredictionEngine:
             session = Session(
                 store=store,
                 max_cost_caches=max_cost_caches,
-                max_trace_bytes=max_trace_bytes,
+                max_trace_bytes=MAX_TRACE_BYTES,
             )
         elif store is not None and session.store is not store:
             raise ValueError("pass either a store or a session, not both")
@@ -203,10 +206,10 @@ class PredictionEngine:
         self.store = session.store
         self.chunk = chunk
         #: profile store key -> (label, WorkloadProfile)
-        self._profiles = LRUCache(max_profiles)
+        self._profiles = LRUCache(MAX_PROFILES)
         #: request key -> CachedResult (payload + encoded body; both
         #: treated as immutable)
-        self.results = LRUCache(max_results)
+        self.results = LRUCache(MAX_RESULTS)
         #: (label, scale) -> workload seed (pure function; bounded like
         #: every other engine cache — the key is client-controlled)
         self._seeds = LRUCache(4096)

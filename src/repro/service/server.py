@@ -369,10 +369,8 @@ class PredictionService:
                 hits.labels(cache=label).set(stats["hits"])
             if "misses" in stats:
                 misses.labels(cache=label).set(stats["misses"])
-            for key in ("size", "entries", "traces"):
-                if key in stats:
-                    entries.labels(cache=label).set(stats[key])
-                    break
+            if "entries" in stats:
+                entries.labels(cache=label).set(stats["entries"])
             if "bytes" in stats:
                 sizes.labels(cache=label).set(stats["bytes"])
 

@@ -82,10 +82,6 @@ class Cache:
             return True
         return False
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 class MemorySystem:
     """Private hierarchies + shared LLC + invalidation coherence."""

@@ -22,12 +22,11 @@ directly; cold/invalidated accesses play the role of never-reused
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.profiler.histogram import RDHistogram
 
 #: Entries kept in the stack-distance curve memo.  A design-space sweep
@@ -37,44 +36,27 @@ _SD_CACHE_MAX = 512
 
 #: Content key -> (curve, rates): the stack-distance curve and the miss
 #: rates derived from it per (capacity, include_cold, include_inval).
-_sd_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_sd_lock = threading.Lock()
-_sd_hits = 0
-_sd_misses = 0
+_sd_cache = LRUCache(_SD_CACHE_MAX)
 
 
 def sd_cache_stats() -> dict:
-    """Hit/miss counters of the stack-distance memo (for tests/metrics)."""
-    with _sd_lock:
-        return {
-            "hits": _sd_hits, "misses": _sd_misses, "size": len(_sd_cache),
-        }
+    """Counters and occupancy of the stack-distance memo (for tests)."""
+    return _sd_cache.stats()
 
 
 def sd_cache_clear() -> None:
-    global _sd_hits, _sd_misses
-    with _sd_lock:
-        _sd_cache.clear()
-        _sd_hits = 0
-        _sd_misses = 0
+    """Empty the memo and zero its counters."""
+    global _sd_cache
+    _sd_cache = LRUCache(_SD_CACHE_MAX)
 
 
 def _sd_entry(hist: RDHistogram) -> tuple:
     """The memo entry ``(curve, rates)`` of ``hist``'s content."""
-    global _sd_hits, _sd_misses
     key = (hist.counts.tobytes(), hist.cold, hist.inval)
-    with _sd_lock:
-        entry = _sd_cache.get(key)
-        if entry is not None:
-            _sd_hits += 1
-            _sd_cache.move_to_end(key)
-            return entry
-        _sd_misses += 1
-    entry = (_compute_stack_distances(hist), {})
-    with _sd_lock:
-        _sd_cache[key] = entry
-        if len(_sd_cache) > _SD_CACHE_MAX:
-            _sd_cache.popitem(last=False)
+    entry = _sd_cache.get(key)
+    if entry is None:
+        entry = (_compute_stack_distances(hist), {})
+        _sd_cache.put(key, entry)
     return entry
 
 
@@ -130,8 +112,8 @@ def miss_rate(
     callers split the components for CPI-stack attribution.
 
     Rates are memoised inside the curve memo's entry for the
-    histogram's content, so they share its key, lock and
-    :data:`_SD_CACHE_MAX` bound.
+    histogram's content, so they share its key and
+    :data:`_SD_CACHE_MAX` bound; racing writers store the same rate.
     """
     if cache_lines <= 0:
         raise ValueError("cache capacity must be positive")
@@ -140,8 +122,7 @@ def miss_rate(
     rate = rates.get(key)
     if rate is None:
         rate = _miss_rate(hist, curve, *key)
-        with _sd_lock:
-            rates[key] = rate
+        rates[key] = rate
     return rate
 
 

@@ -43,12 +43,12 @@ from __future__ import annotations
 import pickle
 import struct
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.obs import span
 from repro.workloads import branches as _branches
 from repro.workloads import patterns as _patterns
@@ -334,6 +334,15 @@ class _Job:
     image: _CodeImage  # memoized static-code artifacts
 
 
+#: Loop-body layouts and code images an :class:`ExpansionEngine` keeps.
+#: Each image holds O(n) columns (~25 B per instruction), so a
+#: long-lived engine serving many distinct spec shapes also bounds the
+#: image memo by bytes.
+MAX_LAYOUTS = 1024
+MAX_IMAGES = 512
+MAX_IMAGE_BYTES = 256 << 20
+
+
 class ExpansionEngine:
     """Planner/executor expansion with memoized static-code artifacts.
 
@@ -345,24 +354,9 @@ class ExpansionEngine:
     harmless (last writer wins, all writers are bit-identical).
     """
 
-    def __init__(
-        self,
-        max_layouts: int = 1024,
-        max_images: int = 512,
-        max_image_bytes: int = 256 << 20,
-        stats: Optional[EngineStats] = None,
-    ) -> None:
-        self._layouts: "OrderedDict[Tuple, _StaticCode]" = OrderedDict()
-        self._images: "OrderedDict[Tuple, _CodeImage]" = OrderedDict()
-        self.max_layouts = max_layouts
-        self.max_images = max_images
-        #: Byte budget for the image memo: each _CodeImage holds O(n)
-        #: columns (~25 B per instruction), so a long-lived engine
-        #: serving many distinct spec shapes must evict by bytes, not
-        #: just entry count.
-        self.max_image_bytes = max_image_bytes
-        self._image_bytes = 0
-        self._lock = threading.Lock()
+    def __init__(self, stats: Optional[EngineStats] = None) -> None:
+        self._layouts = LRUCache(MAX_LAYOUTS)
+        self._images = LRUCache(MAX_IMAGES, MAX_IMAGE_BYTES)
         self.stats = stats if stats is not None else ENGINE_STATS
 
     # -- static memo --------------------------------------------------------
@@ -370,17 +364,11 @@ class ExpansionEngine:
     def _static(
         self, lkey: Tuple, layout_seed: int, spec: EpochSpec, body_len: int
     ) -> _StaticCode:
-        with self._lock:
-            static = self._layouts.get(lkey)
-            if static is not None:
-                self._layouts.move_to_end(lkey)
+        static = self._layouts.get(lkey)
         self.stats.record_layout(hit=static is not None)
         if static is None:
             static = _build_static(layout_seed, spec, body_len)
-            with self._lock:
-                self._layouts[lkey] = static
-                while len(self._layouts) > self.max_layouts:
-                    self._layouts.popitem(last=False)
+            self._layouts.put(lkey, static)
         return static
 
     def _image(
@@ -395,26 +383,12 @@ class ExpansionEngine:
         # split, which body_len alone does not pin down.
         if ikey is None:
             ikey = (lkey, spec.n, spec.code_lines, spec.instrs_per_line)
-        with self._lock:
-            image = self._images.get(ikey)
-            if image is not None:
-                self._images.move_to_end(ikey)
+        image = self._images.get(ikey)
         self.stats.record_image(hit=image is not None)
         if image is None:
             static = self._static(lkey, layout_seed, spec, body_len)
             image = _build_image(static, spec, spec.n)
-            with self._lock:
-                old = self._images.pop(ikey, None)
-                if old is not None:
-                    self._image_bytes -= old.nbytes
-                self._images[ikey] = image
-                self._image_bytes += image.nbytes
-                while self._images and (
-                    len(self._images) > self.max_images
-                    or self._image_bytes > self.max_image_bytes
-                ):
-                    _, evicted = self._images.popitem(last=False)
-                    self._image_bytes -= evicted.nbytes
+            self._images.put(ikey, image)
         return image
 
     # -- expansion ----------------------------------------------------------

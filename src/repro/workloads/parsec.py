@@ -408,8 +408,3 @@ def parsec_workload(name: str, scale: float = 1.0) -> WorkloadSpec:
     if scale <= 0:
         raise ValueError("scale must be positive")
     return builder(scale)
-
-
-def all_parsec(scale: float = 1.0) -> List[WorkloadSpec]:
-    """All ten Parsec benchmarks in paper order."""
-    return [parsec_workload(name, scale=scale) for name in PARSEC]

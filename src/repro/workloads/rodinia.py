@@ -305,11 +305,3 @@ def rodinia_workload(
 
         builder.barrier(spec_for, label=f"phase{phase}")
     return builder.join_all(final_spec=final)
-
-
-def all_rodinia(threads: int = 4, scale: float = 1.0) -> List[WorkloadSpec]:
-    """All sixteen Rodinia benchmarks (Table V's rows, in order)."""
-    return [
-        rodinia_workload(name, threads=threads, scale=scale)
-        for name in RODINIA
-    ]

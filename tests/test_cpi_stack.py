@@ -30,14 +30,6 @@ class TestCPIStack:
         assert cpi["mem"] == 1.5
         assert cpi["sync"] == 0.0
 
-    def test_normalized_sums_to_one(self):
-        s = CPIStack(base=1, branch=2, icache=3, mem=4, sync=5,
-                     instructions=1)
-        assert sum(s.normalized().values()) == pytest.approx(1.0)
-
-    def test_normalized_empty(self):
-        assert sum(CPIStack().normalized().values()) == 0.0
-
     def test_add_accumulates(self):
         a = CPIStack(base=1, instructions=5)
         a.add(CPIStack(base=2, mem=3, instructions=7))
@@ -98,16 +90,6 @@ class TestTimeline:
 
     def test_end_time_empty(self):
         assert Timeline(n_threads=1).end_time == 0.0
-
-    def test_parallelism_profile(self):
-        t = Timeline(n_threads=2)
-        t.record_active(0, 0, 10)
-        t.record_active(1, 5, 15)
-        profile = t.parallelism_profile()
-        counts = {(iv.start, iv.end): c for iv, c in profile}
-        assert counts[(0.0, 5.0)] == 1
-        assert counts[(5.0, 10.0)] == 2
-        assert counts[(10.0, 15.0)] == 1
 
     def test_events_sorted_unique(self):
         t = Timeline(n_threads=1)

@@ -19,7 +19,7 @@ import pytest
 
 import repro.workloads.engine as engine_mod
 from repro.experiments.store import SCHEMA_VERSION, ProfileStore
-from repro.service.batching import LRUCache
+from repro.lru import LRUCache
 from repro.service.client import ServiceClient
 from repro.service.engine import PredictionEngine
 from repro.service.fleet import ServingFleet
@@ -430,10 +430,11 @@ class TestLRUClear:
             cache.put(i, i)
         assert cache.get(0) == 0
         assert cache.get(99) is None
-        hits, misses = cache.hits, cache.misses
+        hits, misses = cache.stats()["hits"], cache.stats()["misses"]
         assert cache.clear() == 3
         assert cache.items() == []
         assert cache.get(0) is None
-        assert (cache.hits, cache.misses) == (hits, misses + 1)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (hits, misses + 1)
         cache.put("x", "y")
         assert cache.get("x") == "y"

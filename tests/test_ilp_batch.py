@@ -11,6 +11,9 @@ dependence patterns run through seeded hypothesis strategies.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from repro.experiments.bench import (
     check_bench,
 )
 from repro.experiments.store import ProfileStore
+from repro.profiler import ilp_batch
 from repro.profiler.ilp import (
     LOAD_LAT_GRID,
     WINDOW_GRID,
@@ -38,7 +42,6 @@ from repro.profiler.ilp_batch import (
     ILPTableCache,
     batch_hierarchy_ilp,
     batch_scoreboard,
-    build_ilp_table_batch,
     build_ilp_tables,
     grid_latencies,
     stack_samples,
@@ -121,7 +124,7 @@ class TestRandomizedEquivalence:
     @given(st.lists(sample_st(max_len=140), min_size=0, max_size=4))
     def test_full_table_aggregation(self, samples):
         scalar = build_ilp_table(samples)
-        batch = build_ilp_table_batch(samples)
+        batch = build_ilp_tables([samples])[0]
         np.testing.assert_allclose(batch.ilp, scalar.ilp, rtol=1e-12)
         np.testing.assert_allclose(
             batch.branch_loads, scalar.branch_loads, rtol=1e-12,
@@ -161,7 +164,7 @@ class TestEdgeCases:
 
     def test_empty_pool_table(self):
         scalar = build_ilp_table([])
-        batch = build_ilp_table_batch([])
+        batch = build_ilp_tables([[]])[0]
         assert np.array_equal(batch.ilp, scalar.ilp)
         assert np.array_equal(batch.branch_loads, scalar.branch_loads)
         assert np.array_equal(batch.load_par, scalar.load_par)
@@ -193,7 +196,7 @@ class TestEdgeCases:
     def test_branch_loads_zero_without_branches(self):
         ops = np.full(32, OP_LOAD, dtype=np.int64)
         deps = np.zeros(32, dtype=np.int64)
-        table = build_ilp_table_batch([(ops, deps)])
+        table = build_ilp_tables([[(ops, deps)]])[0]
         assert np.all(table.branch_loads == 0.0)
 
 
@@ -265,13 +268,45 @@ class TestILPTableCache:
         tables = build_ilp_tables(pools, cache=cache)
         # Pools 0 and 2 share content: the duplicate aliases the first
         # without a replay (and without counting as a store miss).
-        assert cache.misses == 2
+        assert cache.stats()["misses"] == 2
         assert tables[0] is tables[2]
         # A second pass over the same pools is all memo hits.
         again = build_ilp_tables(pools, cache=cache)
-        assert cache.hits == len(pools)
+        assert cache.stats()["hits"] == len(pools)
         for got, want in zip(again, build_ilp_tables(pools)):
             np.testing.assert_allclose(got.ilp, want.ilp, rtol=1e-12)
+
+    def test_counters_exact_under_thread_contention(self, monkeypatch):
+        """The engine's thread pool shares one session: every lookup
+        is counted once and the bound holds however threads
+        interleave."""
+        monkeypatch.setattr(ilp_batch, "MAX_ILP_TABLES", 16)
+        cache = ILPTableCache()
+        n_threads, n_ops = 8, 2000
+
+        def work(t):
+            for i in range(n_ops):
+                key = str((t * 7 + i) % 40)
+                if cache.get(key) is None:
+                    cache.put(key, i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t,))
+                for t in range(n_threads)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == n_threads * n_ops
+        assert stats["entries"] <= 16 and stats["evictions"] > 0
 
     def test_store_persists_across_cache_instances(self, tmp_path):
         pools = self._pools()
@@ -279,14 +314,14 @@ class TestILPTableCache:
         first = build_ilp_tables(pools, cache=ILPTableCache(store))
         fresh = ILPTableCache(store)
         second = build_ilp_tables(pools, cache=fresh)
-        assert fresh.hits == len(pools)
-        assert fresh.misses == 0
+        assert fresh.stats()["hits"] == len(pools)
+        assert fresh.stats()["misses"] == 0
         for a, b in zip(first, second):
             np.testing.assert_allclose(a.ilp, b.ilp, rtol=0, atol=0)
 
     def test_store_round_trip_and_corruption(self, tmp_path):
         store = ProfileStore(tmp_path)
-        table = build_ilp_table_batch(self._pools()[1])
+        table = build_ilp_tables([self._pools()[1]])[0]
         store.save_ilp_table("k1", table)
         loaded = store.load_ilp_table("k1")
         np.testing.assert_allclose(loaded.ilp, table.ilp)

@@ -32,7 +32,6 @@ from repro.profiler.ilp_batch import (
     KERNEL_STATS,
     batch_scoreboard,
     batch_scoreboard_pools,
-    build_ilp_table_batch,
     build_ilp_tables,
     default_bucket_width,
     grid_latencies,
@@ -75,7 +74,7 @@ class TestStackSamplesEdges:
             stack_samples([_sample(9)], width=8)
 
     def test_empty_pool_through_legacy_and_fused_paths(self):
-        legacy = build_ilp_table_batch([])
+        legacy = build_ilp_tables([[]])[0]
         [fused] = batch_scoreboard_pools([[]])
         assert fused.equals_exact(legacy)
         assert np.all(fused.ilp == 1.0)
@@ -86,7 +85,7 @@ class TestStackSamplesEdges:
 
         pool = [(np.array([3]), np.array([0]))]  # one load, no dep
         legacy = build_ilp_table(pool)
-        fused = build_ilp_table_batch(pool)
+        fused = build_ilp_tables([pool])[0]
         [pooled] = batch_scoreboard_pools([pool])
         assert fused.equals_exact(pooled)
         np.testing.assert_allclose(fused.ilp, legacy.ilp, rtol=1e-12)
@@ -98,7 +97,7 @@ class TestStackSamplesEdges:
         empty = (np.array([], dtype=np.int64),
                  np.array([], dtype=np.int64))
         pool = [empty, _sample(40, seed=3), empty]
-        fused = build_ilp_table_batch(pool)
+        fused = build_ilp_tables([pool])[0]
         [pooled] = batch_scoreboard_pools([pool])
         assert fused.equals_exact(pooled)
 
@@ -284,14 +283,15 @@ class TestCacheKeyStability:
         # Persist a table under the digest, as any previous engine
         # generation would have; a fresh cache must hit it and skip
         # the kernel.
-        store.save_ilp_table(key, build_ilp_table_batch(pool))
+        store.save_ilp_table(key, build_ilp_tables([pool])[0])
         cache = ILPTableCache(store)
         before = KERNEL_STATS.snapshot()
         [table] = build_ilp_tables([pool], cache=cache)
         after = KERNEL_STATS.snapshot()
-        assert cache.hits == 1 and cache.misses == 0
+        stats = cache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 0
         assert after["batches"] == before["batches"]  # no replay
-        assert table.equals_exact(build_ilp_table_batch(pool))
+        assert table.equals_exact(build_ilp_tables([pool])[0])
 
 
 class TestKernelStats:

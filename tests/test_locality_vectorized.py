@@ -1,12 +1,9 @@
-"""Equivalence suite: vectorized locality engines vs scalar reference.
+"""Equivalence suite: the batch reuse-distance engine vs its scalar spec.
 
-Three implementations must agree *bit-for-bit* on every statistic
-(histogram bins, cold, invalidation and access counts):
-
-* the scalar per-access reference (``repro.profiler.reference``, the
-  preserved seed implementation),
-* the vectorized per-chunk collectors (``repro.profiler.locality``),
-* the whole-trace batch engine (``repro.profiler.batch``).
+The whole-trace batch engine (``repro.profiler.batch``) must agree
+*bit-for-bit* with the scalar per-access reference
+(``repro.profiler.reference``, the preserved seed implementation) on
+every statistic: histogram bins, cold, invalidation and access counts.
 
 Randomized multi-thread interleavings cover stores, coherence
 invalidations, cold misses, sparse (2^55-range) addresses and
@@ -21,13 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.profiler.batch import replay_data, replay_fetch
+from repro.profiler.batch import PoolLocality, replay_data, replay_fetch
 from repro.profiler.histogram import RDHistogram
-from repro.profiler.locality import (
-    FetchLocality,
-    LocalityCollector,
-    PoolLocality,
-)
 from repro.profiler.reference import (
     ScalarFetchLocality,
     ScalarLocalityCollector,
@@ -46,21 +38,41 @@ def pools_equal(a: PoolLocality, b: PoolLocality) -> bool:
     )
 
 
-def run_all_engines(chunks, n_threads, n_pools):
-    """Feed the same chunk schedule to all three implementations."""
+def scalar_pools(chunks, n_threads, n_pools):
+    """The scalar spec fed the chunk schedule one chunk at a time."""
     ref = ScalarLocalityCollector(n_threads)
-    ref_pools = [PoolLocality() for _ in range(n_pools)]
+    pools = [PoolLocality() for _ in range(n_pools)]
     for tid, pidx, addrs, stores in chunks:
-        ref.process(tid, addrs, stores, ref_pools[pidx])
+        ref.process(tid, addrs, stores, pools[pidx])
+    return pools
 
-    vec = LocalityCollector(n_threads)
-    vec_pools = [PoolLocality() for _ in range(n_pools)]
-    for tid, pidx, addrs, stores in chunks:
-        vec.process(tid, addrs, stores, vec_pools[pidx])
 
-    batch_pools = [PoolLocality() for _ in range(n_pools)]
-    replay_data(chunks, n_threads, batch_pools)
-    return ref_pools, vec_pools, batch_pools
+def batch_pools(chunks, n_threads, n_pools):
+    pools = [PoolLocality() for _ in range(n_pools)]
+    replay_data(chunks, n_threads, pools)
+    return pools
+
+
+def run_all_engines(chunks, n_threads, n_pools):
+    """Feed the same chunk schedule to the spec and the batch engine."""
+    return (
+        scalar_pools(chunks, n_threads, n_pools),
+        batch_pools(chunks, n_threads, n_pools),
+    )
+
+
+def scalar_fetch(streams):
+    ref = ScalarFetchLocality()
+    hist = RDHistogram()
+    for lines in streams:
+        ref.process(lines, hist)
+    return hist
+
+
+def batch_fetch(streams):
+    hist = RDHistogram()
+    replay_fetch([(0, lines) for lines in streams], [hist])
+    return hist
 
 
 # -- hypothesis: minimal shrinking interleavings ---------------------------
@@ -90,11 +102,8 @@ def test_engines_match_reference_on_shrinkable_interleavings(raw):
         )
         for tid, ops in raw
     ]
-    ref_pools, vec_pools, batch_pools = run_all_engines(
-        chunks, n_threads, n_threads
-    )
-    for r, v, b in zip(ref_pools, vec_pools, batch_pools):
-        assert pools_equal(v, r)
+    ref_pools, fast_pools = run_all_engines(chunks, n_threads, n_threads)
+    for r, b in zip(ref_pools, fast_pools):
         assert pools_equal(b, r)
 
 
@@ -110,20 +119,7 @@ def test_engines_match_reference_on_shrinkable_interleavings(raw):
 )
 def test_fetch_engines_match_reference(raw):
     streams = [np.array(lines, dtype=np.int64) for lines in raw]
-
-    ref = ScalarFetchLocality()
-    ref_hist = RDHistogram()
-    vec = FetchLocality()
-    vec_hist = RDHistogram()
-    for lines in streams:
-        assert vec.process(lines, vec_hist) == ref.process(
-            lines, ref_hist
-        )
-    batch_hist = RDHistogram()
-    replay_fetch([(0, lines) for lines in streams], [batch_hist])
-
-    assert vec_hist == ref_hist
-    assert batch_hist == ref_hist
+    assert batch_fetch(streams) == scalar_fetch(streams)
 
 
 # -- seeded heavy randomized interleavings ---------------------------------
@@ -153,12 +149,9 @@ def test_engines_match_on_heavy_interleavings(seed):
     n_threads = int(rng.integers(1, 6))
     n_pools = n_threads * int(rng.integers(1, 3))
     chunks = random_schedule(rng, n_threads, 60, 600, n_pools)
-    ref_pools, vec_pools, batch_pools = run_all_engines(
-        chunks, n_threads, n_pools
-    )
+    ref_pools, fast_pools = run_all_engines(chunks, n_threads, n_pools)
     assert sum(p.n_accesses for p in ref_pools) > 0
-    for r, v, b in zip(ref_pools, vec_pools, batch_pools):
-        assert pools_equal(v, r)
+    for r, b in zip(ref_pools, fast_pools):
         assert pools_equal(b, r)
 
 
@@ -173,50 +166,42 @@ def test_invalidations_are_exercised_and_match():
         addrs = rng.integers(0, 8, size=k).astype(np.int64)
         stores = rng.random(k) < 0.5
         chunks.append((tid, tid, addrs, stores))
-    ref_pools, vec_pools, batch_pools = run_all_engines(
-        chunks, n_threads, n_threads
-    )
+    ref_pools, fast_pools = run_all_engines(chunks, n_threads, n_threads)
     assert sum(p.priv_inval for p in ref_pools) > 100
-    for r, v, b in zip(ref_pools, vec_pools, batch_pools):
-        assert pools_equal(v, r)
+    for r, b in zip(ref_pools, fast_pools):
         assert pools_equal(b, r)
 
 
 def test_chunk_split_invariance():
     """The same stream split at different chunk boundaries yields the
-    same statistics — the cross-chunk carry-over invariant."""
+    same statistics, equal to the scalar spec's."""
     rng = np.random.default_rng(7)
     addrs = rng.integers(0, 64, size=3000).astype(np.int64)
     stores = rng.random(3000) < 0.3
 
-    def run(split):
-        c = LocalityCollector(1)
-        pool = PoolLocality()
-        for lo in range(0, 3000, split):
-            c.process(0, addrs[lo:lo + split], stores[lo:lo + split], pool)
-        return pool
+    def split(size):
+        return [
+            (0, 0, addrs[lo:lo + size], stores[lo:lo + size])
+            for lo in range(0, 3000, size)
+        ]
 
-    ref = run(3000)
-    for split in (1, 7, 64, 1024):
-        assert pools_equal(run(split), ref)
+    [ref] = scalar_pools(split(3000), 1, 1)
+    for size in (1, 7, 64, 1024):
+        [pool] = batch_pools(split(size), 1, 1)
+        assert pools_equal(pool, ref)
 
 
 def test_fetch_chunk_split_invariance():
     rng = np.random.default_rng(8)
     lines = rng.integers(0, 50, size=2000).astype(np.int64)
 
-    def run(split):
-        f = FetchLocality()
-        h = RDHistogram()
-        n = 0
-        for lo in range(0, 2000, split):
-            n += f.process(lines[lo:lo + split], h)
-        assert n == 2000
-        return h
+    def split(size):
+        return [lines[lo:lo + size] for lo in range(0, 2000, size)]
 
-    ref = run(2000)
-    for split in (1, 13, 256):
-        assert run(split) == ref
+    ref = scalar_fetch(split(2000))
+    assert ref.cold + ref.n_finite == 2000
+    for size in (1, 13, 256):
+        assert batch_fetch(split(size)) == ref
 
 
 # -- end-to-end: the full profiler on real benchmarks ----------------------

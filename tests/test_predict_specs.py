@@ -390,7 +390,7 @@ class TestMissRateMemo:
             h.add_cold(1)
             miss_rate(h, 64)
             miss_rate(h, 512, include_cold=False)
-        assert sd_cache_stats()["size"] == statstack._SD_CACHE_MAX
+        assert sd_cache_stats()["entries"] == statstack._SD_CACHE_MAX
         sd_cache_clear()
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import barrier_workload, make_epoch
+import repro.profiler.profiler as profiler_mod
 from repro.profiler.profiler import (
     SegmentPrepCache,
     _prepare_block,
@@ -159,8 +160,9 @@ class TestSegmentStatic:
                         st_.mem_store[m0:m1], prep.mem_store
                     )
 
-    def test_prep_cache_hits_and_eviction(self):
-        cache = SegmentPrepCache(max_entries=2)
+    def test_prep_cache_hits_and_eviction(self, monkeypatch):
+        monkeypatch.setattr(profiler_mod, "PREP_MAX_ENTRIES", 2)
+        cache = SegmentPrepCache()
         trace = default_engine().expand(barrier_workload(seed=13))
         blocks = [
             seg.block for t in trace.threads for seg in t.segments
@@ -186,9 +188,10 @@ class TestSegmentStatic:
         bare = block.view(0, block.n_instructions)
         assert bare.static_key is None
         cache.get(bare, 4096)
-        assert cache.stats() == {
-            "entries": 0, "bytes": 0, "hits": 0, "misses": 0,
-        }
+        stats = cache.stats()
+        assert (
+            stats["entries"], stats["bytes"], stats["hits"], stats["misses"]
+        ) == (0, 0, 0, 0)
 
 
 @st.composite

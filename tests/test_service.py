@@ -19,14 +19,16 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.presets import TABLE_IV
 from repro.cli import main
+from repro.lru import LRUCache
 from repro.obs.tracing import TRACE_RING
-from repro.service.batching import Coalescer, LRUCache
+from repro.service.batching import Coalescer
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -86,8 +88,42 @@ class TestLRUCache:
         for i in range(10):
             cache.put(i, i)
         assert len(cache) == 3
+        assert cache.stats()["evictions"] == 7
         with pytest.raises(ValueError):
-            LRUCache(0)
+            LRUCache(-1)
+
+    def test_maxsize_zero_keeps_nothing(self):
+        cache = LRUCache(0)
+        cache.put("a", 1)
+        assert len(cache) == 0 and cache.get("a") is None
+        assert cache.stats()["evictions"] == 1
+
+    def test_byte_bound_sums_nbytes(self):
+        cache = LRUCache(8, max_bytes=100)
+        cache.put("a", np.zeros(5))  # 40 bytes
+        cache.put("b", np.zeros(5))
+        cache.put("a", np.zeros(6))  # replacing a re-counts its bytes
+        assert cache.stats()["bytes"] == 88
+        cache.put("c", np.zeros(5))  # 128 > 100: b, the oldest, goes
+        assert "b" not in cache and "a" in cache and "c" in cache
+        assert cache.stats()["bytes"] == 88
+        cache.put("huge", np.zeros(13))  # alone over the bound
+        assert "huge" not in cache and len(cache) == 2
+        stats = cache.stats()
+        assert stats["evictions"] == 2 and stats["max_bytes"] == 100
+        cache.clear()
+        assert cache.stats()["bytes"] == 0
+
+    def test_stats_shape_and_counters(self):
+        cache = LRUCache(2, counters=("loads",))
+        cache.get("a")
+        cache.count("loads")
+        cache.count("hits")
+        assert cache.peek("a") is None
+        assert cache.stats() == {
+            "hits": 1, "misses": 1, "evictions": 0, "loads": 1,
+            "entries": 0, "maxsize": 2,
+        }
 
     def test_items_snapshot(self):
         cache = LRUCache(4)
@@ -340,7 +376,7 @@ class TestHTTPEndpoints:
         session = client.healthz()["engine"]["session"]
         tcache = session["trace_cache"]
         for key in ("hits", "misses", "store_hits", "store_saves",
-                    "evictions", "traces", "bytes"):
+                    "evictions", "entries", "bytes"):
             assert key in tcache
         assert tcache["misses"] >= 1
         expand = session["expand_engine"]
@@ -680,6 +716,9 @@ class TestObservability:
         ):
             assert series in text, f"missing {series}"
         assert 'repro_cache_hits{cache="result"}' in text
+        # Every cache reports one stats shape, occupancy included.
+        for cache in ("result", "profile", "trace", "ilp", "branch", "prep"):
+            assert f'repro_cache_entries{{cache="{cache}"}}' in text
         assert 'repro_stage_seconds_bucket{stage="engine"' in text
 
     def test_metrics_covers_store_series(self, tmp_path):

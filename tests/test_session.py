@@ -16,7 +16,8 @@ from repro.core.rppm import predict
 from repro.core.session import Session
 from repro.experiments.scaling import run_scaling_curve
 from repro.experiments.store import ProfileStore
-from repro.experiments.suites import RunCache
+from repro.experiments.suites import BenchmarkRef, RunCache, build_workload
+from repro.profiler import ilp_batch
 from repro.profiler.profiler import profile_workload
 from repro.service.engine import PredictionEngine
 from repro.simulator.multicore import simulate
@@ -174,6 +175,25 @@ class TestHealth:
         counters = session.health()["counters"]
         assert counters["predictions"] == 3
         assert counters["schedules"] == 2
+
+    def test_ilp_memo_stays_bounded_across_scales(self, monkeypatch):
+        """A long-lived session (``repro serve``'s) profiling one
+        benchmark at many scales keeps at most ``MAX_ILP_TABLES`` ILP
+        tables, and counts each lookup exactly once."""
+        monkeypatch.setattr(ilp_batch, "MAX_ILP_TABLES", 8)
+        session = Session.ephemeral()
+        lookups = []
+        get = session.ilp.get
+        monkeypatch.setattr(
+            session.ilp, "get", lambda key: lookups.append(key) or get(key)
+        )
+        for i in range(12):
+            spec = build_workload(BenchmarkRef("rodinia", "nn"), 0.05 + i / 1e3)
+            profile_workload(session.traces.get(spec), session=session)
+            stats = session.health()["ilp_cache"]
+            assert stats["entries"] <= 8
+        assert stats["hits"] + stats["misses"] == len(lookups)
+        assert stats["evictions"] > 0
 
     def test_healthz_counters_show_the_prediction_memo(self):
         """The same counters ride /healthz as engine.session.counters:

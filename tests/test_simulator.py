@@ -93,8 +93,6 @@ class TestCache:
         c.access(2)
         assert c.misses == 2
         assert c.hits == 1
-        c.reset_counters()
-        assert c.misses == 0 and c.hits == 0
 
     def test_non_power_of_two_sets_rejected(self):
         with pytest.raises(ValueError, match="power of two"):

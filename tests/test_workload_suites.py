@@ -10,12 +10,10 @@ from repro.workloads.parsec import (
     BALANCE_CLASS,
     PAPER_TABLE_III,
     PARSEC,
-    all_parsec,
     parsec_workload,
 )
 from repro.workloads.rodinia import (
     RODINIA,
-    all_rodinia,
     rodinia_workload,
 )
 
@@ -61,11 +59,6 @@ class TestRodiniaSuite:
     def test_thread_count_configurable(self):
         trace = expand(rodinia_workload("srad", threads=2))
         assert trace.n_threads == 2
-
-    def test_all_rodinia_order(self):
-        assert [w.name.split(".")[1] for w in all_rodinia()] == list(
-            RODINIA
-        )
 
     def test_deterministic_across_calls(self):
         a = expand(rodinia_workload("bfs"))
@@ -147,9 +140,6 @@ class TestParsecSuite:
         }
         assert SyncKind.PC_PUT in kinds
         assert SyncKind.PC_GET in kinds
-
-    def test_all_parsec_order(self):
-        assert [w.name.split(".")[1] for w in all_parsec()] == PARSEC
 
 
 class TestMicrobench:
