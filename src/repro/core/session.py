@@ -37,11 +37,11 @@ harnesses.
 from __future__ import annotations
 
 import os
-import threading
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.arch.config import MulticoreConfig
 from repro.core.epoch_model import EpochCostCache, equation_key
+from repro.counters import Counters
 from repro.lru import LRUCache
 from repro.profiler.branchprof import BRANCH_STATS_ENTRIES
 from repro.profiler.ilp_batch import KERNEL_STATS, ILPTableCache
@@ -103,8 +103,7 @@ class Session:
         self.prep = SegmentPrepCache()
         #: (profile identity, equation_key) -> (profile, EpochCostCache)
         self._costs = LRUCache(max_cost_caches)
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
+        self._counts = Counters()
 
     # -- constructors -------------------------------------------------------
 
@@ -179,13 +178,11 @@ class Session:
     def record(self, kind: str, by: int = 1) -> None:
         """Count one pipeline operation (``profiles``, ``predictions``,
         ``simulations``...) for the :meth:`health` snapshot."""
-        with self._lock:
-            self._counters[kind] = self._counters.get(kind, 0) + by
+        self._counts.bump(kind, by)
 
     @property
     def counters(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counters)
+        return self._counts.snapshot()
 
     def health(self) -> Dict[str, Any]:
         """One consolidated snapshot of every cache the session holds.

@@ -35,13 +35,13 @@ import os
 import pickle
 import struct
 import tempfile
-import threading
 import time
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.counters import Counters
 from repro.lru import LRUCache
 from repro.profiler.profile import ILPTable, WorkloadProfile
 from repro.testing.faults import FAULTS, SimulatedCrash
@@ -190,7 +190,7 @@ def default_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-class StoreCounters:
+class StoreCounters(Counters):
     """Thread-safe health accounting for one :class:`ProfileStore`.
 
     Degradation must be *counted*, never silent: every corrupt or
@@ -200,52 +200,35 @@ class StoreCounters:
     bad loads since the last good one — a rising streak is the
     error-budget signal for a rotting cache directory (bad disk,
     truncated rsync), distinct from a one-off torn write.
+    ``duplicate_writes`` counts publishes that replaced an
+    already-published artifact — in a multi-writer fleet, the
+    duplicate computations the shared store absorbed (last-writer-wins
+    is sound: both writers produced bit-identical content-addressed
+    artifacts).
     """
 
-    _FIELDS = (
-        "writes",
-        #: Publishes that replaced an already-published artifact — in a
-        #: multi-writer fleet this counts the duplicate computations
-        #: the shared store absorbed (last-writer-wins is sound: both
-        #: writers produced bit-identical content-addressed artifacts).
-        "duplicate_writes",
-        "dropped_writes",
-        "io_errors",
-        "corrupt",
-        "schema_stale",
-        "quarantined",
-        "quarantine_failed",
-    )
-
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {f: 0 for f in self._FIELDS}
-        self.corruption_streak = 0
-        self.max_corruption_streak = 0
+        super().__init__(
+            "writes", "duplicate_writes", "dropped_writes", "io_errors",
+            "corrupt", "schema_stale", "quarantined", "quarantine_failed",
+            "corruption_streak", "max_corruption_streak",
+        )
 
-    def bump(self, name: str, by: int = 1) -> None:
+    def corruption(self, kind: str) -> None:
+        """One bad artifact (``corrupt`` or ``schema_stale``) observed:
+        count it and extend the streak."""
         with self._lock:
-            self._counts[name] += by
-
-    def corruption(self) -> None:
-        """One bad artifact observed: extend the streak."""
-        with self._lock:
-            self.corruption_streak += 1
-            self.max_corruption_streak = max(
-                self.max_corruption_streak, self.corruption_streak
+            counts = self._counts
+            counts[kind] += 1
+            counts["corruption_streak"] += 1
+            counts["max_corruption_streak"] = max(
+                counts["max_corruption_streak"], counts["corruption_streak"]
             )
 
     def healthy_load(self) -> None:
         """One artifact loaded intact: the streak is broken."""
         with self._lock:
-            self.corruption_streak = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            out = dict(self._counts)
-            out["corruption_streak"] = self.corruption_streak
-            out["max_corruption_streak"] = self.max_corruption_streak
-            return out
+            self._counts["corruption_streak"] = 0
 
 
 class ProfileStore:
@@ -391,10 +374,9 @@ class ProfileStore:
         and counted instead of being re-read — and re-mistrusted —
         forever.
         """
-        self.counters.bump(
+        self.counters.corruption(
             "schema_stale" if reason == "schema" else "corrupt"
         )
-        self.counters.corruption()
         dest = self.root / "quarantine" / kind / path.name
         try:
             dest.parent.mkdir(parents=True, exist_ok=True)

@@ -77,8 +77,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.counters import Counters
 from repro.experiments.store import ProfileStore, fingerprint
 from repro.obs import REGISTRY, get_logger
+from repro.obs.metrics import set_gauges
 from repro.supervise import Supervisor
 from repro.testing.faults import FAULTS
 
@@ -113,56 +115,20 @@ LEASE_AGE = REGISTRY.histogram(
 )
 
 
-class QueueCounters:
-    """Thread-safe per-process accounting for queue operations.
-
-    The authoritative struct behind the ``repro_work_*`` gauges (the
-    obs plane projects it at scrape time, never copies it).  Worker
-    processes each carry their own instance; cross-process truth lives
-    in the queue directories and event logs, which
-    :meth:`WorkQueue.stats` reads back.
-    """
-
-    _FIELDS = (
-        "enqueued",
-        "claimed",
-        "claim_errors",
-        "completed",
-        "completed_noop",
-        "completed_duplicate",
-        "expired",
-        "reclaimed",
-        "heartbeats",
-        "heartbeat_failures",
-        "abandoned",
-        "released",
-        "quarantined",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {f: 0 for f in self._FIELDS}
-
-    def bump(self, name: str, by: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += by
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-
-#: Process-wide counters shared by every WorkQueue in this process.
-WORK_COUNTERS = QueueCounters()
+#: Per-process accounting for queue operations, shared by every
+#: WorkQueue in this process: the source the ``repro_work_*`` gauges
+#: project at scrape time.  Worker processes each carry their own;
+#: cross-process truth lives in the queue directories and event logs,
+#: which :meth:`WorkQueue.stats` reads back.
+WORK_COUNTERS = Counters(
+    "enqueued", "claimed", "claim_errors", "completed", "completed_noop",
+    "completed_duplicate", "expired", "reclaimed", "heartbeats",
+    "heartbeat_failures", "abandoned", "released", "quarantined",
+)
 
 
 def _collect_work_metrics(m) -> None:
-    """Scrape-time projection of :data:`WORK_COUNTERS` into gauges."""
-    for name, value in WORK_COUNTERS.snapshot().items():
-        m.gauge(
-            f"repro_work_{name}",
-            f"Work-queue {name.replace('_', ' ')} in this process",
-        ).set(value)
+    set_gauges(m, "repro_work", "Work-queue", WORK_COUNTERS.snapshot())
 
 
 REGISTRY.register_collector("workqueue", _collect_work_metrics)
@@ -1248,7 +1214,6 @@ __all__ = [
     "Job",
     "JobExecutor",
     "Lease",
-    "QueueCounters",
     "WORK_COUNTERS",
     "WorkQueue",
     "Worker",

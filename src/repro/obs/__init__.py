@@ -4,8 +4,8 @@ Three cooperating layers, stdlib-only and always-on but cheap:
 
 - :mod:`repro.obs.metrics` — process-wide registry of counters,
   gauges and fixed-bucket histograms with Prometheus text rendering;
-  existing counter structs stay authoritative and are projected in via
-  scrape-time collectors.
+  the subsystems' :class:`~repro.counters.Counters` bags and LRU stats
+  stay authoritative and are projected in via scrape-time collectors.
 - :mod:`repro.obs.tracing` — ``span("stage")`` context manager feeding
   the ``repro_stage_seconds`` histogram and, per served request, a
   trace retrievable from ``/v1/debug/trace/<id>``.

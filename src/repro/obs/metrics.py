@@ -1,11 +1,11 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
-The registry absorbs the repo's scattered counter structs
-(``EngineStats``, ``StoreCounters``, ``KERNEL_STATS``, per-``Session``
-cache stats) behind *collectors*: callables registered under a key that
-refresh gauges from the authoritative struct at scrape time.  The
-structs stay the single source of truth — the registry never duplicates
-a count, it projects one.
+Event counts live where they happen, in :class:`repro.counters.Counters`
+bags and :class:`repro.lru.LRUCache` stats; the registry reaches them
+through *collectors*: callables registered under a key that refresh
+gauges from those snapshots at scrape time (:func:`set_gauges`
+projects a flat one).  The bags stay the single source of truth — the
+registry never duplicates a count, it projects one.
 
 Design constraints:
 
@@ -40,6 +40,7 @@ __all__ = [
     "REGISTRY",
     "DEFAULT_BUCKETS",
     "render_registries",
+    "set_gauges",
 ]
 
 _INF = float("inf")
@@ -364,6 +365,22 @@ class MetricsRegistry:
                 "samples": samples,
             }
         return out
+
+
+def set_gauges(
+    registry: MetricsRegistry,
+    prefix: str,
+    title: str,
+    snapshot: Dict[str, object],
+) -> None:
+    """Project a counter snapshot into gauges: each number ``name``
+    sets ``{prefix}_{name}``, helped as ``{title} {name}`` with spaces
+    for underscores; other values (nested blocks) are skipped."""
+    for name, value in snapshot.items():
+        if isinstance(value, (int, float)):
+            registry.gauge(
+                f"{prefix}_{name}", f"{title} {name.replace('_', ' ')}"
+            ).set(value)
 
 
 def render_registries(registries: Iterable[MetricsRegistry]) -> str:

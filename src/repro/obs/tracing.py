@@ -35,6 +35,7 @@ import uuid
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.counters import Counters
 from repro.lru import LRUCache
 from repro.obs.metrics import REGISTRY
 from repro.testing.faults import FAULTS
@@ -78,20 +79,19 @@ STAGE_SECONDS = REGISTRY.histogram(
     labels=("stage",),
 )
 
-_dropped_total = 0
-_dropped_lock = threading.Lock()
+_DROPPED = Counters("emits")
 
 
 def dropped_emits() -> int:
     """Spans whose emit path raised (broken sink, chaos fault)."""
-    return _dropped_total
+    return _DROPPED.snapshot()["emits"]
 
 
 def _collect_obs(registry) -> None:
     registry.gauge(
         "repro_obs_dropped_emits",
         "Span emits swallowed because the telemetry sink raised",
-    ).set(_dropped_total)
+    ).set(dropped_emits())
     registry.gauge(
         "repro_obs_enabled", "1 when span instrumentation records"
     ).set(1.0 if _enabled else 0.0)
@@ -260,15 +260,13 @@ def _emit(
     duration_s: float,
     attrs: Dict[str, Any],
 ) -> None:
-    global _dropped_total
     try:
         FAULTS.fire("obs.emit")
         STAGE_SECONDS.labels(stage=name).observe(duration_s)
         if trace is not None and span_id is not None:
             trace.record(span_id, parent_id, name, start_perf, duration_s, attrs)
     except Exception:
-        with _dropped_lock:
-            _dropped_total += 1
+        _DROPPED.bump("emits")
 
 
 @contextmanager

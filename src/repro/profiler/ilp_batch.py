@@ -64,6 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.counters import Counters
 from repro.lru import LRUCache
 from repro.obs import span
 from repro.profiler.ilp import (
@@ -88,7 +89,7 @@ AUX_DISPATCHES_PER_STEP = 6
 DISPATCHES_PER_STEP = CORE_DISPATCHES_PER_STEP + AUX_DISPATCHES_PER_STEP
 
 
-class KernelStats:
+class KernelStats(Counters):
     """Process-wide fused-kernel counters (monotonic, thread-safe).
 
     Surfaced by the serving subsystem's ``/healthz`` and diffed by the
@@ -96,39 +97,15 @@ class KernelStats:
     — the observability face of the mega-batching trajectory.
     """
 
-    _FIELDS = (
-        "pools", "samples", "buckets", "batches", "steps",
-        "dispatches", "grid_slots", "occupied_slots",
-    )
-
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self._FIELDS:
-            setattr(self, name, 0)
-
-    def record_batch(
-        self, samples: int, steps: int, occupied: int, aux: bool
-    ) -> None:
-        per_step = DISPATCHES_PER_STEP if aux else CORE_DISPATCHES_PER_STEP
-        with self._lock:
-            self.samples += samples
-            self.batches += 1
-            self.steps += steps
-            self.dispatches += steps * per_step
-            self.grid_slots += samples * steps
-            self.occupied_slots += occupied
-
-    def record_pools(self, pools: int, buckets: int) -> None:
-        with self._lock:
-            self.pools += pools
-            self.buckets += buckets
+        super().__init__(
+            "pools", "samples", "buckets", "batches", "steps",
+            "dispatches", "grid_slots", "occupied_slots",
+        )
 
     def snapshot(self) -> Dict[str, float]:
         """Counter snapshot plus the derived bucket fill ratio."""
-        with self._lock:
-            out: Dict[str, float] = {
-                name: getattr(self, name) for name in self._FIELDS
-            }
+        out: Dict[str, float] = super().snapshot()
         out["bucket_fill"] = (
             out["occupied_slots"] / out["grid_slots"]
             if out["grid_slots"] else 1.0
@@ -464,8 +441,10 @@ def batch_scoreboard(
             multiply(hrow, chunk_list[i], out=hrow)
             add(hrow, load_list[i], out=hrow)
 
-    KERNEL_STATS.record_batch(
-        samples=S, steps=N, occupied=int(lengths.sum()), aux=aux
+    per_step = DISPATCHES_PER_STEP if aux else CORE_DISPATCHES_PER_STEP
+    KERNEL_STATS.add(
+        samples=S, batches=1, steps=N, dispatches=N * per_step,
+        grid_slots=S * N, occupied_slots=int(lengths.sum()),
     )
 
     # -- per-sample readouts at true lengths ----------------------------
@@ -587,7 +566,7 @@ def batch_scoreboard_pools(
             all_ilp[idxs] = ilp
             all_bl[idxs] = bl
             all_lp[idxs] = lp
-        KERNEL_STATS.record_pools(
+        KERNEL_STATS.add(
             pools=sum(1 for c in counts if c), buckets=len(buckets)
         )
 

@@ -28,7 +28,7 @@ import json
 import random
 import socket
 import time
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 from urllib.parse import urlencode
 
 
@@ -164,6 +164,36 @@ class ServiceClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Optional[dict] = None,
+    ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """Send one request and read its response: ``(response,
+        body)``.  A socket timeout raises :class:`ServiceTimeout`; a
+        stale keep-alive connection (server restarted, idle timeout)
+        gets one reconnect before a transport error propagates."""
+        for attempt in (0, 1):
+            conn = self._connection()
+            try:
+                conn.request(method, path, body=body, headers=headers or {})
+                response = conn.getresponse()
+                return response, response.read()
+            except socket.timeout:
+                self.close()
+                raise ServiceTimeout(
+                    None,
+                    {"error": f"no response within {self.timeout}s"},
+                )
+            except (
+                http.client.HTTPException, ConnectionError, OSError
+            ):
+                self.close()
+                if attempt:
+                    raise
+
     def _request_once(
         self,
         method: str,
@@ -177,29 +207,7 @@ class ServiceClient:
         send_headers = dict(headers or {})
         if payload:
             send_headers.setdefault("Content-Type", "application/json")
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(
-                    method, path, body=payload, headers=send_headers
-                )
-                response = conn.getresponse()
-                data = response.read()
-                break
-            except socket.timeout:
-                self.close()
-                raise ServiceTimeout(
-                    None,
-                    {"error": f"no response within {self.timeout}s"},
-                )
-            except (
-                http.client.HTTPException, ConnectionError, OSError
-            ):
-                # A stale keep-alive connection (server restarted,
-                # idle timeout) gets one reconnect.
-                self.close()
-                if attempt:
-                    raise
+        response, data = self._exchange(method, path, payload, send_headers)
         retry_after = _parse_retry_after(
             response.getheader("Retry-After")
         )
@@ -298,25 +306,7 @@ class ServiceClient:
 
     def _request_text(self, path: str) -> str:
         """GET a non-JSON (text) endpoint — ``/metrics``."""
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request("GET", path)
-                response = conn.getresponse()
-                data = response.read()
-                break
-            except socket.timeout:
-                self.close()
-                raise ServiceTimeout(
-                    None,
-                    {"error": f"no response within {self.timeout}s"},
-                )
-            except (
-                http.client.HTTPException, ConnectionError, OSError
-            ):
-                self.close()
-                if attempt:
-                    raise
+        response, data = self._exchange("GET", path)
         if response.status >= 400:
             raise ServiceError(
                 response.status,

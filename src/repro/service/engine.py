@@ -45,6 +45,7 @@ from repro.arch.config import MulticoreConfig
 from repro.arch.presets import TABLE_IV, table_iv_config
 from repro.core.rppm import PredictionResult, predict, prediction_result
 from repro.core.session import Session
+from repro.counters import Counters
 from repro.experiments.store import ProfileStore
 from repro.obs import span
 from repro.obs.tracing import activate, deactivate
@@ -144,22 +145,6 @@ class CachedResult(NamedTuple):
     body: bytes
 
 
-@dataclass
-class EngineStats:
-    """Monotonic counters surfaced by ``/healthz``."""
-
-    requests: Dict[str, int] = field(default_factory=dict)
-    computed: Dict[str, int] = field(default_factory=dict)
-    errors: int = 0
-    profiles_built: int = 0
-    profiles_from_store: int = 0
-    predictions_run: int = 0
-    simulations_run: int = 0
-    #: Times the engine dropped its LRUs because a newer store
-    #: generation appeared (another fleet worker pruned or republished).
-    invalidations: int = 0
-
-
 class ServiceError(Exception):
     """An error with an HTTP-ish status, raised by engine entry points."""
 
@@ -214,7 +199,17 @@ class PredictionEngine:
         #: every other engine cache — the key is client-controlled)
         self._seeds = LRUCache(4096)
         self._lock = threading.Lock()
-        self.stats = EngineStats()
+        #: ``/healthz`` counts: requests and computations by request
+        #: kind, and the engine's other events.  ``invalidations`` counts
+        #: the times the engine dropped its LRUs because a newer store
+        #: generation appeared (another fleet worker pruned or
+        #: republished).
+        self._requests = Counters()
+        self._computed = Counters()
+        self._counts = Counters(
+            "errors", "profiles_built", "profiles_from_store",
+            "predictions_run", "simulations_run", "invalidations",
+        )
         #: Version-stamped invalidation: the store generation this
         #: engine's resident LRUs were warmed against.  Re-checked at
         #: most every ``_GEN_CHECK_TTL_S`` on the request path — a
@@ -224,17 +219,6 @@ class PredictionEngine:
             self.store.generation() if self.store is not None else 0
         )
         self._gen_checked_at = time.monotonic()
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def _count(self, field_name: str, kind: str) -> None:
-        with self._lock:
-            counter = getattr(self.stats, field_name)
-            counter[kind] = counter.get(kind, 0) + 1
-
-    def _bump(self, attr: str, by: int = 1) -> None:
-        with self._lock:
-            setattr(self.stats, attr, getattr(self.stats, attr) + by)
 
     # -- version-stamped invalidation ----------------------------------------
 
@@ -265,7 +249,7 @@ class PredictionEngine:
             if self._generation == current:
                 return  # another thread already invalidated
             self._generation = current
-            self.stats.invalidations += 1
+        self._counts.bump("invalidations")
         self._profiles.clear()
         self.results.clear()
         self._seeds.clear()
@@ -305,14 +289,14 @@ class PredictionEngine:
             if self.store is not None:
                 profile = self.store.load_profile(key)
                 if profile is not None:
-                    self._bump("profiles_from_store")
+                    self._counts.bump("profiles_from_store")
             if profile is None:
                 profile = profile_workload(
                     self._trace(ref, scale),
                     chunk=self.chunk,
                     session=self.session,
                 )
-                self._bump("profiles_built")
+                self._counts.bump("profiles_built")
                 if self.store is not None:
                     self.store.save_profile(key, profile)
             self._profiles.put(key, (ref.label, profile))
@@ -342,12 +326,12 @@ class PredictionEngine:
         return ``compute()``'s payload.  The executor's entry points and
         :meth:`resident_body` share it, so both count alike.
         """
-        self._count("requests", request.kind)
+        self._requests.bump(request.kind)
         cached = self.results.get(request.key())
         if cached is not None:
             return cached
         payload = compute()
-        self._count("computed", request.kind)
+        self._computed.bump(request.kind)
         return self._remember(request, payload)
 
     def predict(
@@ -374,7 +358,7 @@ class PredictionEngine:
             # count runs no Eq.-1 evaluation and neither phase
             # (``schedules`` stays put in /healthz's session counters).
             result = predict(profile, cfg, session=self.session)
-            self._bump("predictions_run")
+            self._counts.bump("predictions_run")
             return prediction_payload(result, cfg)
 
         return self._answer(request, compute).payload
@@ -397,11 +381,11 @@ class PredictionEngine:
             cfg = self._config(config, cores)
             _pkey, profile = self.profile(ref, scale)
             pred = predict(profile, cfg, session=self.session)
-            self._bump("predictions_run")
+            self._counts.bump("predictions_run")
             sim = simulate(
                 self._trace(ref, scale), cfg, session=self.session
             )
-            self._bump("simulations_run")
+            self._counts.bump("simulations_run")
             return compare_payload(pred, sim, cfg)
 
         return self._answer(request, compute).payload
@@ -445,7 +429,7 @@ class PredictionEngine:
         entry = self.results.get(request.key(), count_miss=False)
         if entry is None:
             return None
-        self._count("requests", request.kind)
+        self._requests.bump(request.kind)
         return entry.body
 
     # -- answers from resident state (the event loop's miss path) -----------
@@ -513,7 +497,7 @@ class PredictionEngine:
                 self.session.record("predictions")
                 with span("predict", workload=profile.name, config=cfg.name):
                     result = prediction_result(profile, cfg, memo.phases)
-                self._bump("predictions_run")
+                self._counts.bump("predictions_run")
                 return prediction_payload(result, cfg)
 
             return self._answer(ServiceRequest(
@@ -552,18 +536,12 @@ class PredictionEngine:
 
     def health(self) -> dict:
         """Engine half of ``/healthz``."""
-        with self._lock:
-            stats = {
-                "requests": dict(self.stats.requests),
-                "computed": dict(self.stats.computed),
-                "errors": self.stats.errors,
-                "profiles_built": self.stats.profiles_built,
-                "profiles_from_store": self.stats.profiles_from_store,
-                "predictions_run": self.stats.predictions_run,
-                "simulations_run": self.stats.simulations_run,
-                "invalidations": self.stats.invalidations,
-                "store_generation": self._generation,
-            }
+        stats = {
+            "requests": self._requests.snapshot(),
+            "computed": self._computed.snapshot(),
+            **self._counts.snapshot(),
+            "store_generation": self._generation,
+        }
         stats["result_cache"] = self.results.stats()
         stats["profile_cache"] = self._profiles.stats()
         # One consolidated block for every artifact cache the session
@@ -617,10 +595,10 @@ class PredictionEngine:
                     "error": f"unknown request kind {request.kind!r}"
                 }
         except ServiceError as exc:
-            self._bump("errors")
+            self._counts.bump("errors")
             return exc.status, {"error": str(exc)}
         except Exception as exc:  # engine bug: report, don't kill the job
-            self._bump("errors")
+            self._counts.bump("errors")
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             deactivate(token)
@@ -803,7 +781,6 @@ __all__ = [
     "ERROR_BUDGET_THRESHOLDS",
     "CachedResult",
     "DEFAULT_COST_CACHES",
-    "EngineStats",
     "PredictionEngine",
     "ServiceError",
     "ServiceRequest",

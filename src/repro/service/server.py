@@ -87,6 +87,7 @@ from repro.obs.metrics import (
     Counter,
     MetricsRegistry,
     render_registries,
+    set_gauges,
 )
 from repro.obs.tracing import (
     TRACE_RING,
@@ -189,8 +190,7 @@ class PredictionService:
         #: Per-service registry: admission counters live here (not in
         #: the process-global one) so parallel test servers stay
         #: isolated; ``/metrics`` renders both merged.  These counter
-        #: objects are the single source — ``/healthz`` and the
-        #: back-compat properties below read them.
+        #: objects are the single source — ``/healthz`` reads them.
         self.metrics = MetricsRegistry()
         self._m_requests = self.metrics.counter(
             "repro_http_requests_total",
@@ -247,29 +247,13 @@ class PredictionService:
         return int(self._m_requests.value())
 
     @property
-    def shed(self) -> int:
-        return int(self._m_shed.value())
-
-    @property
-    def deadline_expired(self) -> int:
-        return int(self._m_deadline_expired.value())
-
-    @property
-    def disconnects(self) -> int:
-        return int(self._m_disconnects.value())
-
-    @property
     def loop_answered(self) -> int:
         return int(self._m_loop_answered.value())
 
-    @property
-    def response_failures(self) -> int:
-        return int(self._m_response_failures.value())
-
     def _collect_metrics(self, m: MetricsRegistry) -> None:
-        """Scrape-time refresh: project the authoritative structs
-        (engine stats, session caches, store counters, coalescer) into
-        gauges.  Registered as a keyed collector on ``self.metrics``.
+        """Scrape-time refresh: project the engine's, the session's,
+        the store's and the coalescer's snapshots into gauges.
+        Registered as a keyed collector on ``self.metrics``.
         """
         m.gauge(
             "repro_admission_max_queue",
@@ -287,67 +271,56 @@ class PredictionService:
         ).set(self.workers)
         if self._coalescer is not None:
             stats = self._coalescer.stats()
-            for name in (
-                "submitted", "collapsed", "batches", "abandoned",
-                "inflight", "pending",
-            ):
-                m.gauge(
-                    f"repro_coalescer_{name}",
-                    f"Coalescer {name.replace('_', ' ')}",
-                ).set(stats[name])
+            ewma_ms = stats.pop("ewma_service_ms")
+            set_gauges(m, "repro_coalescer", "Coalescer", stats)
             m.gauge(
                 "repro_coalescer_ewma_service_ms",
                 "EWMA engine service time per distinct request",
-            ).set(stats["ewma_service_ms"])
+            ).set(ewma_ms)
         health = self.engine.health()
         requests = m.gauge(
             "repro_engine_requests", "Engine requests by kind",
             labels=("kind",),
         )
-        for kind, n in health.get("requests", {}).items():
+        for kind, n in health["requests"].items():
             requests.labels(kind=kind).set(n)
         computed = m.gauge(
             "repro_engine_computed",
             "Engine requests computed (result-cache misses) by kind",
             labels=("kind",),
         )
-        for kind, n in health.get("computed", {}).items():
+        for kind, n in health["computed"].items():
             computed.labels(kind=kind).set(n)
-        for name in (
-            "errors", "profiles_built", "profiles_from_store",
-            "predictions_run", "simulations_run",
-        ):
-            m.gauge(
-                f"repro_engine_{name}",
-                f"Engine {name.replace('_', ' ')}",
-            ).set(health.get(name, 0))
+        set_gauges(m, "repro_engine", "Engine", {
+            name: health[name] for name in (
+                "errors", "profiles_built", "profiles_from_store",
+                "predictions_run", "simulations_run",
+            )
+        })
         self._collect_cache_metrics(m, health)
-        session = health.get("session", {})
-        for prefix, snap in (
-            ("repro_expand", session.get("expand_engine")),
-            ("repro_ilp_kernel", session.get("ilp_kernel")),
-        ):
-            if isinstance(snap, dict):
-                for name, value in snap.items():
-                    if isinstance(value, (int, float)):
-                        m.gauge(
-                            f"{prefix}_{name}",
-                            f"{prefix.split('_', 1)[1]} {name}".replace(
-                                "_", " "
-                            ),
-                        ).set(value)
-        self._collect_store_metrics(m, health.get("store"))
+        session = health["session"]
+        set_gauges(m, "repro_expand", "expand", session["expand_engine"])
+        set_gauges(m, "repro_ilp_kernel", "ilp kernel", session["ilp_kernel"])
+        store = health.get("store")
+        if store is not None:
+            set_gauges(m, "repro_store", "Store", store)
+            quarantine = m.gauge(
+                "repro_store_quarantine",
+                "Quarantined artifacts by kind", labels=("kind",),
+            )
+            for kind, n in store["quarantine"].items():
+                quarantine.labels(kind=kind).set(n)
 
     @staticmethod
     def _collect_cache_metrics(m: MetricsRegistry, health: dict) -> None:
-        session = health.get("session", {})
+        session = health["session"]
         caches = {
-            "result": health.get("result_cache", {}),
-            "profile": health.get("profile_cache", {}),
-            "trace": session.get("trace_cache", {}),
-            "ilp": session.get("ilp_cache", {}),
-            "branch": session.get("branch_cache", {}),
-            "prep": session.get("prep_cache", {}),
+            "result": health["result_cache"],
+            "profile": health["profile_cache"],
+            "trace": session["trace_cache"],
+            "ilp": session["ilp_cache"],
+            "branch": session["branch_cache"],
+            "prep": session["prep_cache"],
         }
         hits = m.gauge(
             "repro_cache_hits", "Cache hits by cache", labels=("cache",)
@@ -363,42 +336,11 @@ class PredictionService:
             "repro_cache_bytes", "Resident bytes by cache", labels=("cache",)
         )
         for label, stats in caches.items():
-            if not isinstance(stats, dict):
-                continue
-            if "hits" in stats:
-                hits.labels(cache=label).set(stats["hits"])
-            if "misses" in stats:
-                misses.labels(cache=label).set(stats["misses"])
-            if "entries" in stats:
-                entries.labels(cache=label).set(stats["entries"])
+            hits.labels(cache=label).set(stats["hits"])
+            misses.labels(cache=label).set(stats["misses"])
+            entries.labels(cache=label).set(stats["entries"])
             if "bytes" in stats:
                 sizes.labels(cache=label).set(stats["bytes"])
-
-    @staticmethod
-    def _collect_store_metrics(
-        m: MetricsRegistry, store: Optional[dict]
-    ) -> None:
-        if not isinstance(store, dict):
-            return
-        for name in (
-            "writes", "duplicate_writes", "dropped_writes", "io_errors",
-            "corrupt", "schema_stale", "quarantined", "quarantine_failed",
-            "corruption_streak", "max_corruption_streak", "generation",
-        ):
-            if name in store:
-                m.gauge(
-                    f"repro_store_{name}",
-                    f"Store {name.replace('_', ' ')}",
-                ).set(store[name])
-        quarantine = store.get("quarantine")
-        if isinstance(quarantine, dict):
-            q = m.gauge(
-                "repro_store_quarantine",
-                "Quarantined artifacts by kind", labels=("kind",),
-            )
-            for kind, n in quarantine.items():
-                if isinstance(n, (int, float)):
-                    q.labels(kind=kind).set(n)
 
     def render_metrics(self) -> str:
         """Merged Prometheus exposition: process + service registries."""

@@ -8,11 +8,7 @@ coherence invalidations as guaranteed misses), global interleaved
 distributions predict shared-LLC miss rates.
 """
 
-from repro.statstack.statstack import (
-    expected_stack_distances,
-    miss_rate,
-    miss_ratio_curve,
-)
+from repro.statstack.statstack import expected_stack_distances, miss_rate
 from repro.statstack.multithread import (
     HierarchyMissRates,
     hierarchy_miss_rates,
@@ -22,7 +18,6 @@ from repro.statstack.multithread import (
 __all__ = [
     "expected_stack_distances",
     "miss_rate",
-    "miss_ratio_curve",
     "HierarchyMissRates",
     "hierarchy_miss_rates",
     "instruction_miss_rates",

@@ -159,57 +159,3 @@ def _miss_rate(
         misses += hist.inval
     return float(min(max(misses / total, 0.0), 1.0))
 
-
-def miss_ratio_curve(
-    hist: RDHistogram, capacities: np.ndarray
-) -> np.ndarray:
-    """Miss rate at each capacity (lines); the classic MRC.
-
-    The stack-distance curve is computed *once* and evaluated at every
-    capacity with one ``np.searchsorted`` plus vectorized fractional
-    interpolation, instead of re-deriving
-    :func:`expected_stack_distances` per capacity.  Bit-identical to
-    calling :func:`miss_rate` per capacity for the integer-valued
-    histograms the profiler emits (suffix sums replace per-capacity
-    slice sums, which for fractional counts may differ in the last
-    ulp).
-    """
-    caps = np.asarray(capacities)
-    # Match miss_rate's ``int(c)`` truncation semantics.
-    caps = caps.astype(np.int64).astype(np.float64)
-    if (caps <= 0).any():
-        raise ValueError("cache capacity must be positive")
-    total = hist.n_total
-    if total == 0:
-        return np.zeros(len(caps))
-    rds, counts, sds = expected_stack_distances(hist)
-    finite_misses = np.zeros(len(caps))
-    if len(rds):
-        j = np.searchsorted(sds, caps, side="left")
-        crossing = j < len(rds)
-        jj = j[crossing]
-        # Suffix sums give counts[j:].sum() for every capacity at once.
-        suffix = np.concatenate(
-            [np.cumsum(counts[::-1])[::-1], [0.0]]
-        )
-        misses = suffix[j]
-        # Fractional inclusion of the crossing bin, exactly as in
-        # miss_rate: the bin's mass is spread over its quarter-octave
-        # width with the local SD-per-RD slope.
-        safe = np.maximum(jj - 1, 0)
-        prev_rd = np.where(jj > 0, rds[safe], 0.0)
-        prev_sd = np.where(jj > 0, sds[safe], 0.0)
-        gap = np.maximum(rds[jj] - prev_rd, 1e-9)
-        slope = (sds[jj] - prev_sd) / gap
-        width = np.minimum(gap, 0.19 * rds[jj] + 1.0)
-        lo_sd = sds[jj] - slope * width
-        span = sds[jj] - lo_sd
-        covered = np.zeros(len(jj))
-        ok = (caps[crossing] > lo_sd) & (span > 0)
-        covered[ok] = np.clip(
-            (caps[crossing][ok] - lo_sd[ok]) / span[ok], 0.0, 1.0
-        )
-        misses[crossing] -= counts[jj] * covered
-        finite_misses = misses
-    misses = finite_misses + hist.cold + hist.inval
-    return np.clip(misses / total, 0.0, 1.0)

@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.counters import Counters
 from repro.lru import LRUCache
 from repro.obs import span
 from repro.workloads import branches as _branches
@@ -71,7 +72,7 @@ from repro.workloads.ir import (
 from repro.workloads.spec import EpochSpec, WorkloadSpec
 
 
-class EngineStats:
+class EngineStats(Counters):
     """Process-wide expansion counters (monotonic, thread-safe).
 
     Surfaced by the serving subsystem's ``/healthz`` and diffed by the
@@ -79,45 +80,15 @@ class EngineStats:
     ``BENCH_profiler.json``.
     """
 
-    _FIELDS = (
-        "workloads", "segments", "instructions", "arena_bytes",
-        "layout_hits", "layout_misses", "image_hits", "image_misses",
-    )
-
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self._FIELDS:
-            setattr(self, name, 0)
-
-    def record_workload(
-        self, segments: int, instructions: int, arena_bytes: int
-    ) -> None:
-        with self._lock:
-            self.workloads += 1
-            self.segments += segments
-            self.instructions += instructions
-            self.arena_bytes += arena_bytes
-
-    def record_layout(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.layout_hits += 1
-            else:
-                self.layout_misses += 1
-
-    def record_image(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.image_hits += 1
-            else:
-                self.image_misses += 1
+        super().__init__(
+            "workloads", "segments", "instructions", "arena_bytes",
+            "layout_hits", "layout_misses", "image_hits", "image_misses",
+        )
 
     def snapshot(self) -> Dict[str, float]:
-        """Counter snapshot plus derived memo hit rates."""
-        with self._lock:
-            out: Dict[str, float] = {
-                name: getattr(self, name) for name in self._FIELDS
-            }
+        """Counter snapshot plus the derived image-memo hit rate."""
+        out: Dict[str, float] = super().snapshot()
         lookups = out["image_hits"] + out["image_misses"]
         out["memo_hit_rate"] = (
             out["image_hits"] / lookups if lookups else 0.0
@@ -199,6 +170,8 @@ def static_block_key(layout_seed: int, spec: EpochSpec) -> Tuple:
     """
     body_len = min(spec.n, spec.code_lines * spec.instrs_per_line)
     lkey = _layout_key(layout_seed, spec, body_len)
+    # iline additionally depends on the (code_lines, instrs_per_line)
+    # split, which body_len alone does not pin down.
     return (lkey, spec.n, spec.code_lines, spec.instrs_per_line)
 
 
@@ -361,34 +334,28 @@ class ExpansionEngine:
 
     # -- static memo --------------------------------------------------------
 
-    def _static(
-        self, lkey: Tuple, layout_seed: int, spec: EpochSpec, body_len: int
-    ) -> _StaticCode:
+    def _image(
+        self, layout_seed: int, spec: EpochSpec, ikey: Tuple, tally: Dict
+    ) -> _CodeImage:
+        """The code image under ``ikey`` (:func:`static_block_key`),
+        built from the memoized layout on a miss; each memo lookup is
+        counted in ``tally``."""
+        image = self._images.get(ikey)
+        if image is not None:
+            tally["image_hits"] += 1
+            return image
+        tally["image_misses"] += 1
+        lkey = ikey[0]  # the layout key static_block_key nests
         static = self._layouts.get(lkey)
-        self.stats.record_layout(hit=static is not None)
         if static is None:
+            tally["layout_misses"] += 1
+            body_len = min(spec.n, spec.code_lines * spec.instrs_per_line)
             static = _build_static(layout_seed, spec, body_len)
             self._layouts.put(lkey, static)
-        return static
-
-    def _image(
-        self,
-        layout_seed: int,
-        spec: EpochSpec,
-        ikey: Optional[Tuple] = None,
-    ) -> _CodeImage:
-        body_len = min(spec.n, spec.code_lines * spec.instrs_per_line)
-        lkey = _layout_key(layout_seed, spec, body_len)
-        # iline additionally depends on the (code_lines, instrs_per_line)
-        # split, which body_len alone does not pin down.
-        if ikey is None:
-            ikey = (lkey, spec.n, spec.code_lines, spec.instrs_per_line)
-        image = self._images.get(ikey)
-        self.stats.record_image(hit=image is not None)
-        if image is None:
-            static = self._static(lkey, layout_seed, spec, body_len)
-            image = _build_image(static, spec, spec.n)
-            self._images.put(ikey, image)
+        else:
+            tally["layout_hits"] += 1
+        image = _build_image(static, spec, spec.n)
+        self._images.put(ikey, image)
         return image
 
     # -- expansion ----------------------------------------------------------
@@ -413,9 +380,11 @@ class ExpansionEngine:
         traces: List[WorkloadTrace] = []
         for w in workloads:
             threads: List[ThreadTrace] = []
-            n_segments = 0
-            n_instructions = 0
-            arena_bytes = 0
+            # This workload's counts, published in one stats.add().
+            tally = dict.fromkeys((
+                "segments", "instructions", "arena_bytes", "layout_hits",
+                "layout_misses", "image_hits", "image_misses",
+            ), 0)
             for tid, plan_list in enumerate(w.plans):
                 total = sum(
                     plan.spec.n
@@ -423,7 +392,7 @@ class ExpansionEngine:
                     if plan.spec is not None
                 )
                 arena = _ThreadArena(total)
-                arena_bytes += arena.nbytes
+                tally["arena_bytes"] += arena.nbytes
                 offset = 0
                 segments: List[Segment] = []
                 for idx, plan in enumerate(plan_list):
@@ -440,7 +409,9 @@ class ExpansionEngine:
                             _Job(
                                 spec=plan.spec, thread_id=tid,
                                 index=idx, block=block,
-                                image=self._image(w.seed, plan.spec, ikey),
+                                image=self._image(
+                                    w.seed, plan.spec, ikey, tally
+                                ),
                             ),
                         ))
                     segments.append(
@@ -449,19 +420,15 @@ class ExpansionEngine:
                             label=plan.label,
                         )
                     )
-                    n_segments += 1
-                n_instructions += offset
+                tally["segments"] += len(segments)
+                tally["instructions"] += offset
                 threads.append(
                     ThreadTrace(thread_id=tid, segments=segments)
                 )
             traces.append(
                 WorkloadTrace(name=w.name, threads=threads, seed=w.seed)
             )
-            self.stats.record_workload(
-                segments=n_segments,
-                instructions=n_instructions,
-                arena_bytes=arena_bytes,
-            )
+            self.stats.add(workloads=1, **tally)
 
         for seed, job in jobs:
             self._execute(seed, job)

@@ -27,6 +27,7 @@ from repro.workloads.engine import (
     pack_trace_arena,
 )
 from repro.workloads.generator import expand as legacy_expand
+from repro.workloads.rodinia import rodinia_workload
 from repro.workloads.spec import BranchSpec, MemPattern, WorkloadSpec
 
 from tests.conftest import barrier_workload, make_epoch
@@ -331,6 +332,24 @@ class TestTraceCache:
         snap = eng.stats.snapshot()
         assert snap["workloads"] == 1
         assert snap["arena_bytes"] > 0
+
+    def test_stats_publish_the_memo_lookups_once_per_workload(self):
+        # expand_many tallies memo lookups locally and publishes them
+        # with the workload's totals in one stats.add(); the published
+        # lookups are exactly the hits and misses the memos' LRUs saw.
+        eng = ExpansionEngine(stats=EngineStats())
+        eng.expand(rodinia_workload("hotspot", scale=0.3))
+        snap = eng.stats.snapshot()
+        assert snap == {
+            "workloads": 1, "segments": 90, "instructions": 55500,
+            "arena_bytes": 1221000, "layout_hits": 2, "layout_misses": 3,
+            "image_hits": 77, "image_misses": 5,
+            "memo_hit_rate": pytest.approx(77 / 82),
+        }
+        for memo, lru in (("layout", eng._layouts), ("image", eng._images)):
+            stats = lru.stats()
+            assert snap[f"{memo}_hits"] == stats["hits"]
+            assert snap[f"{memo}_misses"] == stats["misses"]
 
 
 class TestSpecValidation:

@@ -291,7 +291,7 @@ class TestEngineInvalidation:
         engine._check_generation()
         assert engine.results.get("k") is None
         assert engine._profiles.get("p") is None
-        assert engine.stats.invalidations == 1
+        assert engine.health()["invalidations"] == 1
 
     def test_check_is_ttl_throttled(self, store):
         engine = PredictionEngine(store=store)
@@ -311,7 +311,7 @@ class TestEngineInvalidation:
         self._stale(engine)
         engine._check_generation()
         assert engine.results.get("k") == "v"
-        assert engine.stats.invalidations == 0
+        assert engine.health()["invalidations"] == 0
 
     def test_storeless_engine_never_invalidates(self):
         engine = PredictionEngine(store=None)

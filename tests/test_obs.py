@@ -312,17 +312,29 @@ class TestErrorBudgetEdges:
         assert below["corruption_alarm"] is False
         assert below["ok"] is True
 
-    def test_corruption_streak_reset_clears_the_alarm(self, tmp_path):
+    def test_corruption_streak_reset_clears_the_alarm(
+        self, tmp_path, small_profile
+    ):
         # Through the real store: corrupt artifacts build the streak,
         # one healthy load resets it, and the budget verdict follows.
         from repro.experiments.store import ProfileStore
 
         store = ProfileStore(tmp_path / "store")
         k = ERROR_BUDGET_THRESHOLDS["max_corruption_streak"]
-        store.counters.corrupt = k  # as record_corruption tallies
-        store.counters.corruption_streak = k
-        assert error_budget({"store": store.health()})["ok"] is False
-        store.counters.healthy_load()
+        for i in range(k):
+            key = ProfileStore.profile_key("streak", i, 1.0, 4096)
+            store.save_profile(key, small_profile).write_text("garbage")
+            assert store.load_profile(key) is None  # quarantined
+        health = store.health()
+        assert health["corrupt"] == health["quarantined"] == k
+        assert health["quarantine"] == {"profiles": k}
+        budget = error_budget({"store": health})
+        assert budget["corruption_streak"] == k
+        assert budget["corruption_alarm"] is True
+        assert budget["ok"] is False
+        key = ProfileStore.profile_key("streak", k, 1.0, 4096)
+        store.save_profile(key, small_profile)
+        assert store.load_profile(key) is not None
         budget = error_budget({"store": store.health()})
         assert budget["corruption_streak"] == 0
         assert budget["corruption_alarm"] is False

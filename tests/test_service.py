@@ -13,11 +13,13 @@ import asyncio
 import http.client
 import json
 import random
+import re
 import socket
 import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,26 +269,26 @@ class TestEngine:
         first = engine.predict("rodinia.nn", scale=SCALE)
         second = engine.predict("rodinia.nn", scale=SCALE)
         assert first is second  # served from the result LRU
-        assert engine.stats.computed["predict"] == 1
-        assert engine.stats.profiles_built == 1
+        assert engine.health()["computed"]["predict"] == 1
+        assert engine.health()["profiles_built"] == 1
 
     def test_profile_shared_across_configs(self):
         engine = PredictionEngine(store=None)
         engine.predict("rodinia.nn", config="base", scale=SCALE)
         engine.predict("rodinia.nn", config="smallest", scale=SCALE)
-        assert engine.stats.profiles_built == 1
-        assert engine.stats.predictions_run == 2
+        assert engine.health()["profiles_built"] == 1
+        assert engine.health()["predictions_run"] == 2
 
     def test_store_round_trip(self, tmp_path):
         from repro.experiments.store import ProfileStore
         store = ProfileStore(tmp_path / "store")
         engine = PredictionEngine(store=store)
         engine.predict("rodinia.nn", scale=SCALE)
-        assert engine.stats.profiles_built == 1
+        assert engine.health()["profiles_built"] == 1
         fresh = PredictionEngine(store=store)
         fresh.predict("rodinia.nn", scale=SCALE)
-        assert fresh.stats.profiles_built == 0
-        assert fresh.stats.profiles_from_store == 1
+        assert fresh.health()["profiles_built"] == 0
+        assert fresh.health()["profiles_from_store"] == 1
 
     def test_sweep_defaults_to_table_iv(self):
         engine = PredictionEngine(store=None)
@@ -295,7 +297,7 @@ class TestEngine:
             "smallest", "small", "base", "big", "biggest",
         ]
         assert len(payload["results"]) == 5
-        assert engine.stats.profiles_built == 1
+        assert engine.health()["profiles_built"] == 1
 
     def test_handle_maps_errors_to_statuses(self):
         engine = PredictionEngine(store=None)
@@ -331,7 +333,7 @@ class TestEngine:
         for label, point, cores in misses:
             engine.predict(label, point, cores, scale)
         assert engine.session.counters["schedules"] == warm
-        assert engine.stats.computed["predict"] == 130 + 2000
+        assert engine.health()["computed"]["predict"] == 130 + 2000
 
 
 @pytest.fixture(scope="module")
@@ -811,6 +813,121 @@ class TestObservability:
         assert "repro_http_requests_total" in text
 
 
+#: /healthz key paths, /metrics families and series, and the counts of
+#: the request mix in :class:`TestCountsSurface`, recorded from the
+#: tree in which each subsystem still kept its own counter struct.
+GOLDEN_SURFACE = Path(__file__).parent / "golden" / "service_surface.json"
+
+_SAMPLE = re.compile(r"^(\w+)(?:\{(.*)\})? (\S+)$")
+_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+
+
+def _key_paths(obj, prefix=""):
+    """Dotted path of every key of a nested dict, depth first."""
+    paths = []
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths.append(path)
+            paths.extend(_key_paths(value, path))
+    return paths
+
+
+def _exposition(text):
+    """A Prometheus document's families (name -> [TYPE, HELP]) and
+    samples (``name{label=value,...}`` -> value).  ``stage`` and ``le``
+    values are wildcarded: which stages ran depends on the process's
+    history, not on the request mix."""
+    families, samples = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            field, name, rest = line[2:].split(" ", 2)
+            entry = families.setdefault(name, [None, None])
+            entry[field == "HELP"] = rest
+            continue
+        name, labels, value = _SAMPLE.match(line).groups()
+        pairs = sorted(
+            f"{k}={'*' if k in ('stage', 'le') else v}"
+            for k, v in _LABEL.findall(labels or "")
+        )
+        series = f"{name}{{{','.join(pairs)}}}" if pairs else name
+        samples[series] = float(value)
+    return families, samples
+
+
+def _mix_counts(health):
+    """The counts a fixed request mix determines, from ``/healthz``."""
+    engine = health["engine"]
+    counts = {
+        key: engine[key] for key in (
+            "requests", "computed", "errors", "profiles_built",
+            "profiles_from_store", "predictions_run", "simulations_run",
+        )
+    }
+    counts["store_writes"] = engine["store"]["writes"]
+    counts["session_counters"] = engine["session"]["counters"]
+    counts["requests_served"] = health["requests_served"]
+    counts["loop_answered"] = health["admission"]["loop_answered"]
+    return counts
+
+
+class TestCountsSurface:
+    """Subsystem event counts live in :class:`repro.counters.Counters`
+    bags and reach ``/metrics`` through ``set_gauges``; the serving
+    surface is the one recorded before that move."""
+
+    def test_fixed_mix_matches_the_recorded_surface(self, tmp_path):
+        import repro.experiments.workqueue  # noqa: F401 (repro_work_*)
+        from repro.experiments.store import ProfileStore
+
+        golden = json.loads(GOLDEN_SURFACE.read_text())
+        engine = PredictionEngine(store=ProfileStore(tmp_path / "store"))
+        with BackgroundServer(engine=engine, workers=2) as server:
+            with ServiceClient(port=server.port) as c:
+                cold = c.predict("rodinia.nn", scale=SCALE)
+                assert c.predict("rodinia.nn", scale=SCALE) == cold
+                c.predict("rodinia.nn", cores=16, scale=SCALE)
+                c.sweep("rodinia.nn", scale=SCALE)
+                c.compare("rodinia.nn", scale=SCALE)
+                with pytest.raises(ServiceError) as bad:
+                    c.predict("rodinia.nn", config="nosuch", scale=SCALE)
+                assert bad.value.status == 400
+                health = c.healthz()
+                text = c.metrics()
+        assert _key_paths(health) == golden["healthz_paths"]
+        assert _mix_counts(health) == golden["counts"]
+        families, samples = _exposition(text)
+        assert sorted(samples) == golden["series"]
+        # The one HELP text set_gauges' formula changed: the work
+        # queue's gauges no longer end "in this process".
+        expected = {
+            name: [kind, help_.removesuffix(" in this process")]
+            for name, (kind, help_) in golden["families"].items()
+        }
+        assert families == expected
+        # Each projected gauge reads the count /healthz reports.
+        engine_health, session = health["engine"], health["engine"]["session"]
+        for prefix, snapshot in (
+            ("repro_engine", {
+                key: engine_health[key] for key in (
+                    "errors", "profiles_built", "profiles_from_store",
+                    "predictions_run", "simulations_run",
+                )
+            }),
+            ("repro_expand", session["expand_engine"]),
+            ("repro_ilp_kernel", session["ilp_kernel"]),
+            ("repro_store", engine_health["store"]),
+            ("repro_coalescer", health["coalescer"]),
+        ):
+            for name, value in snapshot.items():
+                if isinstance(value, (int, float)):
+                    assert samples[f"{prefix}_{name}"] == value, name
+        for kind in ("requests", "computed"):
+            for request_kind, n in engine_health[kind].items():
+                series = f"repro_engine_{kind}{{kind={request_kind}}}"
+                assert samples[series] == n
+
+
 class TestHitPath:
     """Result-cache hits are answered on the event loop from the cached
     body: no coalescer, no executor hop, the same counters a computed
@@ -899,8 +1016,8 @@ class TestHitPath:
             time.sleep(engine._GEN_CHECK_TTL_S)
             status, _, body = _raw_get(server.port, self.PREDICT)
         assert status == 200
-        assert engine.stats.invalidations == 1
-        assert engine.stats.computed["predict"] == 2
+        assert engine.health()["invalidations"] == 1
+        assert engine.health()["computed"]["predict"] == 2
         key = ServiceRequest("predict", "rodinia.nn", scale=SCALE).key()
         payload = engine.results.get(key).payload
         assert body == json.dumps(payload).encode() == first

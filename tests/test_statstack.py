@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.profiler.histogram import RDHistogram
-from repro.statstack.statstack import (
-    expected_stack_distances,
-    miss_rate,
-    miss_ratio_curve,
-)
+from repro.statstack.statstack import expected_stack_distances, miss_rate
 
 
 def hist_from(rds, cold=0, inval=0):
@@ -85,46 +81,6 @@ class TestMissRate:
         if mid > 0:
             rate = miss_rate(h, mid)
             assert 0.0 < rate <= 1.0
-
-
-class TestMissRatioCurve:
-    def test_curve_matches_pointwise(self):
-        h = hist_from([1, 10, 100, 1000] * 10, cold=4)
-        caps = np.array([8, 64, 512])
-        curve = miss_ratio_curve(h, caps)
-        assert list(curve) == [miss_rate(h, int(c)) for c in caps]
-
-    def test_vectorized_curve_bit_identical_randomized(self, rng):
-        """The single-pass curve equals the per-capacity scalar loop on
-        randomized integer-valued histograms (incl. dense capacity
-        sweeps spanning the whole SD range)."""
-        caps = np.unique(rng.integers(1, 10**7, size=300))
-        for _ in range(25):
-            rds = rng.integers(0, 10**6, size=rng.integers(1, 200))
-            h = hist_from(
-                rds,
-                cold=int(rng.integers(0, 500)),
-                inval=int(rng.integers(0, 50)),
-            )
-            vec = miss_ratio_curve(h, caps)
-            ref = np.array([miss_rate(h, int(c)) for c in caps])
-            assert np.array_equal(vec, ref)
-
-    def test_empty_histogram(self):
-        curve = miss_ratio_curve(RDHistogram(), np.array([1, 16]))
-        assert np.array_equal(curve, np.zeros(2))
-
-    def test_cold_only(self):
-        h = RDHistogram(cold=7)
-        caps = np.array([1, 100])
-        assert np.array_equal(
-            miss_ratio_curve(h, caps),
-            np.array([miss_rate(h, int(c)) for c in caps]),
-        )
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            miss_ratio_curve(hist_from([1, 2]), np.array([4, 0]))
 
 
 class TestAgainstExactLRU:
