@@ -23,6 +23,12 @@ recomputing.
 Keys are deterministic SHA-256 fingerprints of canonicalized
 structures — Python's salted ``hash()`` is useless across processes,
 which is exactly where the parallel pipeline needs stable keys.
+
+Three helpers carry all of :class:`ProfileStore`'s file handling:
+``_listing`` (the one race-tolerant directory listing, ``(path,
+stat)`` pairs), ``_sweep`` (the one aged-file unlink behind every
+prune) and ``_save``/``_load`` (the one schema envelope of the JSON
+and pickle kinds; traces keep their mmapped arena).
 """
 
 from __future__ import annotations
@@ -33,13 +39,15 @@ import json
 import mmap
 import os
 import pickle
+import stat
 import struct
 import tempfile
 import time
 from enum import Enum
+from fnmatch import fnmatchcase
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.counters import Counters
 from repro.lru import LRUCache
@@ -77,6 +85,10 @@ GENERATION_FILE = "GENERATION"
 #: the work queue (``queue/jobs|leases|done|events``) and the serving
 #: fleet's heartbeat files (``fleet/``).
 _NON_ARTIFACT_DIRS = frozenset({"quarantine", "queue", "fleet"})
+
+#: File suffixes of published artifacts (anything else in a kind
+#: directory is a writer's ``*.tmp`` or foreign debris).
+_ARTIFACT_SUFFIXES = (".json", ".pkl", ".arena")
 
 
 _INF = float("inf")
@@ -188,6 +200,14 @@ def default_root() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro"
+
+
+def _tally(entries: List[Tuple[Path, os.stat_result]]) -> Dict[str, int]:
+    """File count + byte total of one listing."""
+    return {
+        "artifacts": len(entries),
+        "bytes": sum(st.st_size for _, st in entries),
+    }
 
 
 class StoreCounters(Counters):
@@ -330,6 +350,35 @@ class ProfileStore:
     def _path(self, kind: str, key: str, ext: str) -> Path:
         return self.root / kind / f"{key}.{ext}"
 
+    @staticmethod
+    def _listing(
+        directory: Path, pattern: str = "*", dirs: bool = False
+    ) -> List[Tuple[Path, os.stat_result]]:
+        """``(path, stat)`` of each regular file (each subdirectory with
+        ``dirs``) in ``directory`` whose name matches the glob
+        ``pattern``, sorted by name.
+
+        Race tolerant: a missing or unreadable directory lists empty,
+        and an entry unlinked between the listing and its ``stat()``
+        (a concurrent writer, prune or claim) is skipped.
+        """
+        try:
+            paths = sorted(directory.iterdir(), key=lambda path: path.name)
+        except OSError:
+            return []
+        wanted = stat.S_ISDIR if dirs else stat.S_ISREG
+        out = []
+        for path in paths:
+            if not fnmatchcase(path.name, pattern):
+                continue
+            try:
+                st = path.stat()
+            except OSError:
+                continue
+            if wanted(st.st_mode):
+                out.append((path, st))
+        return out
+
     def list_keys(self, kind: str) -> list:
         """Keys of all persisted artifacts of one kind (best effort).
 
@@ -337,13 +386,10 @@ class ProfileStore:
         missing or unreadable kind directory is an empty store, not an
         error.
         """
-        try:
-            return sorted({
-                p.stem for p in (self.root / kind).iterdir()
-                if p.suffix in (".json", ".pkl", ".arena")
-            })
-        except OSError:
-            return []
+        return sorted({
+            path.stem for path, _ in self._listing(self.root / kind)
+            if path.suffix in _ARTIFACT_SUFFIXES
+        })
 
     def _read(self, path: Path) -> Optional[bytes]:
         """Raw artifact bytes, or ``None`` (missing file = plain miss,
@@ -353,12 +399,6 @@ class ProfileStore:
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.counters.bump("io_errors")
-            return None
-        try:
             return FAULTS.fire("store.read", data)
         except FileNotFoundError:
             return None
@@ -367,16 +407,15 @@ class ProfileStore:
             return None
 
     def _quarantine(self, path: Path, kind: str, reason: str) -> None:
-        """Move a bad artifact to ``<root>/quarantine/<kind>/``.
+        """Move a bad artifact to ``<root>/quarantine/<kind>/`` and count
+        it under ``reason`` (``corrupt`` or ``schema_stale``).
 
         The load still reports a miss (the caller recomputes and
         re-saves, healing the cache), but the evidence is preserved
         and counted instead of being re-read — and re-mistrusted —
         forever.
         """
-        self.counters.corruption(
-            "schema_stale" if reason == "schema" else "corrupt"
-        )
+        self.counters.corruption(reason)
         dest = self.root / "quarantine" / kind / path.name
         try:
             dest.parent.mkdir(parents=True, exist_ok=True)
@@ -391,25 +430,52 @@ class ProfileStore:
                 pass
             self.counters.bump("quarantine_failed")
 
-    def _load(self, kind: str, key: str, ext: str) -> Optional[dict]:
-        """Parsed, schema-checked artifact envelope (or ``None``)."""
+    def _save(
+        self, kind: str, key: str, ext: str, field: str, value: Any
+    ) -> Path:
+        """Publish ``value`` as ``field`` of a schema envelope (JSON for
+        ``ext == "json"``, else pickle)."""
+        path = self._path(kind, key, ext)
+        envelope = {"schema": SCHEMA_VERSION, field: value}
+        self._write(path, (
+            json.dumps(envelope).encode() if ext == "json"
+            else pickle.dumps(envelope)
+        ))
+        return path
+
+    def _load(
+        self, kind: str, key: str, ext: str, field: str,
+        decode: Callable[[Any], Any] = lambda value: value,
+    ) -> Optional[Any]:
+        """``decode(envelope[field])`` of a schema-checked envelope.
+
+        A missing file is a plain miss; an envelope that does not
+        parse, carries another schema or does not decode is
+        quarantined, and an intact load breaks the corruption streak.
+        """
         path = self._path(kind, key, ext)
         data = self._read(path)
         if data is None:
             return None
         try:
-            payload = (
+            envelope = (
                 json.loads(data) if ext == "json" else pickle.loads(data)
             )
-            if not isinstance(payload, dict):
+            if not isinstance(envelope, dict):
                 raise ValueError("artifact envelope is not a mapping")
         except Exception:
             self._quarantine(path, kind, "corrupt")
             return None
-        if payload.get("schema") != SCHEMA_VERSION:
-            self._quarantine(path, kind, "schema")
+        if envelope.get("schema") != SCHEMA_VERSION:
+            self._quarantine(path, kind, "schema_stale")
             return None
-        return payload
+        try:
+            value = decode(envelope[field])
+        except Exception:
+            self._quarantine(path, kind, "corrupt")
+            return None
+        self.counters.healthy_load()
+        return value
 
     def _write(self, path: Path, data: bytes) -> None:
         try:
@@ -484,56 +550,26 @@ class ProfileStore:
         finally:
             os.close(fd)
 
-    # -- profiles (JSON) ----------------------------------------------------
+    # -- profiles and ILP tables (JSON) -------------------------------------
 
     def save_profile(self, key: str, profile: WorkloadProfile) -> Path:
-        path = self._path("profiles", key, "json")
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "profile": profile.to_dict(),
-        }
-        self._write(path, json.dumps(payload).encode())
-        return path
+        return self._save(
+            "profiles", key, "json", "profile", profile.to_dict()
+        )
 
     def load_profile(self, key: str) -> Optional[WorkloadProfile]:
-        payload = self._load("profiles", key, "json")
-        if payload is None:
-            return None
-        try:
-            profile = WorkloadProfile.from_dict(payload["profile"])
-        except Exception:
-            self._quarantine(
-                self._path("profiles", key, "json"), "profiles", "corrupt"
-            )
-            return None
-        self.counters.healthy_load()
-        return profile
-
-    # -- ILP tables (JSON, content-addressed) -------------------------------
+        return self._load(
+            "profiles", key, "json", "profile", WorkloadProfile.from_dict
+        )
 
     def save_ilp_table(self, key: str, table: ILPTable) -> Path:
-        path = self._path("ilptables", key, "json")
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "table": table.to_dict(),
-        }
-        self._write(path, json.dumps(payload).encode())
-        return path
+        """ILP tables are content-addressed by micro-trace sample digest."""
+        return self._save("ilptables", key, "json", "table", table.to_dict())
 
     def load_ilp_table(self, key: str) -> Optional[ILPTable]:
-        payload = self._load("ilptables", key, "json")
-        if payload is None:
-            return None
-        try:
-            table = ILPTable.from_dict(payload["table"])
-        except Exception:
-            self._quarantine(
-                self._path("ilptables", key, "json"), "ilptables",
-                "corrupt",
-            )
-            return None
-        self.counters.healthy_load()
-        return table
+        return self._load(
+            "ilptables", key, "json", "table", ILPTable.from_dict
+        )
 
     # -- traces (raw-buffer arena, mmap-loaded) -----------------------------
 
@@ -565,14 +601,7 @@ class ProfileStore:
         """
         path = self._path("traces", key, "arena")
         try:
-            fh = open(path, "rb")
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.counters.bump("io_errors")
-            return None
-        try:
-            with fh:
+            with open(path, "rb") as fh:
                 # Error-type ``store.read`` faults apply to this path
                 # too (payload-mutation faults cannot touch a shared
                 # read-only mapping and pass through).
@@ -591,7 +620,7 @@ class ProfileStore:
         try:
             meta, trace = load_trace_arena(buf)
             if meta.get("schema") != SCHEMA_VERSION:
-                self._quarantine(path, "traces", "schema")
+                self._quarantine(path, "traces", "schema_stale")
                 return None
             trace.validate()
             if trace.content_digest() != meta.get("digest"):
@@ -605,37 +634,12 @@ class ProfileStore:
     # -- predictions / simulations (pickle) ---------------------------------
 
     def save_result(self, kind: str, key: str, result: Any) -> Path:
-        path = self._path(kind, key, "pkl")
-        payload = pickle.dumps(
-            {"schema": SCHEMA_VERSION, "result": result}
-        )
-        self._write(path, payload)
-        return path
+        return self._save(kind, key, "pkl", "result", result)
 
     def load_result(self, kind: str, key: str) -> Optional[Any]:
-        payload = self._load(kind, key, "pkl")
-        if payload is None:
-            return None
-        try:
-            result = payload["result"]
-        except KeyError:
-            self._quarantine(
-                self._path(kind, key, "pkl"), kind, "corrupt"
-            )
-            return None
-        self.counters.healthy_load()
-        return result
+        return self._load(kind, key, "pkl", "result")
 
     # -- inventory / garbage collection -------------------------------------
-
-    def _artifacts(self, kind: str) -> list:
-        try:
-            return sorted(
-                p for p in (self.root / kind).iterdir()
-                if p.suffix in (".json", ".pkl", ".arena")
-            )
-        except OSError:
-            return []
 
     def kinds(self) -> list:
         """Artifact kinds present under the store root.
@@ -645,32 +649,14 @@ class ProfileStore:
         are not artifact kinds — they are excluded here and reported
         separately by :meth:`stats` / :meth:`health`.
         """
-        try:
-            return sorted(
-                d.name for d in self.root.iterdir()
-                if d.is_dir() and d.name not in _NON_ARTIFACT_DIRS
-            )
-        except OSError:
-            return []
+        return [
+            path.name for path, _ in self._listing(self.root, dirs=True)
+            if path.name not in _NON_ARTIFACT_DIRS
+        ]
 
-    @staticmethod
-    def _dir_stats(directory: Path) -> Dict[str, int]:
-        """File count + byte total of one directory (race tolerant)."""
-        count = 0
-        nbytes = 0
-        try:
-            entries = list(directory.iterdir())
-        except OSError:
-            entries = []
-        for path in entries:
-            try:
-                if not path.is_file():
-                    continue
-                nbytes += path.stat().st_size
-            except OSError:
-                continue  # unlinked by a concurrent writer/prune
-            count += 1
-        return {"artifacts": count, "bytes": nbytes}
+    def _quarantine_dirs(self) -> List[Path]:
+        listing = self._listing(self.root / "quarantine", dirs=True)
+        return [qdir for qdir, _ in listing]
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-kind artifact counts and byte totals (best effort).
@@ -683,41 +669,31 @@ class ProfileStore:
         """
         out: Dict[str, Dict[str, int]] = {}
         for kind in self.kinds():
-            count = 0
-            nbytes = 0
-            for path in self._artifacts(kind):
-                try:
-                    nbytes += path.stat().st_size
-                except OSError:
-                    continue
-                count += 1
-            out[kind] = {"artifacts": count, "bytes": nbytes}
-        try:
-            qdirs = sorted(
-                d for d in (self.root / "quarantine").iterdir()
-                if d.is_dir()
-            )
-        except OSError:
-            qdirs = []
-        for qdir in qdirs:
-            out[f"quarantine/{qdir.name}"] = self._dir_stats(qdir)
-        for sub in ("jobs", "leases", "done", "events"):
-            qdir = self.root / "queue" / sub
-            if qdir.is_dir():
-                out[f"queue/{sub}"] = self._dir_stats(qdir)
-        fleet_dir = self.root / "fleet"
-        if fleet_dir.is_dir():
-            out["fleet"] = self._dir_stats(fleet_dir)
+            out[kind] = _tally([
+                entry for entry in self._listing(self.root / kind)
+                if entry[0].suffix in _ARTIFACT_SUFFIXES
+            ])
+        for qdir in self._quarantine_dirs():
+            out[f"quarantine/{qdir.name}"] = _tally(self._listing(qdir))
+        for name in (
+            "queue/jobs", "queue/leases", "queue/done", "queue/events",
+            "fleet",
+        ):
+            if (self.root / name).is_dir():
+                out[name] = _tally(self._listing(self.root / name))
         return out
 
     def health(self) -> Dict[str, Any]:
-        """Counter snapshot + quarantine inventory for ``/healthz``."""
+        """Counter snapshot + quarantine inventory for ``/healthz``.
+
+        Lists only the quarantine tree, so its cost does not grow with
+        the number of stored artifacts.
+        """
         out: Dict[str, Any] = self.counters.snapshot()
         out["generation"] = self.generation()
         out["quarantine"] = {
-            kind.split("/", 1)[1]: entry["artifacts"]
-            for kind, entry in self.stats().items()
-            if kind.startswith("quarantine/")
+            qdir.name: len(self._listing(qdir))
+            for qdir in self._quarantine_dirs()
         }
         return out
 
@@ -817,46 +793,24 @@ class ProfileStore:
         out: Dict[str, Dict[str, int]] = {}
         for kind in kinds if kinds is not None else self.kinds():
             if kind == "quarantine":
-                out[kind] = self._prune_tree(
-                    self.root / "quarantine", older_than_s, dry_run, now
-                )
-                continue
-            if kind == "queue":
+                out[kind] = self._sweep([
+                    entry for qdir in self._quarantine_dirs()
+                    for entry in self._listing(qdir)
+                ], older_than_s, dry_run, now)
+            elif kind == "queue":
                 out.update(self.prune_queue(
                     older_than_s=older_than_s, dry_run=dry_run
                 ))
-                continue
-            removed = 0
-            nbytes = 0
-            kind_dir = self.root / kind
-            try:
-                tmp_files = sorted(kind_dir.glob("*.tmp"))
-            except OSError:
-                tmp_files = []
-            for path in list(self._artifacts(kind)) + tmp_files:
-                orphan = path.suffix == ".tmp"
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue  # lost a race with a concurrent prune
-                if older_than_s is not None and (
-                    now - st.st_mtime
-                ) < older_than_s:
-                    continue
-                if stale_only and not orphan and self._artifact_schema(
-                    path
-                ) == SCHEMA_VERSION:
-                    continue
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except FileNotFoundError:
-                        continue  # a concurrent writer renamed it away
-                    except OSError:
-                        continue
-                removed += 1
-                nbytes += st.st_size
-            out[kind] = {"removed": removed, "bytes": nbytes}
+            else:
+                out[kind] = self._sweep([
+                    (path, st) for path, st in self._listing(self.root / kind)
+                    if path.name.endswith(".tmp") or (
+                        path.suffix in _ARTIFACT_SUFFIXES and not (
+                            stale_only and self._artifact_schema(path)
+                            == SCHEMA_VERSION
+                        )
+                    )
+                ], older_than_s, dry_run, now)
         # Queue debris is coordination state, not artifacts — sweeping
         # it invalidates nothing resident.
         if not dry_run and any(
@@ -894,100 +848,60 @@ class ProfileStore:
         now = time.time()
         qroot = self.root / "queue"
         out: Dict[str, Dict[str, int]] = {}
-
-        def _sweep(paths, min_age_s: float) -> Dict[str, int]:
-            removed = 0
-            nbytes = 0
-            for path in paths:
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
-                if (now - st.st_mtime) < min_age_s:
-                    continue
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                removed += 1
-                nbytes += st.st_size
-            return {"removed": removed, "bytes": nbytes}
-
-        try:
-            done = sorted((qroot / "done").glob("*.json"))
-        except OSError:
-            done = []
-        out["queue/done"] = _sweep(done, older_than_s or 0.0)
-
+        out["queue/done"] = self._sweep(
+            self._listing(qroot / "done", "*.json"),
+            older_than_s or 0.0, dry_run, now,
+        )
         # Orphaned leases: no pending job file shares the lease's key.
         # Job files are named ``p<priority>-<key>.json``.
-        try:
-            job_keys = {
-                p.stem.split("-", 1)[1]
-                for p in (qroot / "jobs").glob("*.json")
-                if "-" in p.stem
-            }
-        except OSError:
-            job_keys = set()
-        try:
-            leases = sorted((qroot / "leases").glob("*.lease"))
-        except OSError:
-            leases = []
-        orphans = [p for p in leases if p.stem not in job_keys]
+        job_keys = {
+            path.stem.split("-", 1)[1]
+            for path, _ in self._listing(qroot / "jobs", "*.json")
+            if "-" in path.stem
+        }
         # Never race an in-flight claim: a just-acquired lease whose
         # job file we happened to miss must age past a full lease
         # period (plus the caller's cutoff) before it is debris.
         min_age = max(older_than_s or 0.0, 60.0)
-        out["queue/leases"] = _sweep(orphans, min_age)
-
+        out["queue/leases"] = self._sweep([
+            (path, st)
+            for path, st in self._listing(qroot / "leases", "*.lease")
+            if path.stem not in job_keys
+        ], min_age, dry_run, now)
         # Crashed enqueuers leave ``*.tmp-<owner>-<pid>`` files next
         # to the real ones; sweep them behind the same age guard so a
         # live enqueue mid-rename is never raced.
-        tmp_files = []
-        for sub in ("jobs", "leases", "done", "events"):
-            try:
-                tmp_files.extend((qroot / sub).glob("*.tmp*"))
-            except OSError:
-                continue
-        out["queue/tmp"] = _sweep(sorted(tmp_files), min_age)
+        out["queue/tmp"] = self._sweep([
+            entry for sub in ("jobs", "leases", "done", "events")
+            for entry in self._listing(qroot / sub, "*.tmp*")
+        ], min_age, dry_run, now)
         return out
 
-    def _prune_tree(
-        self,
-        root: Path,
-        older_than_s: Optional[float],
+    @staticmethod
+    def _sweep(
+        entries: List[Tuple[Path, os.stat_result]],
+        min_age_s: Optional[float],
         dry_run: bool,
         now: float,
     ) -> Dict[str, int]:
-        """Sweep every file under ``root`` (quarantine evidence)."""
+        """Unlink each listed file at least ``min_age_s`` old (``None``:
+        any age) and count what went.
+
+        A file unlinked by someone else after the listing is skipped
+        and not counted; ``dry_run`` counts without unlinking.
+        """
         removed = 0
         nbytes = 0
-        try:
-            subdirs = [d for d in root.iterdir() if d.is_dir()]
-        except OSError:
-            subdirs = []
-        for directory in subdirs:
-            try:
-                entries = list(directory.iterdir())
-            except OSError:
+        for path, st in entries:
+            if min_age_s is not None and (now - st.st_mtime) < min_age_s:
                 continue
-            for path in entries:
+            if not dry_run:
                 try:
-                    st = path.stat()
+                    path.unlink()
                 except OSError:
                     continue
-                if older_than_s is not None and (
-                    now - st.st_mtime
-                ) < older_than_s:
-                    continue
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                removed += 1
-                nbytes += st.st_size
+            removed += 1
+            nbytes += st.st_size
         return {"removed": removed, "bytes": nbytes}
 
 

@@ -37,6 +37,7 @@ from repro.profiler.profile import WorkloadProfile
 from repro.profiler.profiler import profile_workload
 from repro.simulator.multicore import simulate
 from repro.simulator.results import SimulationResult
+from repro.workloads import parsec, rodinia
 from repro.workloads.ir import WorkloadTrace
 from repro.workloads.parsec import PARSEC, parsec_workload
 from repro.workloads.rodinia import RODINIA, rodinia_workload
@@ -62,6 +63,13 @@ class BenchmarkRef:
     @property
     def label(self) -> str:
         return f"{self.suite}.{self.name}"
+
+    @property
+    def seed(self) -> int:
+        """The workload seed :func:`build_workload` gives this benchmark
+        at every scale (a CRC of the label), without building a spec."""
+        suite = rodinia if self.suite == "rodinia" else parsec
+        return suite._seed_for(self.name)
 
 
 def rodinia_suite() -> List[BenchmarkRef]:

@@ -1,6 +1,6 @@
 """The one eviction policy of every in-process memo: :class:`LRUCache`.
 
-The serving engine's profile, result and seed maps, the session's
+The serving engine's profile and result maps, the session's
 trace, ILP-table, branch-statistics, segment-prep and Eq.-1 memos, the
 expansion engine's layout and image memos, the ILP kernel's workspaces,
 StatStack's curve memo and the debug trace ring are all this class, so

@@ -195,9 +195,6 @@ class PredictionEngine:
         #: request key -> CachedResult (payload + encoded body; both
         #: treated as immutable)
         self.results = LRUCache(MAX_RESULTS)
-        #: (label, scale) -> workload seed (pure function; bounded like
-        #: every other engine cache — the key is client-controlled)
-        self._seeds = LRUCache(4096)
         self._lock = threading.Lock()
         #: ``/healthz`` counts: requests and computations by request
         #: kind, and the engine's other events.  ``invalidations`` counts
@@ -252,29 +249,15 @@ class PredictionEngine:
         self._counts.bump("invalidations")
         self._profiles.clear()
         self.results.clear()
-        self._seeds.clear()
 
     # -- workload / profile resolution --------------------------------------
 
-    def _spec(self, ref: BenchmarkRef, scale: float):
-        spec = build_workload(ref, scale)
-        self._seeds.put((ref.label, scale), int(spec.seed))
-        return spec
-
-    def _seed(self, ref: BenchmarkRef, scale: float) -> int:
-        seed = self._seeds.get((ref.label, scale))
-        if seed is None:
-            seed = int(self._spec(ref, scale).seed)
-        return seed
-
     def _trace(self, ref: BenchmarkRef, scale: float):
         """Expanded trace via the engine-resident content-addressed LRU."""
-        return self.session.traces.get(self._spec(ref, scale))
+        return self.session.traces.get(build_workload(ref, scale))
 
     def profile_key(self, ref: BenchmarkRef, scale: float) -> str:
-        return ProfileStore.profile_key(
-            ref.label, self._seed(ref, scale), scale, self.chunk
-        )
+        return ProfileStore.profile_key(ref.label, ref.seed, scale, self.chunk)
 
     def profile(
         self, ref: BenchmarkRef, scale: float
@@ -440,17 +423,14 @@ class PredictionEngine:
         """The (key, profile) :meth:`profile` would return if it is
         resident, else ``None``.
 
-        Peeks at the seed and profile LRUs, counting nothing; never
-        builds a workload spec, reads the store or profiles.
+        Peeks at the profile LRU, counting nothing; never builds a
+        workload spec, reads the store or profiles.
         """
         try:
-            label = resolve_benchmark(benchmark).label
+            ref = resolve_benchmark(benchmark)
         except ValueError:
             return None
-        seed = self._seeds.peek((label, scale))
-        if seed is None:
-            return None
-        key = ProfileStore.profile_key(label, seed, scale, self.chunk)
+        key = self.profile_key(ref, scale)
         entry = self._profiles.peek(key)
         return None if entry is None else (key, entry[1])
 
@@ -552,8 +532,9 @@ class PredictionEngine:
         # Store health: quarantined artifacts, dropped writes, I/O
         # errors and the corruption streak — the error-budget inputs
         # (kept top-level so alerting needn't reach into the session).
+        # The session's block is the same store's: read it once.
         if self.store is not None:
-            stats["store"] = self.store.health()
+            stats["store"] = stats["session"]["store"]
         return stats
 
     # -- compute face (the coalescer's executor job) -------------------------

@@ -87,7 +87,6 @@ def _warm_fill(store, presets: Sequence[Tuple[str, float]]) -> int:
     worker's engine then finds it in the store.
     """
     from repro.experiments.workqueue import Job, WorkQueue
-    from repro.experiments.suites import build_workload
     from repro.experiments.store import ProfileStore
     from repro.service.engine import resolve_benchmark
 
@@ -95,10 +94,7 @@ def _warm_fill(store, presets: Sequence[Tuple[str, float]]) -> int:
     jobs = []
     for benchmark, scale in presets:
         ref = resolve_benchmark(benchmark)
-        spec = build_workload(ref, scale)
-        key = ProfileStore.profile_key(
-            ref.label, int(spec.seed), scale, 4096
-        )
+        key = ProfileStore.profile_key(ref.label, ref.seed, scale, 4096)
         if key in present:
             continue
         jobs.append(Job(

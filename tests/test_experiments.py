@@ -1,5 +1,7 @@
 """Tests for the experiment harness (paper tables and figures)."""
 
+import zlib
+
 import pytest
 
 from repro.experiments.accumulation import (
@@ -55,6 +57,12 @@ class TestSuites:
     def test_build_workload(self):
         w = build_workload(BenchmarkRef("rodinia", "hotspot"))
         assert w.name == "rodinia.hotspot"
+
+    @pytest.mark.parametrize("scale", [0.05, 0.25, 1.0, 2.0])
+    def test_seed_is_the_built_specs(self, scale):
+        for ref in full_suite():
+            assert build_workload(ref, scale).seed == ref.seed
+            assert ref.seed == zlib.crc32(ref.label.encode()) & 0x3FFFFFFF
 
     def test_cache_reuses_objects(self):
         cache = RunCache()

@@ -12,8 +12,10 @@ counter degradation into explicit alerts.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import time
+from pathlib import Path
 
 import pytest
 
@@ -265,15 +267,41 @@ class TestPruneRaces:
     ):
         key, path = _saved_profile(store, small_profile)
         ghost = store.root / "profiles" / ("f" * 64 + ".json")
-        real = ProfileStore._artifacts
-        monkeypatch.setattr(
-            ProfileStore, "_artifacts",
-            lambda self, kind: real(self, kind) + [ghost],
-        )
+        real = Path.iterdir
+
+        def iterdir(self):
+            yield from real(self)
+            if self == path.parent:
+                yield ghost
+
+        monkeypatch.setattr(Path, "iterdir", iterdir)
         # The ghost vanished between listing and stat: skipped, and
         # the real artifact is still swept.
         out = store.prune()
         assert out["profiles"]["removed"] == 1
+
+    def test_prune_skips_files_gone_before_unlink(
+        self, store, small_profile, monkeypatch
+    ):
+        _, path = _saved_profile(store, small_profile)
+        other = store.save_profile(
+            ProfileStore.profile_key("chaos", 2, 1.0, 4096), small_profile
+        )
+        size = path.stat().st_size
+        real = Path.stat
+
+        def stat(self, *args, **kwargs):
+            st = real(self, *args, **kwargs)
+            if self == other:
+                os.unlink(other)  # a concurrent prune won the race
+            return st
+
+        monkeypatch.setattr(Path, "stat", stat)
+        # ``other`` was listed and stat-ed, then vanished before its
+        # unlink: skipped and not counted, in files or bytes.
+        out = store.prune()
+        assert out["profiles"] == {"removed": 1, "bytes": size}
+        assert not path.exists() and not other.exists()
 
     def test_default_prune_preserves_quarantine(
         self, store, small_profile

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
@@ -319,3 +321,108 @@ class TestStatsAndPrune:
         self._populate(store, small_profile)
         removed = store.prune(older_than_s=3600.0)
         assert all(v["removed"] == 0 for v in removed.values())
+
+
+HOUR = 3600.0
+
+#: ``prune`` arguments -> the files of :meth:`TestPruneDryRun._fill` the
+#: sweep removes.  No age guard on artifact kinds without
+#: ``older_than_s`` (the future-dated artifact goes too); done markers
+#: age against ``older_than_s or 0``; orphan leases and enqueue temps
+#: must be at least ``max(older_than_s, 60)`` seconds old.
+PRUNES = {
+    "all": ({}, {"old", "young", "stale", "future", "orphan_tmp"}),
+    "stale_only": ({"stale_only": True}, {"stale", "orphan_tmp"}),
+    "older_than": ({"older_than_s": HOUR}, {"old", "stale", "orphan_tmp"}),
+    "quarantine": ({"kinds": ["quarantine"]}, {"evidence"}),
+    "queue": ({"kinds": ["queue"]}, {"done", "orphan_lease", "enqueue_tmp"}),
+}
+
+
+class TestPruneDryRun:
+    @staticmethod
+    def _file(path, age_s=0.0, data="{}"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if not path.exists():
+            path.write_text(data)
+        stamp = time.time() - age_s
+        os.utime(path, (stamp, stamp))
+        return path
+
+    def _fill(self, store, small_profile) -> dict:
+        """Every file of a store holding artifacts, quarantine evidence
+        and queue debris, by name."""
+        root = store.root
+
+        def profile(label, age_s):
+            key = ProfileStore.profile_key(label, 1, 1.0, 4096)
+            return self._file(store.save_profile(key, small_profile), age_s)
+
+        stale = profile("stale", 2 * HOUR)
+        envelope = json.loads(stale.read_text())
+        envelope["schema"] = SCHEMA_VERSION - 1
+        stale.write_text(json.dumps(envelope))
+        queue = root / "queue"
+        return {
+            "old": profile("old", 2 * HOUR),
+            "young": profile("young", 0.0),
+            "stale": self._file(stale, 2 * HOUR),
+            "future": self._file(
+                store.save_result("predictions", "f" * 64, {"cycles": 1}),
+                -HOUR,
+            ),
+            "orphan_tmp": self._file(
+                root / "profiles" / "k.json1a2b.tmp", 2 * HOUR, "partial"
+            ),
+            "evidence": self._file(
+                root / "quarantine" / "profiles" / "bad.json", 2 * HOUR
+            ),
+            "done": self._file(queue / "done" / "aged.json", 2 * HOUR),
+            "future_done": self._file(queue / "done" / "new.json", -HOUR),
+            "orphan_lease": self._file(
+                queue / "leases" / "dead.lease", 2 * HOUR
+            ),
+            "young_lease": self._file(queue / "leases" / "racing.lease"),
+            "enqueue_tmp": self._file(
+                queue / "jobs" / "p5-k.json.tmp-owner-1", 2 * HOUR
+            ),
+            "young_tmp": self._file(
+                queue / "events" / "e.json.tmp-owner-2"
+            ),
+            "job": self._file(queue / "jobs" / "p5-live.json"),
+            "live_lease": self._file(
+                queue / "leases" / "live.lease", 2 * HOUR
+            ),
+        }
+
+    @staticmethod
+    def _sizes(store) -> dict:
+        return {
+            path: path.stat().st_size for path in store.root.rglob("*")
+            if path.is_file() and path.name != "GENERATION"
+        }
+
+    @pytest.mark.parametrize("prune", sorted(PRUNES))
+    def test_dry_run_reports_what_the_sweep_removes(
+        self, store, small_profile, prune
+    ):
+        kwargs, removed = PRUNES[prune]
+        files = self._fill(store, small_profile)
+        before = self._sizes(store)
+        assert set(before) == set(files.values())
+
+        dry = store.prune(dry_run=True, **kwargs)
+        assert self._sizes(store) == before
+        assert store.generation() == 0
+
+        real = store.prune(**kwargs)
+        assert real == dry
+        gone = set(before) - set(self._sizes(store))
+        assert gone == {files[name] for name in removed}
+        assert sum(e["removed"] for e in real.values()) == len(gone)
+        assert sum(e["bytes"] for e in real.values()) == sum(
+            before[path] for path in gone
+        )
+        # Queue debris is coordination state: removing it alone
+        # invalidates nothing resident.
+        assert store.generation() == (0 if prune == "queue" else 1)

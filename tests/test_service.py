@@ -740,6 +740,45 @@ class TestObservability:
             assert series in text, f"missing {series}"
         assert _series_sum(text, "repro_store_writes") >= 1
 
+    def test_scrapes_never_walk_the_artifact_tree(
+        self, tmp_path, monkeypatch
+    ):
+        """``/healthz`` and ``/metrics`` read the store's quarantine
+        tree only: with 2,000 artifacts across kinds and
+        :meth:`ProfileStore.stats` made to raise, every scrape still
+        answers, and the engine and its session report the same
+        quarantine block."""
+        from repro.experiments.store import ProfileStore
+
+        store = ProfileStore(tmp_path / "s")
+        for kind, ext in (
+            ("profiles", "json"), ("ilptables", "json"),
+            ("traces", "arena"), ("predictions", "pkl"),
+        ):
+            (store.root / kind).mkdir(parents=True)
+            for i in range(500):
+                (store.root / kind / f"{i:064x}.{ext}").write_bytes(b"{}")
+        bad = "f" * 64
+        (store.root / "profiles" / f"{bad}.json").write_bytes(b"garbage")
+        assert store.load_profile(bad) is None  # quarantined
+        stats = store.stats()
+        assert sum(e["artifacts"] for e in stats.values()) == 2001
+        assert stats["quarantine/profiles"]["artifacts"] == 1
+
+        def walk(self):
+            raise AssertionError("a scrape walked the artifact tree")
+
+        monkeypatch.setattr(ProfileStore, "stats", walk)
+        engine = PredictionEngine(store=store)
+        health = engine.health()
+        assert health["store"]["quarantine"] == {"profiles": 1}
+        assert health["session"]["store"]["quarantine"] == {"profiles": 1}
+        with BackgroundServer(engine=engine, workers=2) as server:
+            for path in ("/healthz", "/metrics"):
+                status, _, body = _raw_get(server.port, path)
+                assert status == 200, body
+        assert 'repro_store_quarantine{kind="profiles"} 1' in body.decode()
+
     def test_healthz_derived_from_registry(self):
         """/healthz admission counters and /metrics render the same
         registry — no counter is double-sourced.  A dedicated server
