@@ -53,12 +53,16 @@ equivalence regression.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
+import re
+import socket
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlencode
 
 import numpy as np
 
@@ -175,7 +179,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20567,
+    "src_max_lines": 20842,
 }
 
 #: Interleaved on/off pairs the obs-overhead ceiling takes its median
@@ -210,7 +214,20 @@ SERVICE_FLOORS: Dict[str, float] = {
     "fleet_warm_rps": 6000.0,
     "fleet_min_cold_scaling_x": 0.6,
     "fleet_min_respawns": 1,
+    #: Ceiling, not floor: span tracing may add at most this fraction
+    #: to the server CPU of a hot ``/v1/predict`` (the median of
+    #: per-pair on/off ratios over SERVE_OBS_PAIRS pairs).  Nine runs
+    #: on a 2-vCPU host read +13.3 to +16.9 % (median +14.9 %; this is
+    #: that plus 3.1 points); the tracing before it, +20.6 to +23.6 %.
+    "obs_max_overhead": 0.18,
 }
+
+#: Interleaved on/off pairs of the serving obs-overhead ceiling, each
+#: run SERVE_OBS_REQUESTS hot ``/v1/predict`` round trips.  On one
+#: build, medians of 101 pairs read +13.4 to +17.5 %, of 201 pairs
+#: +13.3 to +16.9 %.
+SERVE_OBS_PAIRS = 201
+SERVE_OBS_REQUESTS = 100
 
 
 def _fleet_floor_scale(cpus: int) -> float:
@@ -461,17 +478,17 @@ def _interleaved(fn_a, fn_b, reps: int) -> Tuple[float, float]:
 
 
 def _paired_cpu_ratios(
-    fn_a, fn_b, pairs: int
+    fn_a, fn_b, pairs: int, clock: Callable[[], float] = time.process_time
 ) -> Tuple[List[float], float, float]:
     """Per-pair CPU-time ratios a / b of two competitors run back to
     back, plus the median CPU seconds of each.
 
-    ``time.process_time`` leaves out the time this process spends
-    descheduled, each run starts from a collected heap (so a full
-    garbage collection the other side's garbage triggered cannot land
-    in it), each ratio compares two runs made moments apart, and the
-    order alternates between pairs so neither side always runs first:
-    the median ratio then shrugs off a pair the host disturbed.
+    A CPU ``clock`` (``time.process_time`` by default) leaves out the
+    time spent descheduled, each run starts from a collected heap (so a
+    full garbage collection the other side's garbage triggered cannot
+    land in it), each ratio compares two runs made moments apart, and
+    the order alternates between pairs so neither side always runs
+    first: the median ratio then shrugs off a pair the host disturbed.
     """
     ratios: List[float] = []
     times_a: List[float] = []
@@ -480,9 +497,9 @@ def _paired_cpu_ratios(
         runs = [(fn_a, times_a), (fn_b, times_b)]
         for fn, times in runs if i % 2 == 0 else runs[::-1]:
             gc.collect()
-            t0 = time.process_time()
+            t0 = clock()
             fn()
-            times.append(time.process_time() - t0)
+            times.append(clock() - t0)
         ratios.append(times_a[-1] / times_b[-1])
     return ratios, float(np.median(times_a)), float(np.median(times_b))
 
@@ -864,6 +881,124 @@ def run_profiler_bench(
     return result
 
 
+_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length:\s*(\d+)", re.I)
+
+
+def _round_trips(sock: socket.socket, request: bytes, n: int) -> None:
+    """``n`` closed-loop round trips of ``request`` on one keep-alive
+    socket; raises unless every answer is a 200."""
+    buf = b""
+    for _ in range(n):
+        sock.sendall(request)
+        while (end := buf.find(b"\r\n\r\n")) < 0:
+            buf += _recv(sock)
+        head = buf[:end]
+        if not head.startswith(b"HTTP/1.1 200 "):
+            raise RuntimeError(f"hot request answered {head[:32]!r}")
+        total = end + 4 + int(_CONTENT_LENGTH.search(head).group(1))
+        while len(buf) < total:
+            buf += _recv(sock)
+        buf = buf[total:]
+
+
+def _recv(sock: socket.socket) -> bytes:
+    chunk = sock.recv(1 << 16)
+    if not chunk:
+        raise ConnectionError("the server closed the connection")
+    return chunk
+
+
+def _hot_client(port: int, request: bytes, conn) -> None:
+    """Client process of :func:`run_serving_obs_bench`: for each count
+    it receives, that many round trips on one keep-alive socket, then
+    ``None`` back (or the error, which ends it); ``None`` ends it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        while (n := conn.recv()) is not None:
+            try:
+                _round_trips(sock, request, n)
+            except Exception as exc:
+                conn.send(repr(exc))
+                return
+            conn.send(None)
+
+
+def run_serving_obs_bench(
+    pairs: int = SERVE_OBS_PAIRS,
+    requests: int = SERVE_OBS_REQUESTS,
+    scale: float = 0.5,
+) -> Dict:
+    """Server CPU per hot ``/v1/predict`` with span tracing on vs off.
+
+    An in-process server (memory-only engine) answers one predict,
+    sent closed loop over one keep-alive socket by a client process of
+    its own, which shares neither the interpreter lock nor the CPU
+    time measured.  Every timed request is a result-cache hit answered
+    on the event loop, so a run times the serving path plus the trace
+    a request records, by the loop thread's CPU clock
+    (:meth:`~repro.service.server.BackgroundServer.loop_cpu_s`).
+    """
+    import multiprocessing
+
+    from repro.service.engine import PredictionEngine
+    from repro.service.server import BackgroundServer
+
+    query = urlencode({"benchmark": "rodinia.nn", "scale": scale})
+    request = (
+        f"GET /v1/predict?{query} HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+    ).encode()
+    ctx = multiprocessing.get_context("spawn")
+    conn, child_conn = ctx.Pipe()
+    prev = obs_enabled()
+    engine = PredictionEngine(store=None)
+    with BackgroundServer(engine=engine, workers=1) as server:
+        client = ctx.Process(
+            target=_hot_client, args=(server.port, request, child_conn),
+            name="repro-obs-client", daemon=True,
+        )
+        client.start()
+
+        def round_trips(n: int) -> None:
+            conn.send(n)
+            error = conn.recv()
+            if error is not None:
+                raise RuntimeError(f"hot-request client failed: {error}")
+
+        def traced(on: bool):
+            def run() -> None:
+                set_obs_enabled(on)
+                round_trips(requests)
+            return run
+
+        try:
+            round_trips(requests)  # computes the answer, then warms
+            ratios, on_s, off_s = _paired_cpu_ratios(
+                traced(True), traced(False), pairs,
+                clock=server.loop_cpu_s,
+            )
+        finally:
+            set_obs_enabled(prev)
+            with contextlib.suppress(OSError):
+                conn.send(None)
+            client.join(timeout=30)
+            if client.is_alive():
+                client.kill()
+                client.join()
+    return {
+        "clock": "event-loop thread_time",
+        "endpoint": "/v1/predict",
+        "benchmark": "rodinia.nn",
+        "scale": scale,
+        "requests": requests,
+        "pairs": len(ratios),
+        "ratios": ratios,
+        "traced_us": on_s / requests * 1e6,
+        "untraced_us": off_s / requests * 1e6,
+        "overhead_frac": float(np.median(ratios)) - 1.0,
+        "max_overhead_frac": SERVICE_FLOORS["obs_max_overhead"],
+    }
+
+
 def run_service_bench(
     quick: bool = False,
     output: Optional[str] = "BENCH_service.json",
@@ -872,18 +1007,20 @@ def run_service_bench(
     scale: float = 0.5,
     overload: bool = True,
     fleet: bool = True,
+    obs: bool = True,
 ) -> Dict:
     """Measure warm-cache serving throughput AND overload behavior.
 
     Boots the asyncio HTTP server on an ephemeral port (memory-only
     engine, so the record reflects this build, not a previous run's
-    disk cache), drives it with the closed-loop load generator, runs
-    the chaos/overload scenarios (stampede, slow engine, kill
-    mid-burst) against dedicated servers, then the pre-fork fleet
-    sweep (aggregate rps at N=1/2/4 over a shared store + the
-    SIGKILL-respawn chaos scenario).  Writes the schema-3
-    ``BENCH_service.json`` record:
-    ``{"warm": ..., "overload": ..., "fleet": ...}``.
+    disk cache), drives it with the closed-loop load generator, times
+    the span-tracing overhead of a hot request
+    (:func:`run_serving_obs_bench`), runs the chaos/overload
+    scenarios (stampede, slow engine, kill mid-burst) against
+    dedicated servers, then the pre-fork fleet sweep (aggregate rps at
+    N=1/2/4 over a shared store + the SIGKILL-respawn chaos scenario).
+    Writes the schema-4 ``BENCH_service.json`` record:
+    ``{"warm": ..., "obs": ..., "overload": ..., "fleet": ...}``.
 
     The fleet sweep spawns real worker processes, so the caller's
     ``__main__`` module must be import-safe (pytest and ``python -m
@@ -909,6 +1046,7 @@ def run_service_bench(
         "schema": SERVICE_BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
         "warm": warm,
+        "obs": run_serving_obs_bench(scale=scale) if obs else {},
         "overload": (
             run_overload_scenarios(quick=quick, scale=scale)
             if overload else {}
@@ -967,6 +1105,20 @@ def check_service(record: Dict) -> List[str]:
             f"{SERVICE_FLOORS['max_error_rate']:.0%}"
         )
     failures.extend(_check_scenario("warm", warm))
+    obs = record.get("obs")
+    if obs:
+        if obs["pairs"] < SERVE_OBS_PAIRS:
+            failures.append(
+                f"serving obs overhead measured over {obs['pairs']} "
+                f"on/off pairs, fewer than {SERVE_OBS_PAIRS}"
+            )
+        if obs["overhead_frac"] > SERVICE_FLOORS["obs_max_overhead"]:
+            failures.append(
+                f"serving obs overhead {obs['overhead_frac']:+.1%} of "
+                f"server CPU per hot /v1/predict (median on/off ratio "
+                f"over {obs['pairs']} pairs) above committed ceiling "
+                f"{SERVICE_FLOORS['obs_max_overhead']:.0%}"
+            )
     for name, rec in record.get("overload", {}).items():
         failures.extend(_check_scenario(name, rec))
     stampede = record.get("overload", {}).get("stampede")
@@ -1065,6 +1217,15 @@ def render_service(record: Dict) -> str:
         f"({warm['single_flight_collapsed']} single-flight "
         f"collapses)",
     ]
+    obs = record.get("obs")
+    if obs:
+        lines.append(
+            f"  obs overhead (serve) : {obs['overhead_frac']:+.1%} "
+            f"server CPU per hot predict, traced vs REPRO_OBS=off "
+            f"({obs['traced_us']:.1f} vs {obs['untraced_us']:.1f} us, "
+            f"median of {obs['pairs']} paired ratios, ceiling "
+            f"{obs['max_overhead_frac']:.0%})"
+        )
     for name, rec in record.get("overload", {}).items():
         refused = (
             rec["shed"] + rec["unavailable"] + rec["malformed_shed"]

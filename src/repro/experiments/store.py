@@ -25,10 +25,12 @@ structures — Python's salted ``hash()`` is useless across processes,
 which is exactly where the parallel pipeline needs stable keys.
 
 Three helpers carry all of :class:`ProfileStore`'s file handling:
-``_listing`` (the one race-tolerant directory listing, ``(path,
-stat)`` pairs), ``_sweep`` (the one aged-file unlink behind every
-prune) and ``_save``/``_load`` (the one schema envelope of the JSON
-and pickle kinds; traces keep their mmapped arena).
+``_listing`` (the one race-tolerant directory listing: names, typed
+from the directory entries without a ``stat()`` each), ``_sweep`` (the
+one aged-file unlink behind every prune) and ``_save``/``_load`` (the
+one schema envelope of the JSON and pickle kinds; traces keep their
+mmapped arena).  Only the callers that read sizes or ages --
+``stats`` and the sweeps -- ``stat()`` what they list.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import json
 import mmap
 import os
 import pickle
-import stat
 import struct
 import tempfile
 import time
@@ -202,8 +203,21 @@ def default_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _tally(entries: List[Tuple[Path, os.stat_result]]) -> Dict[str, int]:
+def _stats(paths: List[Path]) -> List[Tuple[Path, os.stat_result]]:
+    """``(path, stat)`` of each listed file still there to ``stat()``
+    (one unlinked since the listing is skipped)."""
+    out = []
+    for path in paths:
+        try:
+            out.append((path, path.stat()))
+        except OSError:
+            continue
+    return out
+
+
+def _tally(paths: List[Path]) -> Dict[str, int]:
     """File count + byte total of one listing."""
+    entries = _stats(paths)
     return {
         "artifacts": len(entries),
         "bytes": sum(st.st_size for _, st in entries),
@@ -353,31 +367,38 @@ class ProfileStore:
     @staticmethod
     def _listing(
         directory: Path, pattern: str = "*", dirs: bool = False
-    ) -> List[Tuple[Path, os.stat_result]]:
-        """``(path, stat)`` of each regular file (each subdirectory with
-        ``dirs``) in ``directory`` whose name matches the glob
-        ``pattern``, sorted by name.
+    ) -> List[str]:
+        """Names of the regular files (the subdirectories with ``dirs``)
+        in ``directory`` that match the glob ``pattern``, sorted.
 
+        The entry type comes from the directory listing itself
+        (``os.scandir``), so listing costs no ``stat()`` per entry.
         Race tolerant: a missing or unreadable directory lists empty,
-        and an entry unlinked between the listing and its ``stat()``
-        (a concurrent writer, prune or claim) is skipped.
+        and a caller that stats an entry skips one unlinked since (a
+        concurrent writer, prune or claim).
         """
         try:
-            paths = sorted(directory.iterdir(), key=lambda path: path.name)
+            with os.scandir(directory) as listing:
+                entries = list(listing)
         except OSError:
             return []
-        wanted = stat.S_ISDIR if dirs else stat.S_ISREG
         out = []
-        for path in paths:
-            if not fnmatchcase(path.name, pattern):
+        for entry in entries:
+            name = entry.name
+            if pattern != "*" and not fnmatchcase(name, pattern):
                 continue
             try:
-                st = path.stat()
+                wanted = entry.is_dir() if dirs else entry.is_file()
             except OSError:
                 continue
-            if wanted(st.st_mode):
-                out.append((path, st))
+            if wanted:
+                out.append(name)
+        out.sort()
         return out
+
+    def _files(self, directory: Path, pattern: str = "*") -> List[Path]:
+        """:meth:`_listing`'s files as paths."""
+        return [directory / name for name in self._listing(directory, pattern)]
 
     def list_keys(self, kind: str) -> list:
         """Keys of all persisted artifacts of one kind (best effort).
@@ -387,8 +408,10 @@ class ProfileStore:
         error.
         """
         return sorted({
-            path.stem for path, _ in self._listing(self.root / kind)
-            if path.suffix in _ARTIFACT_SUFFIXES
+            stem for stem, ext in map(
+                os.path.splitext, self._listing(self.root / kind)
+            )
+            if ext in _ARTIFACT_SUFFIXES
         })
 
     def _read(self, path: Path) -> Optional[bytes]:
@@ -650,13 +673,13 @@ class ProfileStore:
         separately by :meth:`stats` / :meth:`health`.
         """
         return [
-            path.name for path, _ in self._listing(self.root, dirs=True)
-            if path.name not in _NON_ARTIFACT_DIRS
+            name for name in self._listing(self.root, dirs=True)
+            if name not in _NON_ARTIFACT_DIRS
         ]
 
     def _quarantine_dirs(self) -> List[Path]:
-        listing = self._listing(self.root / "quarantine", dirs=True)
-        return [qdir for qdir, _ in listing]
+        qroot = self.root / "quarantine"
+        return [qroot / name for name in self._listing(qroot, dirs=True)]
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-kind artifact counts and byte totals (best effort).
@@ -670,17 +693,17 @@ class ProfileStore:
         out: Dict[str, Dict[str, int]] = {}
         for kind in self.kinds():
             out[kind] = _tally([
-                entry for entry in self._listing(self.root / kind)
-                if entry[0].suffix in _ARTIFACT_SUFFIXES
+                path for path in self._files(self.root / kind)
+                if path.suffix in _ARTIFACT_SUFFIXES
             ])
         for qdir in self._quarantine_dirs():
-            out[f"quarantine/{qdir.name}"] = _tally(self._listing(qdir))
+            out[f"quarantine/{qdir.name}"] = _tally(self._files(qdir))
         for name in (
             "queue/jobs", "queue/leases", "queue/done", "queue/events",
             "fleet",
         ):
             if (self.root / name).is_dir():
-                out[name] = _tally(self._listing(self.root / name))
+                out[name] = _tally(self._files(self.root / name))
         return out
 
     def health(self) -> Dict[str, Any]:
@@ -781,7 +804,7 @@ class ProfileStore:
         swept from every visited kind regardless of ``stale_only`` —
         they are unreachable debris by construction.  The whole sweep
         tolerates concurrent writers: a file vanishing between
-        ``iterdir()`` and ``stat()``/``unlink()`` is skipped, not an
+        the listing and its ``stat()``/``unlink()`` is skipped, not an
         error.
 
         A sweep that actually removed artifacts bumps the store
@@ -794,8 +817,8 @@ class ProfileStore:
         for kind in kinds if kinds is not None else self.kinds():
             if kind == "quarantine":
                 out[kind] = self._sweep([
-                    entry for qdir in self._quarantine_dirs()
-                    for entry in self._listing(qdir)
+                    path for qdir in self._quarantine_dirs()
+                    for path in self._files(qdir)
                 ], older_than_s, dry_run, now)
             elif kind == "queue":
                 out.update(self.prune_queue(
@@ -803,7 +826,7 @@ class ProfileStore:
                 ))
             else:
                 out[kind] = self._sweep([
-                    (path, st) for path, st in self._listing(self.root / kind)
+                    path for path in self._files(self.root / kind)
                     if path.name.endswith(".tmp") or (
                         path.suffix in _ARTIFACT_SUFFIXES and not (
                             stale_only and self._artifact_schema(path)
@@ -849,14 +872,14 @@ class ProfileStore:
         qroot = self.root / "queue"
         out: Dict[str, Dict[str, int]] = {}
         out["queue/done"] = self._sweep(
-            self._listing(qroot / "done", "*.json"),
+            self._files(qroot / "done", "*.json"),
             older_than_s or 0.0, dry_run, now,
         )
         # Orphaned leases: no pending job file shares the lease's key.
         # Job files are named ``p<priority>-<key>.json``.
         job_keys = {
             path.stem.split("-", 1)[1]
-            for path, _ in self._listing(qroot / "jobs", "*.json")
+            for path in self._files(qroot / "jobs", "*.json")
             if "-" in path.stem
         }
         # Never race an in-flight claim: a just-acquired lease whose
@@ -864,22 +887,21 @@ class ProfileStore:
         # period (plus the caller's cutoff) before it is debris.
         min_age = max(older_than_s or 0.0, 60.0)
         out["queue/leases"] = self._sweep([
-            (path, st)
-            for path, st in self._listing(qroot / "leases", "*.lease")
+            path for path in self._files(qroot / "leases", "*.lease")
             if path.stem not in job_keys
         ], min_age, dry_run, now)
         # Crashed enqueuers leave ``*.tmp-<owner>-<pid>`` files next
         # to the real ones; sweep them behind the same age guard so a
         # live enqueue mid-rename is never raced.
         out["queue/tmp"] = self._sweep([
-            entry for sub in ("jobs", "leases", "done", "events")
-            for entry in self._listing(qroot / sub, "*.tmp*")
+            path for sub in ("jobs", "leases", "done", "events")
+            for path in self._files(qroot / sub, "*.tmp*")
         ], min_age, dry_run, now)
         return out
 
     @staticmethod
     def _sweep(
-        entries: List[Tuple[Path, os.stat_result]],
+        paths: List[Path],
         min_age_s: Optional[float],
         dry_run: bool,
         now: float,
@@ -887,12 +909,13 @@ class ProfileStore:
         """Unlink each listed file at least ``min_age_s`` old (``None``:
         any age) and count what went.
 
-        A file unlinked by someone else after the listing is skipped
-        and not counted; ``dry_run`` counts without unlinking.
+        A file unlinked by someone else after the listing, before its
+        ``stat()`` or its ``unlink()``, is skipped and not counted;
+        ``dry_run`` counts without unlinking.
         """
         removed = 0
         nbytes = 0
-        for path, st in entries:
+        for path, st in _stats(paths):
             if min_age_s is not None and (now - st.st_mtime) < min_age_s:
                 continue
             if not dry_run:

@@ -94,6 +94,11 @@ class StructLogger:
             line = " ".join(str(p) for p in parts)
         self._logger.log(level, line)
 
+    def debug_enabled(self) -> bool:
+        """True when :meth:`debug` lines are emitted, so a caller can
+        skip building their fields otherwise."""
+        return self._logger.isEnabledFor(logging.DEBUG)
+
     def debug(self, event: str, **fields: Any) -> None:
         self._log(logging.DEBUG, event, **fields)
 

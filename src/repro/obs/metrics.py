@@ -30,6 +30,7 @@ into each other.  ``render_registries`` concatenates both for the
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -113,20 +114,28 @@ class _Family:
         raise NotImplementedError
 
     def labels(self, **kwargs: object) -> "_Family":
-        if tuple(sorted(kwargs)) != tuple(sorted(self.label_names)):
+        names = self.label_names
+        try:
+            key = tuple([str(kwargs[n]) for n in names])
+        except KeyError:
+            key = None
+        if key is None or len(kwargs) != len(names):
             raise ValueError(
-                f"metric {self.name!r} takes labels {self.label_names}, "
+                f"metric {self.name!r} takes labels {names}, "
                 f"got {tuple(sorted(kwargs))}"
             )
-        key = tuple(str(kwargs[n]) for n in self.label_names)
         child = self._children.get(key)
         if child is None:
             with self._lock:
                 child = self._children.get(key)
                 if child is None:
-                    child = type(self)(self.name, self.help)
+                    child = self._child()
                     self._children[key] = child
         return child
+
+    def _child(self) -> "_Family":
+        """A fresh unlabelled leaf of this family."""
+        return type(self)(self.name, self.help)
 
     def _samples(self) -> List[Tuple[Tuple[str, ...], "_Family"]]:
         """(label-values, leaf) pairs; the leaf holds the state."""
@@ -216,42 +225,24 @@ class Histogram(_Family):
     def _init_state(self) -> None:
         self._counts = [0] * (len(self._buckets) + 1)  # +1 for +Inf
         self._sum = 0.0
-        self._count = 0
 
-    def labels(self, **kwargs: object) -> "Histogram":
-        if tuple(sorted(kwargs)) != tuple(sorted(self.label_names)):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {self.label_names}, "
-                f"got {tuple(sorted(kwargs))}"
-            )
-        key = tuple(str(kwargs[n]) for n in self.label_names)
-        child = self._children.get(key)
-        if child is None:
-            with self._lock:
-                child = self._children.get(key)
-                if child is None:
-                    child = Histogram(self.name, self.help, buckets=self._buckets)
-                    self._children[key] = child
-        return child  # type: ignore[return-value]
+    def _child(self) -> "Histogram":
+        return Histogram(self.name, self.help, buckets=self._buckets)
 
     def observe(self, value: float) -> None:
-        idx = len(self._buckets)
-        for i, bound in enumerate(self._buckets):
-            if value <= bound:
-                idx = i
-                break
+        # The first bucket whose bound is >= value; past the last, +Inf.
+        idx = bisect_left(self._buckets, value)
         with self._lock:
             self._counts[idx] += 1
             self._sum += value
-            self._count += 1
 
     def _render_sample(self, name, names, values):
         lines = []
         cumulative = 0
         with self._lock:
             counts = list(self._counts)
-            total = self._count
             total_sum = self._sum
+        total = sum(counts)
         bounds = [*self._buckets, _INF]
         for bound, n in zip(bounds, counts):
             cumulative += n
@@ -347,7 +338,7 @@ class MetricsRegistry:
                 key = ",".join(values) if values else ""
                 if isinstance(leaf, Histogram):
                     samples[key] = {
-                        "count": leaf._count,
+                        "count": sum(leaf._counts),
                         "sum": leaf._sum,
                         "buckets": dict(
                             zip(

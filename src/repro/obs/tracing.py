@@ -9,6 +9,8 @@ went.
 
 Propagation rules:
 
+- the server opens each request's trace with :class:`root_span`, its
+  ``route`` span, which makes the trace current for its extent;
 - within one thread / one asyncio task tree, the active trace flows
   through a :mod:`contextvars` variable (``asyncio.ensure_future``
   copies the context at task creation, so the server's admission task
@@ -18,26 +20,39 @@ Propagation rules:
   ``ServiceRequest.trace`` field and re-activates it explicitly via
   :func:`activate`/:func:`deactivate` around ``handle()``.
 
+Recording is split from reading, because nearly every trace is
+recorded and almost none is read (the ring keeps the last 256).  A
+span exit appends one raw
+``(span_id, parent_id, name, start, duration, attrs)`` tuple to its
+trace; the rounded, sorted span dicts of ``/v1/debug/trace/<id>`` are
+built only by :meth:`Trace.to_dict`.  Attributes that are not
+``str``/``int``/``float``/``bool`` are still turned into ``str()`` at
+record time, so a trace reads what the stage saw.
+
+A trace is written from the event loop and from engine threads at
+once, without a lock: span ids come from an ``itertools.count`` whose
+``next()`` is one C call (atomic under the GIL), and a span is one
+``list.append``, also atomic; a reader copies the list before it
+walks it.  So ids stay unique and no span is lost or torn.
+
 Telemetry is best-effort by construction: the emit path fires the
 ``obs.emit`` chaos fault point first and swallows every exception —
 a broken metrics sink increments a drop counter, never fails a
-request.  ``REPRO_OBS=off`` (or :func:`set_enabled`) turns ``span``
-into a bare ``yield`` for overhead measurement.
+request.  ``REPRO_OBS=off`` (or :func:`set_enabled`) makes ``span``
+do nothing at all, for overhead measurement.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
-import threading
 import time
-import uuid
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.counters import Counters
 from repro.lru import LRUCache
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Histogram
 from repro.testing.faults import FAULTS
 
 __all__ = [
@@ -45,6 +60,7 @@ __all__ = [
     "TraceRing",
     "TRACE_RING",
     "span",
+    "root_span",
     "new_trace",
     "new_request_id",
     "activate",
@@ -79,6 +95,10 @@ STAGE_SECONDS = REGISTRY.histogram(
     labels=("stage",),
 )
 
+#: One ``STAGE_SECONDS`` child per stage name, so a span exit is one
+#: dict lookup away from its histogram instead of a ``labels()`` call.
+_STAGES: Dict[str, Histogram] = {}
+
 _DROPPED = Counters("emits")
 
 
@@ -101,41 +121,39 @@ REGISTRY.register_collector("obs", _collect_obs)
 
 
 def new_request_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """A fresh request id: 16 lowercase hex characters."""
+    return os.urandom(8).hex()
+
+
+_time = time.time
+_perf_counter = time.perf_counter
+
+#: Attribute types a span records as they are; others become ``str()``.
+_SCALARS = (str, int, float, bool)
+_SCALAR_TYPES = frozenset(_SCALARS)
+
+#: One recorded span: (span_id, parent_id, name, start, duration, attrs),
+#: times in ``perf_counter`` seconds.
+SpanRecord = Tuple[int, Optional[int], str, float, float, Dict[str, Any]]
 
 
 class Trace:
     """Spans recorded for one request, id-addressable in the ring."""
 
-    __slots__ = (
-        "trace_id",
-        "started_unix_s",
-        "_perf0",
-        "_lock",
-        "_next",
-        "spans",
-        "status",
-        "route",
-        "method",
-        "duration_ms",
-    )
+    __slots__ = ("trace_id", "started_unix_s", "_perf0", "_ids", "spans",
+                 "status", "route", "method", "_end")
 
     def __init__(self, trace_id: Optional[str] = None):
         self.trace_id = trace_id or new_request_id()
-        self.started_unix_s = time.time()
-        self._perf0 = time.perf_counter()
-        self._lock = threading.Lock()
-        self._next = 0
-        self.spans: List[Dict[str, Any]] = []
+        self.started_unix_s = _time()
+        self._perf0 = _perf_counter()
+        self._ids = itertools.count(1)
+        #: Raw records in completion order; :meth:`to_dict` formats them.
+        self.spans: List[SpanRecord] = []
         self.status: Optional[int] = None
         self.route: Optional[str] = None
         self.method: Optional[str] = None
-        self.duration_ms: Optional[float] = None
-
-    def next_span_id(self) -> int:
-        with self._lock:
-            self._next += 1
-            return self._next
+        self._end: Optional[float] = None
 
     def record(
         self,
@@ -146,20 +164,14 @@ class Trace:
         duration_s: float,
         attrs: Dict[str, Any],
     ) -> None:
-        entry = {
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": name,
-            "start_ms": round((start_perf - self._perf0) * 1e3, 3),
-            "duration_ms": round(duration_s * 1e3, 3),
-        }
-        if attrs:
-            entry["attrs"] = {
-                k: v if isinstance(v, (str, int, float, bool)) else str(v)
+        if not _SCALAR_TYPES.issuperset(map(type, attrs.values())):
+            attrs = {
+                k: v if isinstance(v, _SCALARS) else str(v)
                 for k, v in attrs.items()
             }
-        with self._lock:
-            self.spans.append(entry)
+        self.spans.append(
+            (span_id, parent_id, name, start_perf, duration_s, attrs)
+        )
 
     def finish(
         self,
@@ -167,14 +179,32 @@ class Trace:
         route: Optional[str] = None,
         method: Optional[str] = None,
     ) -> None:
+        self._end = _perf_counter()
         self.status = status
         self.route = route
         self.method = method
-        self.duration_ms = round((time.perf_counter() - self._perf0) * 1e3, 3)
+
+    @property
+    def duration_ms(self) -> Optional[float]:
+        """Milliseconds from creation to :meth:`finish` (``None`` before)."""
+        end = self._end
+        return None if end is None else round((end - self._perf0) * 1e3, 3)
 
     def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            spans = sorted(self.spans, key=lambda s: (s["start_ms"], s["span_id"]))
+        perf0 = self._perf0
+        spans = []
+        for span_id, parent_id, name, start, duration, attrs in list(self.spans):
+            entry = {
+                "span_id": span_id,
+                "parent_id": parent_id,
+                "name": name,
+                "start_ms": round((start - perf0) * 1e3, 3),
+                "duration_ms": round(duration * 1e3, 3),
+            }
+            if attrs:
+                entry["attrs"] = dict(attrs)
+            spans.append(entry)
+        spans.sort(key=lambda s: (s["start_ms"], s["span_id"]))
         return {
             "trace_id": self.trace_id,
             "started_unix_s": self.started_unix_s,
@@ -251,48 +281,86 @@ def current_request_id() -> Optional[str]:
     return trace.trace_id if trace is not None else None
 
 
-def _emit(
-    name: str,
-    trace: Optional[Trace],
-    span_id: Optional[int],
-    parent_id: Optional[int],
-    start_perf: float,
-    duration_s: float,
-    attrs: Dict[str, Any],
-) -> None:
-    try:
-        FAULTS.fire("obs.emit")
-        STAGE_SECONDS.labels(stage=name).observe(duration_s)
-        if trace is not None and span_id is not None:
-            trace.record(span_id, parent_id, name, start_perf, duration_s, attrs)
-    except Exception:
-        _DROPPED.bump("emits")
+def _stage(name: str) -> Histogram:
+    stage = _STAGES[name] = STAGE_SECONDS.labels(stage=name)
+    return stage
 
 
-@contextmanager
-def span(name: str, **attrs: Any):
+class span:
     """Time a pipeline stage; record to histogram + active trace.
 
-    No-op (bare yield) when instrumentation is disabled.  Never raises
-    from the telemetry path itself.
+    ``with span("stage", **attrs):`` -- does nothing when
+    instrumentation is disabled at entry, and never raises from the
+    telemetry path itself.
     """
-    if not _enabled:
-        yield None
-        return
-    ctx = _CTX.get()
-    token = None
-    trace: Optional[Trace] = None
-    span_id: Optional[int] = None
-    parent_id: Optional[int] = None
-    if ctx is not None:
-        trace, parent_id = ctx
-        span_id = trace.next_span_id()
-        token = _CTX.set((trace, span_id))
-    start = time.perf_counter()
-    try:
-        yield None
-    finally:
-        duration = time.perf_counter() - start
-        if token is not None:
-            _CTX.reset(token)
-        _emit(name, trace, span_id, parent_id, start, duration, attrs)
+
+    __slots__ = ("name", "attrs", "trace", "span_id", "parent_id", "token",
+                 "start")
+
+    def __init__(self, name: str, **attrs: Any) -> None:
+        self.name = name
+        self.attrs = attrs
+
+    def __enter__(self) -> None:
+        if not _enabled:
+            self.start = None
+            return None
+        ctx = _CTX.get()
+        if ctx is None:
+            self.trace = None
+        else:
+            trace, self.parent_id = ctx
+            self.trace = trace
+            self.span_id = span_id = next(trace._ids)
+            self.token = _CTX.set((trace, span_id))
+        self.start = _perf_counter()
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        start = self.start
+        if start is None:
+            return False
+        duration = _perf_counter() - start
+        trace = self.trace
+        if trace is not None:
+            _CTX.reset(self.token)
+        try:
+            FAULTS.fire("obs.emit")
+            (_STAGES.get(self.name) or _stage(self.name)).observe(duration)
+            if trace is not None:
+                trace.record(
+                    self.span_id, self.parent_id, self.name, start,
+                    duration, self.attrs,
+                )
+        except Exception:
+            _DROPPED.bump("emits")
+        return False
+
+
+class root_span(span):
+    """``trace``'s top-level span, with ``trace`` the current trace for
+    the span's extent: :func:`activate`, :class:`span` and
+    :func:`deactivate` in one context switch.  A ``None`` trace gives a
+    span outside any trace.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self, trace: Optional[Trace], name: str, **attrs: Any
+    ) -> None:
+        self.name = name
+        self.attrs = attrs
+        self.trace = trace
+
+    def __enter__(self) -> None:
+        if not _enabled:
+            self.start = None
+            return None
+        trace = self.trace
+        if trace is not None:
+            self.parent_id = None
+            self.span_id = span_id = next(trace._ids)
+            self.token = _CTX.set((trace, span_id))
+        self.start = _perf_counter()
+        return None

@@ -23,11 +23,12 @@ dispatch, slice loads, chain depth) is a single ``np.take`` driven by
 index tables precomputed once per batch, invalid/out-of-reach lookups
 are redirected to an all-zero sentinel row instead of masked with
 ``np.where``, and every per-step result lands in a preallocated
-scratch row (``out=`` throughout) — :data:`DISPATCHES_PER_STEP` NumPy
-dispatches per instruction step and **zero per-step allocations**
-(regression-tested).  Chunk flushes and branch accumulation are
-integer-valued, so they move out of the loop entirely and are reduced
-exactly after it.
+scratch row (``out=`` throughout; a gather writes a row of its own,
+never one of the history it reads, or NumPy would copy through a
+temporary) — :data:`DISPATCHES_PER_STEP` NumPy dispatches per
+instruction step and **zero per-step allocations** (regression-tested).
+Chunk flushes and branch accumulation are integer-valued, so they move
+out of the loop entirely and are reduced exactly after it.
 
 On top of the kernel, :func:`batch_scoreboard_pools` mega-batches an
 entire suite: the samples of *many* pools are stacked into one
@@ -137,17 +138,19 @@ class _Workspace:
 
     __slots__ = (
         "key", "nbytes", "steps", "comp", "commit", "disp_buf",
+        "gather_buf", "gather_rows", "aux_buf",
         "slice_hist", "chain_hist", "comp2d", "commit_cells",
         "slice2d", "chain2d", "prod_rows", "valid_t", "bool_ns",
         "lat_steps", "disp_idx", "imod", "reach", "chunk", "bool3",
-        "load_step", "comp_rows", "comp_grids", "commit_rows",
+        "load_step", "comp_grids", "commit_rows",
         "lat_rows", "prod_list", "disp_list", "reach_list",
         "chunk_list", "srow_list", "hrow_list", "load_list",
     )
 
     #: Attributes owning distinct array storage (views excluded).
     _BUFFERS = (
-        "comp", "commit", "disp_buf", "slice_hist", "chain_hist",
+        "comp", "commit", "disp_buf", "gather_buf", "aux_buf",
+        "slice_hist", "chain_hist",
         "prod_rows", "valid_t", "bool_ns", "lat_steps", "disp_idx",
         "imod", "reach", "chunk", "bool3", "load_step",
     )
@@ -166,6 +169,11 @@ class _Workspace:
         self.comp2d = self.comp.reshape((n + 1) * s, w * lats)
         self.commit_cells = self.commit.reshape((n + 1) * s * w, lats)
         self.disp_buf = np.empty((s, w, lats))
+        # Gathers land here, never in the history they read: NumPy
+        # would copy through a temporary for an ``out=`` that may share
+        # memory with the source.  The next ufunc writes the history.
+        self.gather_buf = np.empty((s, w, lats))
+        self.gather_rows = self.gather_buf.reshape(s, w * lats)
 
         # Dispatch index table: static — commit row i - w + 1 (row 0
         # while the window has not filled), at cell (row, s, w).
@@ -197,11 +205,12 @@ class _Workspace:
             self.chunk = np.empty((n, s, w))
             self.bool3 = np.empty((n, s, w), dtype=bool)
             self.load_step = np.empty((n, s, 1))
+            self.aux_buf = np.empty((s, w))
         else:
             self.slice_hist = self.chain_hist = None
             self.slice2d = self.chain2d = None
             self.imod = self.reach = self.chunk = None
-            self.bool3 = self.load_step = None
+            self.bool3 = self.load_step = self.aux_buf = None
 
         self.nbytes = sum(
             buf.nbytes
@@ -211,9 +220,6 @@ class _Workspace:
 
         # Per-step row views, materialized once: the loop body then
         # performs no indexing-driven allocation at all.
-        self.comp_rows = [
-            self.comp[i].reshape(s, w * lats) for i in range(n)
-        ]
         self.comp_grids = list(self.comp[:n])
         self.commit_rows = list(self.commit)
         self.lat_rows = list(self.lat_steps)
@@ -402,7 +408,8 @@ def batch_scoreboard(
     # no indexing-driven allocation, only ``out=`` dispatches.  Bound
     # ``.take`` methods skip the ``np.take`` wrapper, measurable at
     # ~3.5k gathers per advance.
-    comp_rows = ws.comp_rows
+    gather_rows = ws.gather_rows
+    gather_buf = ws.gather_buf
     comp_grids = ws.comp_grids
     commit_rows = ws.commit_rows
     lat_rows = ws.lat_rows
@@ -421,24 +428,25 @@ def batch_scoreboard(
         load_list = ws.load_list
         take_slice = ws.slice2d.take
         take_chain = ws.chain2d.take
+        aux_buf = ws.aux_buf
 
     for i in range(N):
         grid = comp_grids[i]
         # comp[i] = max(producer completion, dispatch bound) + latency
-        take_comp(prod_list[i], axis=0, out=comp_rows[i], mode="clip")
+        take_comp(prod_list[i], axis=0, out=gather_rows, mode="clip")
         take_commit(disp_list[i], axis=0, out=disp_buf, mode="clip")
-        maximum(grid, disp_buf, out=grid)
+        maximum(gather_buf, disp_buf, out=grid)
         add(grid, lat_rows[i], out=grid)
         # commit[i] = max(commit[i - 1], comp[i]) (in-order commit)
         maximum(commit_rows[i], grid, out=commit_rows[i + 1])
         if aux:
             srow = srow_list[i]
-            take_slice(prod_list[i], axis=0, out=srow, mode="clip")
-            multiply(srow, reach_list[i], out=srow)
+            take_slice(prod_list[i], axis=0, out=aux_buf, mode="clip")
+            multiply(aux_buf, reach_list[i], out=srow)
             add(srow, load_list[i], out=srow)
             hrow = hrow_list[i]
-            take_chain(prod_list[i], axis=0, out=hrow, mode="clip")
-            multiply(hrow, chunk_list[i], out=hrow)
+            take_chain(prod_list[i], axis=0, out=aux_buf, mode="clip")
+            multiply(aux_buf, chunk_list[i], out=hrow)
             add(hrow, load_list[i], out=hrow)
 
     per_step = DISPATCHES_PER_STEP if aux else CORE_DISPATCHES_PER_STEP

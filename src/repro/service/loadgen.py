@@ -50,7 +50,10 @@ from repro.service.client import (
 #: rps at N=1/2/4 under warm and cold-mix profiles, scaling ratios, a
 #: SIGKILL-respawn chaos record) and the host ``cpus`` the scaling
 #: floors derate by.
-SERVICE_BENCH_SCHEMA = 3
+#: 4: the ``obs`` section -- server CPU per hot ``/v1/predict`` with
+#: span tracing on vs off over interleaved pairs (``pairs``,
+#: ``ratios``, ``overhead_frac``), gated by ``bench --check``.
+SERVICE_BENCH_SCHEMA = 4
 
 _OUTCOMES = (
     "ok",

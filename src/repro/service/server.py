@@ -75,7 +75,7 @@ import signal
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
@@ -91,12 +91,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import (
     TRACE_RING,
-    activate,
+    Trace,
     current_trace,
-    deactivate,
     enabled as obs_enabled,
     new_request_id,
-    new_trace,
+    root_span,
 )
 from repro.service.batching import Coalescer
 from repro.service.engine import (
@@ -224,8 +223,8 @@ class PredictionService:
             labels=("worker",),
         )
         # Label children are bound once (route/status ones on first
-        # use): ``labels()`` sorts its kwargs twice per call, too dear
-        # for every request.
+        # use): a dict lookup per request instead of a ``labels()``
+        # call.
         self._worker_label = str(self.worker_id)
         self._m_served_here = self._m_worker_requests.labels(
             worker=self._worker_label
@@ -573,22 +572,18 @@ class PredictionService:
                 request_id = (
                     headers.get("x-request-id") or new_request_id()
                 )
-                trace = new_trace(request_id) if obs_enabled() else None
+                trace = Trace(request_id) if obs_enabled() else None
                 started = time.perf_counter()
                 self._active_requests += 1
                 try:
-                    # A computation's admission task inherits the
-                    # activated trace via contextvars (ensure_future
-                    # copies the context).
-                    token = activate(trace)
-                    try:
-                        with span("route", method=method, path=path):
-                            routed = await self._dispatch(
-                                reader, writer, method, path,
-                                parts.query, headers, body,
-                            )
-                    finally:
-                        deactivate(token)
+                    # The trace is current inside its root span, so a
+                    # computation's admission task inherits it via
+                    # contextvars (ensure_future copies the context).
+                    with root_span(trace, "route", method=method, path=path):
+                        routed = await self._dispatch(
+                            reader, writer, method, path,
+                            parts.query, headers, body,
+                        )
                     if routed is None:
                         break  # client went away mid-request
                     status, payload, extra = routed
@@ -608,16 +603,17 @@ class PredictionService:
                             status=status, route=path, method=method
                         )
                         TRACE_RING.put(trace)
-                    _log.debug(
-                        "http.request",
-                        request_id=request_id,
-                        method=method,
-                        route=path,
-                        status=status,
-                        duration_ms=round(
-                            (time.perf_counter() - started) * 1e3, 3
-                        ),
-                    )
+                    if _log.debug_enabled():
+                        _log.debug(
+                            "http.request",
+                            request_id=request_id,
+                            method=method,
+                            route=path,
+                            status=status,
+                            duration_ms=round(
+                                (time.perf_counter() - started) * 1e3, 3
+                            ),
+                        )
                 finally:
                     self._active_requests -= 1
                 if not keep:
@@ -1067,6 +1063,15 @@ class BackgroundServer:
             await self._stop.wait()
         finally:
             await self.service.stop(drain=self._drain_on_stop)
+
+    def loop_cpu_s(self) -> float:
+        """CPU seconds the event-loop thread has run so far
+        (``time.thread_time`` read on that thread)."""
+        done: Future = Future()
+        self._loop.call_soon_threadsafe(
+            lambda: done.set_result(time.thread_time())
+        )
+        return done.result(timeout=self.join_timeout)
 
     def stop(self, drain: bool = True) -> None:
         """Stop the server thread (graceful drain unless ``drain=False``)."""

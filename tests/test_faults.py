@@ -11,6 +11,7 @@ counter degradation into explicit alerts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -267,16 +268,19 @@ class TestPruneRaces:
     ):
         key, path = _saved_profile(store, small_profile)
         ghost = store.root / "profiles" / ("f" * 64 + ".json")
-        real = Path.iterdir
+        ghost.write_text("{}")
+        real = os.scandir
 
-        def iterdir(self):
-            yield from real(self)
-            if self == path.parent:
-                yield ghost
+        def scandir(directory):
+            with real(directory) as listing:
+                entries = list(listing)
+            if Path(directory) == path.parent and ghost.exists():
+                ghost.unlink()  # a concurrent prune won the race
+            return contextlib.nullcontext(entries)
 
-        monkeypatch.setattr(Path, "iterdir", iterdir)
-        # The ghost vanished between listing and stat: skipped, and
-        # the real artifact is still swept.
+        monkeypatch.setattr(os, "scandir", scandir)
+        # The ghost was listed, then vanished before its stat: skipped,
+        # and the real artifact is still swept.
         out = store.prune()
         assert out["profiles"]["removed"] == 1
 

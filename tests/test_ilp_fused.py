@@ -181,6 +181,53 @@ class TestZeroPerStepAllocations:
         assert sum(small.values()) > 0  # the proxy did observe setup
         assert big == small
 
+    def test_no_gather_writes_into_its_source(self, monkeypatch):
+        """A ``take`` whose ``out=`` may share memory with the array it
+        reads makes NumPy copy through a temporary every step -- an
+        allocation the constructor proxy above cannot see.  Every
+        gather must land in a buffer of its own."""
+        gathers, overlaps = [], []
+
+        class GatherGuard(np.ndarray):
+            def take(self, indices, axis=None, out=None, mode="raise"):
+                gathers.append(out is not None)
+                if out is not None and np.may_share_memory(self, out):
+                    overlaps.append(out.shape)
+                return np.ndarray.take(
+                    self.view(np.ndarray), indices, axis=axis, out=out,
+                    mode=mode,
+                )
+
+        real = ilp_batch._workspace
+        sources = ("comp2d", "commit_cells", "slice2d", "chain2d")
+        guarded_workspaces = []
+
+        def views(ws, cls):
+            for name in sources:
+                array = getattr(ws, name)
+                if array is not None:
+                    setattr(ws, name, array.view(cls))
+
+        def guarded(*args):
+            ws = real(*args)
+            guarded_workspaces.append(ws)
+            views(ws, GatherGuard)
+            return ws
+
+        monkeypatch.setattr(ilp_batch, "_workspace", guarded)
+        try:
+            got = self._run(128)
+        finally:
+            # Workspaces are cached: give them back plain views.
+            for ws in guarded_workspaces:
+                views(ws, np.ndarray)
+        monkeypatch.undo()
+        assert len(gathers) == 4 * 128 and all(gathers)
+        assert overlaps == []
+        want = self._run(128)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_results_unchanged_under_proxy(self):
         want = self._run(128)
         real = ilp_batch.np

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.obs import (
     Trace,
     TraceRing,
     configure_logging,
+    dropped_emits,
     get_logger,
     render_registries,
     set_enabled,
@@ -205,6 +208,113 @@ class TestSpans:
             deactivate(token)
             set_enabled(True)
         assert trace.spans == []
+
+    def test_to_dict_format_is_pinned(self):
+        """Keys, their order, 3-decimal rounding, the (start_ms,
+        span_id) order and attrs stringification, for a fixed span
+        sequence; a non-scalar attr reads as ``str()`` of its value
+        when the span was recorded, not when the trace is read."""
+        trace = Trace("pinned-trace-01")
+        trace._perf0 = 100.0
+        trace.started_unix_s = 1700000000.25
+        config = ["base", 4]
+        trace.record(2, 1, "engine", 100.0012344, 0.0005, {
+            "kind": "predict", "cores": 4, "scale": 0.5, "warm": True,
+        })
+        trace.record(3, 2, "predict", 100.0012344, 0.00025, {
+            "config": config, "none": None,
+        })
+        config.append("later")
+        trace.record(1, None, "route", 100.0001, 0.0020006, {})
+        d = trace.to_dict()
+        assert d == {
+            "trace_id": "pinned-trace-01",
+            "started_unix_s": 1700000000.25,
+            "status": None, "route": None, "method": None,
+            "duration_ms": None,
+            "spans": [
+                {"span_id": 1, "parent_id": None, "name": "route",
+                 "start_ms": 0.1, "duration_ms": 2.001},
+                {"span_id": 2, "parent_id": 1, "name": "engine",
+                 "start_ms": 1.234, "duration_ms": 0.5,
+                 "attrs": {"kind": "predict", "cores": 4,
+                           "scale": 0.5, "warm": True}},
+                {"span_id": 3, "parent_id": 2, "name": "predict",
+                 "start_ms": 1.234, "duration_ms": 0.25,
+                 "attrs": {"config": "['base', 4]", "none": "None"}},
+            ],
+        }
+        assert list(d) == [
+            "trace_id", "started_unix_s", "status", "route", "method",
+            "duration_ms", "spans",
+        ]
+        assert [list(s) for s in d["spans"]][1] == [
+            "span_id", "parent_id", "name", "start_ms", "duration_ms",
+            "attrs",
+        ]
+        trace.finish(status=200, route="/v1/predict", method="GET")
+        d = trace.to_dict()
+        assert (d["status"], d["route"], d["method"]) == (
+            200, "/v1/predict", "GET"
+        )
+        assert round(d["duration_ms"], 3) == d["duration_ms"] > 0
+        ring = TraceRing(capacity=4)
+        ring.put(trace)
+        assert ring.summaries() == [{
+            "trace_id": "pinned-trace-01", "route": "/v1/predict",
+            "status": 200, "duration_ms": d["duration_ms"], "spans": 3,
+        }]
+
+    def test_one_trace_from_many_threads_stays_whole(self):
+        """Engine threads record into the trace they ``activate`` while
+        the loop records into it too, with no lock: ids stay unique and
+        dense, every parent is a recorded span, nothing is dropped."""
+        trace = new_trace("stress")
+        dropped = dropped_emits()
+        threads_n, rounds = 8, 60  # more threads than cores
+        failures = []
+
+        def work() -> None:
+            token = activate(trace)
+            try:
+                for _ in range(rounds):
+                    with span("stress.outer", n=1):
+                        with span("stress.inner"):
+                            with span("stress.leaf", tag=("x",)):
+                                pass
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+            finally:
+                deactivate(token)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work) for _ in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        spans = trace.to_dict()["spans"]
+        ids = sorted(s["span_id"] for s in spans)
+        assert ids == list(range(1, threads_n * rounds * 3 + 1))
+        recorded = set(ids)
+        assert all(
+            s["parent_id"] is None or s["parent_id"] in recorded
+            for s in spans
+        )
+        assert sum(s["parent_id"] is None for s in spans) == (
+            threads_n * rounds
+        )
+        order = [(s["start_ms"], s["span_id"]) for s in spans]
+        assert order == sorted(order)
+        assert dropped_emits() == dropped
 
     def test_trace_ring_evicts_oldest(self):
         ring = TraceRing(capacity=2)

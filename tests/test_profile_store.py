@@ -322,6 +322,41 @@ class TestStatsAndPrune:
         removed = store.prune(older_than_s=3600.0)
         assert all(v["removed"] == 0 for v in removed.values())
 
+    def test_inventory_and_health_stat_no_artifact(
+        self, store, small_profile, monkeypatch
+    ):
+        """``list_keys`` (the ``/v1/profiles`` inventory) and
+        ``health()`` (every scrape) run on the serving event loop: they
+        type entries from the directory listing, so their cost does
+        not grow by a ``stat()`` per stored artifact."""
+        for i in range(12):
+            store.save_profile(
+                ProfileStore.profile_key("bulk", i, 1.0, 4096),
+                small_profile,
+            )
+        bad = store.save_profile(
+            ProfileStore.profile_key("bad", 0, 1.0, 4096), small_profile
+        )
+        bad.write_text("garbage")
+        assert store.load_profile(
+            ProfileStore.profile_key("bad", 0, 1.0, 4096)
+        ) is None  # one quarantined artifact too
+        calls = []
+        real = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            calls.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        keys = [store.list_keys(kind)
+                for kind in ("profiles", "ilptables", "traces")]
+        health = store.health()
+        monkeypatch.undo()
+        assert len(keys[0]) == 12 and keys[1] == keys[2] == []
+        assert health["quarantine"] == {"profiles": 1}
+        assert calls == []
+
 
 HOUR = 3600.0
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.arch.presets import TABLE_IV
 from repro.cli import main
 from repro.lru import LRUCache
-from repro.obs.tracing import TRACE_RING
+from repro.obs.tracing import TRACE_RING, enabled as obs_enabled
 from repro.service.batching import Coalescer
 from repro.service.client import (
     ServiceClient,
@@ -1337,7 +1337,7 @@ class TestConcurrentServing:
                 benchmark="rodinia.nn", scale=SCALE,
                 duration_s=0.4, concurrency=4,
             )
-        assert record["schema"] == 3
+        assert record["schema"] == 4
         assert record["requests"] > 0
         assert record["ok"] == record["requests"]
         assert record["errors"] == 0
@@ -1360,9 +1360,10 @@ class TestServiceBench:
         record = run_service_bench(
             quick=True, output=str(out), duration_s=0.4,
             concurrency=4, scale=SCALE, overload=False, fleet=False,
+            obs=False,
         )
         on_disk = json.loads(out.read_text())
-        assert on_disk["schema"] == 3
+        assert on_disk["schema"] == 4
         assert on_disk["mode"] == "quick"
         assert on_disk["warm"]["requests"] == record["warm"]["requests"]
         # Floors are enforced in CI via `repro bench --quick --check`
@@ -1372,6 +1373,43 @@ class TestServiceBench:
             f for f in check_service(record)
             if "error rate" in f or "unexplained" in f
         ]
+
+
+class TestServingObsGate:
+    """``bench --check``'s ceiling on what span tracing adds to the
+    server CPU of a hot ``/v1/predict``."""
+
+    def test_record_times_the_loop_in_interleaved_pairs(self):
+        from repro.experiments.bench import run_serving_obs_bench
+
+        record = run_serving_obs_bench(pairs=3, requests=20, scale=SCALE)
+        assert record["pairs"] == len(record["ratios"]) == 3
+        assert record["requests"] == 20
+        assert record["traced_us"] > 0 and record["untraced_us"] > 0
+        assert record["overhead_frac"] == pytest.approx(
+            float(np.median(record["ratios"])) - 1.0
+        )
+        assert obs_enabled()  # the toggle is restored
+
+    def test_ceiling_and_pair_count_gate(self):
+        from repro.experiments.bench import (
+            SERVE_OBS_PAIRS, SERVICE_FLOORS, check_service,
+        )
+
+        warm = {
+            "throughput_rps": 5000.0, "attempts": 10, "errors": 0,
+            "unexplained_errors": 0, "malformed_shed": 0,
+            "malformed_503": 0, "hung_workers": 0,
+        }
+        ceiling = SERVICE_FLOORS["obs_max_overhead"]
+        record = {"warm": warm, "obs": {
+            "pairs": SERVE_OBS_PAIRS, "overhead_frac": ceiling - 0.01,
+        }}
+        assert check_service(record) == []
+        record["obs"]["overhead_frac"] = ceiling + 0.01
+        assert len(check_service(record)) == 1
+        record["obs"] = {"pairs": SERVE_OBS_PAIRS - 1, "overhead_frac": 0.0}
+        assert len(check_service(record)) == 1
 
 
 class TestRetryBudget:
