@@ -56,13 +56,10 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
-import re
-import socket
 import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import urlencode
 
 import numpy as np
 
@@ -179,7 +176,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20842,
+    "src_max_lines": 20777,
 }
 
 #: Interleaved on/off pairs the obs-overhead ceiling takes its median
@@ -217,17 +214,19 @@ SERVICE_FLOORS: Dict[str, float] = {
     #: Ceiling, not floor: span tracing may add at most this fraction
     #: to the server CPU of a hot ``/v1/predict`` (the median of
     #: per-pair on/off ratios over SERVE_OBS_PAIRS pairs).  Nine runs
-    #: on a 2-vCPU host read +13.3 to +16.9 % (median +14.9 %; this is
-    #: that plus 3.1 points); the tracing before it, +20.6 to +23.6 %.
-    "obs_max_overhead": 0.18,
+    #: on a 2-vCPU host read +12.7 to +16.5 % (median +15.1 %; this is
+    #: the largest plus 3.5 points); the tracing before it, five runs,
+    #: +22.4 to +30.3 %.  The 10 % this gate was meant to hold is not
+    #: reached (see ROADMAP item 4).
+    "obs_max_overhead": 0.20,
 }
 
 #: Interleaved on/off pairs of the serving obs-overhead ceiling, each
-#: run SERVE_OBS_REQUESTS hot ``/v1/predict`` round trips.  On one
-#: build, medians of 101 pairs read +13.4 to +17.5 %, of 201 pairs
-#: +13.3 to +16.9 %.
+#: run SERVE_OBS_REQUESTS hot ``/v1/predict`` round trips.
 SERVE_OBS_PAIRS = 201
 SERVE_OBS_REQUESTS = 100
+#: Longest wait for the gate's client process to answer one batch.
+SERVE_OBS_TIMEOUT_S = 60.0
 
 
 def _fleet_floor_scale(cpus: int) -> float:
@@ -881,85 +880,65 @@ def run_profiler_bench(
     return result
 
 
-_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length:\s*(\d+)", re.I)
-
-
-def _round_trips(sock: socket.socket, request: bytes, n: int) -> None:
-    """``n`` closed-loop round trips of ``request`` on one keep-alive
-    socket; raises unless every answer is a 200."""
-    buf = b""
-    for _ in range(n):
-        sock.sendall(request)
-        while (end := buf.find(b"\r\n\r\n")) < 0:
-            buf += _recv(sock)
-        head = buf[:end]
-        if not head.startswith(b"HTTP/1.1 200 "):
-            raise RuntimeError(f"hot request answered {head[:32]!r}")
-        total = end + 4 + int(_CONTENT_LENGTH.search(head).group(1))
-        while len(buf) < total:
-            buf += _recv(sock)
-        buf = buf[total:]
-
-
-def _recv(sock: socket.socket) -> bytes:
-    chunk = sock.recv(1 << 16)
-    if not chunk:
-        raise ConnectionError("the server closed the connection")
-    return chunk
-
-
-def _hot_client(port: int, request: bytes, conn) -> None:
+def _hot_client(port: int, scale: float, conn) -> None:
     """Client process of :func:`run_serving_obs_bench`: for each count
-    it receives, that many round trips on one keep-alive socket, then
-    ``None`` back (or the error, which ends it); ``None`` ends it."""
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    it receives, that many ``/v1/predict`` round trips on one
+    keep-alive connection, then ``None`` back (or the error, which
+    ends it); ``None`` ends it."""
+    from repro.service.client import ServiceClient
+
+    with ServiceClient(port=port, retries=0) as client:
         while (n := conn.recv()) is not None:
             try:
-                _round_trips(sock, request, n)
+                for _ in range(n):
+                    client.predict("rodinia.nn", scale=scale)
             except Exception as exc:
                 conn.send(repr(exc))
                 return
             conn.send(None)
 
 
-def run_serving_obs_bench(
-    pairs: int = SERVE_OBS_PAIRS,
-    requests: int = SERVE_OBS_REQUESTS,
-    scale: float = 0.5,
-) -> Dict:
+def run_serving_obs_bench(scale: float = 0.5) -> Dict:
     """Server CPU per hot ``/v1/predict`` with span tracing on vs off.
 
     An in-process server (memory-only engine) answers one predict,
-    sent closed loop over one keep-alive socket by a client process of
-    its own, which shares neither the interpreter lock nor the CPU
-    time measured.  Every timed request is a result-cache hit answered
-    on the event loop, so a run times the serving path plus the trace
-    a request records, by the loop thread's CPU clock
-    (:meth:`~repro.service.server.BackgroundServer.loop_cpu_s`).
+    sent closed loop over one keep-alive connection by a client
+    process of its own, which shares neither the interpreter lock nor
+    the CPU time measured.  Every timed request is a result-cache hit
+    answered on the event loop, so a run times the serving path plus
+    the trace a request records, by the loop thread's CPU clock
+    (:meth:`~repro.service.server.BackgroundServer.loop_cpu_s`):
+    SERVE_OBS_PAIRS interleaved on/off pairs of SERVE_OBS_REQUESTS
+    requests each.
     """
     import multiprocessing
 
     from repro.service.engine import PredictionEngine
     from repro.service.server import BackgroundServer
 
-    query = urlencode({"benchmark": "rodinia.nn", "scale": scale})
-    request = (
-        f"GET /v1/predict?{query} HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
-    ).encode()
+    requests = SERVE_OBS_REQUESTS
     ctx = multiprocessing.get_context("spawn")
     conn, child_conn = ctx.Pipe()
     prev = obs_enabled()
     engine = PredictionEngine(store=None)
     with BackgroundServer(engine=engine, workers=1) as server:
         client = ctx.Process(
-            target=_hot_client, args=(server.port, request, child_conn),
+            target=_hot_client, args=(server.port, scale, child_conn),
             name="repro-obs-client", daemon=True,
         )
         client.start()
+        # Only the child holds its end now, so a child that dies makes
+        # ``recv`` raise EOFError instead of waiting forever.
+        child_conn.close()
 
         def round_trips(n: int) -> None:
             conn.send(n)
+            # Spawning and importing counts against the first batch.
+            if not conn.poll(SERVE_OBS_TIMEOUT_S):
+                raise RuntimeError(
+                    f"hot-request client gave no answer within "
+                    f"{SERVE_OBS_TIMEOUT_S:.0f} s"
+                )
             error = conn.recv()
             if error is not None:
                 raise RuntimeError(f"hot-request client failed: {error}")
@@ -973,14 +952,15 @@ def run_serving_obs_bench(
         try:
             round_trips(requests)  # computes the answer, then warms
             ratios, on_s, off_s = _paired_cpu_ratios(
-                traced(True), traced(False), pairs,
+                traced(True), traced(False), SERVE_OBS_PAIRS,
                 clock=server.loop_cpu_s,
             )
         finally:
             set_obs_enabled(prev)
             with contextlib.suppress(OSError):
                 conn.send(None)
-            client.join(timeout=30)
+            conn.close()
+            client.join(timeout=SERVE_OBS_TIMEOUT_S)
             if client.is_alive():
                 client.kill()
                 client.join()
@@ -1007,7 +987,6 @@ def run_service_bench(
     scale: float = 0.5,
     overload: bool = True,
     fleet: bool = True,
-    obs: bool = True,
 ) -> Dict:
     """Measure warm-cache serving throughput AND overload behavior.
 
@@ -1046,7 +1025,7 @@ def run_service_bench(
         "schema": SERVICE_BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
         "warm": warm,
-        "obs": run_serving_obs_bench(scale=scale) if obs else {},
+        "obs": run_serving_obs_bench(scale=scale),
         "overload": (
             run_overload_scenarios(quick=quick, scale=scale)
             if overload else {}

@@ -45,6 +45,9 @@ class LRUCache:
             ("hits", "misses", "evictions", *counters), 0
         )
 
+    def _size(self, value: Any) -> int:
+        return value.nbytes if self.max_bytes is not None else 0
+
     def get(
         self, key: Hashable, default: Any = None, count_miss: bool = True
     ) -> Any:
@@ -72,33 +75,23 @@ class LRUCache:
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` as most recently used, evicting the least
         recently used entries until the bounds hold."""
-        if self.max_bytes is None:
-            # One entry in, so at most one out (``value`` itself when
-            # ``maxsize`` is 0).
-            with self._lock:
-                data = self._data
-                data.pop(key, None)
-                data[key] = value
-                if len(data) > self.maxsize:
-                    data.popitem(last=False)
-                    self._counts["evictions"] += 1
-            return
-        size = value.nbytes
+        size = self._size(value)
         with self._lock:
             old = self._data.pop(key, None)
             if old is not None:
-                self._nbytes -= old.nbytes
-            if self.maxsize == 0 or size > self.max_bytes:
+                self._nbytes -= self._size(old)
+            if self.maxsize == 0 or (
+                self.max_bytes is not None and size > self.max_bytes
+            ):
                 self._counts["evictions"] += 1
                 return
             self._data[key] = value
             self._nbytes += size
-            while (
-                len(self._data) > self.maxsize
-                or self._nbytes > self.max_bytes
+            while len(self._data) > self.maxsize or (
+                self.max_bytes is not None and self._nbytes > self.max_bytes
             ):
                 _, evicted = self._data.popitem(last=False)
-                self._nbytes -= evicted.nbytes
+                self._nbytes -= self._size(evicted)
                 self._counts["evictions"] += 1
 
     def count(self, name: str) -> None:

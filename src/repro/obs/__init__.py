@@ -14,8 +14,8 @@ Three cooperating layers, stdlib-only and always on:
 
 ``REPRO_OBS=off`` disables span recording.  ``bench --check`` gates
 what spans cost: at most 5 % of warm profiler-suite CPU, and at most
-18 % of the server CPU of a hot ``/v1/predict`` (the request id, one
-trace and its ``route`` span, on a request that does little else).
+20 % of the server CPU of a hot ``/v1/predict`` (one trace and its
+``route`` span, on a request that does little else).
 """
 
 from repro.obs.logging import StructLogger, configure_logging, get_logger
@@ -32,14 +32,11 @@ from repro.obs.tracing import (
     TRACE_RING,
     Trace,
     TraceRing,
-    activate,
     current_request_id,
     current_trace,
-    deactivate,
     dropped_emits,
     enabled,
     new_request_id,
-    new_trace,
     root_span,
     set_enabled,
     span,
@@ -61,10 +58,7 @@ __all__ = [
     "TRACE_RING",
     "span",
     "root_span",
-    "new_trace",
     "new_request_id",
-    "activate",
-    "deactivate",
     "current_trace",
     "current_request_id",
     "enabled",

@@ -114,16 +114,12 @@ class _Family:
         raise NotImplementedError
 
     def labels(self, **kwargs: object) -> "_Family":
-        names = self.label_names
-        try:
-            key = tuple([str(kwargs[n]) for n in names])
-        except KeyError:
-            key = None
-        if key is None or len(kwargs) != len(names):
+        if tuple(sorted(kwargs)) != tuple(sorted(self.label_names)):
             raise ValueError(
-                f"metric {self.name!r} takes labels {names}, "
+                f"metric {self.name!r} takes labels {self.label_names}, "
                 f"got {tuple(sorted(kwargs))}"
             )
+        key = tuple(str(kwargs[n]) for n in self.label_names)
         child = self._children.get(key)
         if child is None:
             with self._lock:

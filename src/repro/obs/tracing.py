@@ -2,23 +2,25 @@
 
 ``span("stage", **attrs)`` is a context manager that times a pipeline
 stage.  Every exit feeds the global ``repro_stage_seconds`` histogram;
-when a :class:`Trace` is active (the serving plane activates one per
-HTTP request), the span is also recorded into it with parent/child
+when a :class:`Trace` is current (the server opens one per HTTP
+request), the span is also recorded into it with parent/child
 structure so ``/v1/debug/trace/<id>`` can show where a request's time
 went.
 
 Propagation rules:
 
-- the server opens each request's trace with :class:`root_span`, its
-  ``route`` span, which makes the trace current for its extent;
-- within one thread / one asyncio task tree, the active trace flows
+- a thread or task opens a trace's top-level span with
+  :class:`root_span`, which makes the trace current for its extent:
+  the server's ``route`` span per request, the engine's ``engine``
+  span per computation;
+- within one thread / one asyncio task tree, the current span flows
   through a :mod:`contextvars` variable (``asyncio.ensure_future``
   copies the context at task creation, so the server's admission task
-  for a computation inherits it for free);
+  for a computation inherits it for free), and a :class:`span` opened
+  under it records into its trace as its child;
 - ``loop.run_in_executor`` does *not* carry context into worker
   threads, so the engine carries the trace on the
-  ``ServiceRequest.trace`` field and re-activates it explicitly via
-  :func:`activate`/:func:`deactivate` around ``handle()``.
+  ``ServiceRequest.trace`` field and opens its own root span in it.
 
 Recording is split from reading, because nearly every trace is
 recorded and almost none is read (the ring keeps the last 256).  A
@@ -30,10 +32,11 @@ built only by :meth:`Trace.to_dict`.  Attributes that are not
 record time, so a trace reads what the stage saw.
 
 A trace is written from the event loop and from engine threads at
-once, without a lock: span ids come from an ``itertools.count`` whose
-``next()`` is one C call (atomic under the GIL), and a span is one
-``list.append``, also atomic; a reader copies the list before it
-walks it.  So ids stay unique and no span is lost or torn.
+once, without a lock: a span id is one ``next()`` on the trace's
+``itertools.count`` and a span record one ``list.append``, each a
+single C call and so atomic under the GIL, and a reader copies the
+list before it walks it.  So ids stay unique and no span is lost or
+torn.
 
 Telemetry is best-effort by construction: the emit path fires the
 ``obs.emit`` chaos fault point first and swallows every exception —
@@ -61,10 +64,7 @@ __all__ = [
     "TRACE_RING",
     "span",
     "root_span",
-    "new_trace",
     "new_request_id",
-    "activate",
-    "deactivate",
     "current_trace",
     "current_request_id",
     "enabled",
@@ -95,9 +95,16 @@ STAGE_SECONDS = REGISTRY.histogram(
     labels=("stage",),
 )
 
-#: One ``STAGE_SECONDS`` child per stage name, so a span exit is one
-#: dict lookup away from its histogram instead of a ``labels()`` call.
-_STAGES: Dict[str, Histogram] = {}
+class _Stages(dict):
+    """``STAGE_SECONDS`` children by stage name, bound on first use, so
+    a span exit is one dict lookup away from its histogram."""
+
+    def __missing__(self, name: str) -> Histogram:
+        stage = self[name] = STAGE_SECONDS.labels(stage=name)
+        return stage
+
+
+_STAGES = _Stages()
 
 _DROPPED = Counters("emits")
 
@@ -154,24 +161,6 @@ class Trace:
         self.route: Optional[str] = None
         self.method: Optional[str] = None
         self._end: Optional[float] = None
-
-    def record(
-        self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        start_perf: float,
-        duration_s: float,
-        attrs: Dict[str, Any],
-    ) -> None:
-        if not _SCALAR_TYPES.issuperset(map(type, attrs.values())):
-            attrs = {
-                k: v if isinstance(v, _SCALARS) else str(v)
-                for k, v in attrs.items()
-            }
-        self.spans.append(
-            (span_id, parent_id, name, start_perf, duration_s, attrs)
-        )
 
     def finish(
         self,
@@ -249,31 +238,15 @@ class TraceRing:
 #: Ring buffer behind ``/v1/debug/trace/<id>``.
 TRACE_RING = TraceRing()
 
-# (trace, parent_span_id) for the current execution context.
-_CTX: "contextvars.ContextVar[Optional[Tuple[Trace, Optional[int]]]]" = (
-    contextvars.ContextVar("repro_obs_trace", default=None)
+# The innermost open span recording into a trace, in this context.
+_CTX: "contextvars.ContextVar[Optional[span]]" = contextvars.ContextVar(
+    "repro_obs_span", default=None
 )
-
-
-def new_trace(trace_id: Optional[str] = None) -> Trace:
-    return Trace(trace_id)
-
-
-def activate(trace: Optional[Trace]):
-    """Make ``trace`` current; returns a token for :func:`deactivate`."""
-    if trace is None:
-        return None
-    return _CTX.set((trace, None))
-
-
-def deactivate(token) -> None:
-    if token is not None:
-        _CTX.reset(token)
 
 
 def current_trace() -> Optional[Trace]:
     ctx = _CTX.get()
-    return ctx[0] if ctx is not None else None
+    return ctx.trace if ctx is not None else None
 
 
 def current_request_id() -> Optional[str]:
@@ -281,13 +254,8 @@ def current_request_id() -> Optional[str]:
     return trace.trace_id if trace is not None else None
 
 
-def _stage(name: str) -> Histogram:
-    stage = _STAGES[name] = STAGE_SECONDS.labels(stage=name)
-    return stage
-
-
 class span:
-    """Time a pipeline stage; record to histogram + active trace.
+    """Time a pipeline stage; record to histogram + current trace.
 
     ``with span("stage", **attrs):`` -- does nothing when
     instrumentation is disabled at entry, and never raises from the
@@ -305,14 +273,14 @@ class span:
         if not _enabled:
             self.start = None
             return None
-        ctx = _CTX.get()
-        if ctx is None:
+        parent = _CTX.get()
+        if parent is None:
             self.trace = None
         else:
-            trace, self.parent_id = ctx
-            self.trace = trace
-            self.span_id = span_id = next(trace._ids)
-            self.token = _CTX.set((trace, span_id))
+            self.trace = trace = parent.trace
+            self.parent_id = parent.span_id
+            self.span_id = next(trace._ids)
+            self.token = _CTX.set(self)
         self.start = _perf_counter()
         return None
 
@@ -326,22 +294,28 @@ class span:
             _CTX.reset(self.token)
         try:
             FAULTS.fire("obs.emit")
-            (_STAGES.get(self.name) or _stage(self.name)).observe(duration)
+            _STAGES[self.name].observe(duration)
             if trace is not None:
-                trace.record(
+                attrs = self.attrs
+                if not _SCALAR_TYPES.issuperset(map(type, attrs.values())):
+                    attrs = {
+                        k: v if isinstance(v, _SCALARS) else str(v)
+                        for k, v in attrs.items()
+                    }
+                trace.spans.append((
                     self.span_id, self.parent_id, self.name, start,
-                    duration, self.attrs,
-                )
+                    duration, attrs,
+                ))
         except Exception:
             _DROPPED.bump("emits")
         return False
 
 
 class root_span(span):
-    """``trace``'s top-level span, with ``trace`` the current trace for
-    the span's extent: :func:`activate`, :class:`span` and
-    :func:`deactivate` in one context switch.  A ``None`` trace gives a
-    span outside any trace.
+    """``trace``'s top-level span in this thread or task, with
+    ``trace`` current for the span's extent, so spans opened inside
+    record into it as its children.  A ``None`` trace gives a span
+    outside any trace.
     """
 
     __slots__ = ()
@@ -360,7 +334,7 @@ class root_span(span):
         trace = self.trace
         if trace is not None:
             self.parent_id = None
-            self.span_id = span_id = next(trace._ids)
-            self.token = _CTX.set((trace, span_id))
+            self.span_id = next(trace._ids)
+            self.token = _CTX.set(self)
         self.start = _perf_counter()
         return None

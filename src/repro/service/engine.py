@@ -47,8 +47,7 @@ from repro.core.rppm import PredictionResult, predict, prediction_result
 from repro.core.session import Session
 from repro.counters import Counters
 from repro.experiments.store import ProfileStore
-from repro.obs import span
-from repro.obs.tracing import activate, deactivate
+from repro.obs import root_span, span
 from repro.experiments.suites import BenchmarkRef, build_workload
 from repro.lru import LRUCache
 from repro.profiler.profile import WorkloadProfile
@@ -541,13 +540,14 @@ class PredictionEngine:
 
     def handle(self, request: ServiceRequest) -> Tuple[int, dict]:
         """Serve one request; never raises — errors become payloads."""
-        # Re-activate the request's trace in this worker thread so the
-        # engine/profiler spans land in the serving request's timing
-        # breakdown (single-flight riders share the leader's trace).
-        token = activate(getattr(request, "trace", None))
+        # The engine span opens the request's trace in this worker
+        # thread, so the engine/profiler spans land in the serving
+        # request's timing breakdown (single-flight riders share the
+        # leader's trace).
         try:
-            with span(
-                "engine", kind=request.kind, benchmark=request.benchmark
+            with root_span(
+                getattr(request, "trace", None), "engine",
+                kind=request.kind, benchmark=request.benchmark,
             ):
                 # Chaos fault point: a slow or failing engine call.
                 # The delay occupies this worker thread exactly like a
@@ -581,8 +581,6 @@ class PredictionEngine:
         except Exception as exc:  # engine bug: report, don't kill the job
             self._counts.bump("errors")
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            deactivate(token)
 
 
 def _sweep_payload(

@@ -809,11 +809,12 @@ class PredictionService:
                 "max_queue": self.max_queue,
                 "retry_after_s": retry_after,
             }, {"Retry-After": str(retry_after)}
-        # Carry the active trace across the executor boundary: worker
-        # threads do not inherit contextvars, so the engine reactivates
-        # request.trace around handle().  Single-flight riders share
-        # the leader's computation — engine spans land in the leader's
-        # trace; riders still record their own coalesce wait here.
+        # Carry the current trace across the executor boundary: worker
+        # threads do not inherit contextvars, so the engine opens its
+        # root span in request.trace in handle().  Single-flight riders
+        # share the leader's computation — engine spans land in the
+        # leader's trace; riders still record their own coalesce wait
+        # here.
         request = dataclasses.replace(request, trace=current_trace())
         submit = self._coalescer.submit(key, request)
         try:

@@ -26,10 +26,11 @@ from repro.obs import (
     dropped_emits,
     get_logger,
     render_registries,
+    root_span,
     set_enabled,
     span,
 )
-from repro.obs.tracing import activate, deactivate, new_trace
+from repro.obs import tracing
 from repro.service.engine import ERROR_BUDGET_THRESHOLDS, error_budget
 
 
@@ -172,14 +173,10 @@ class TestPrometheusExposition:
 
 class TestSpans:
     def test_nested_spans_record_parent_child(self):
-        trace = new_trace("t1")
-        token = activate(trace)
-        try:
-            with span("outer"):
-                with span("inner", detail="x"):
-                    pass
-        finally:
-            deactivate(token)
+        trace = Trace("t1")
+        with root_span(trace, "outer"):
+            with span("inner", detail="x"):
+                pass
         d = trace.to_dict()
         by_name = {s["name"]: s for s in d["spans"]}
         assert by_name["outer"]["parent_id"] is None
@@ -199,33 +196,40 @@ class TestSpans:
 
     def test_disabled_gate_skips_recording(self):
         set_enabled(False)
-        trace = new_trace("t2")
-        token = activate(trace)
+        trace = Trace("t2")
         try:
-            with span("ghost"):
-                pass
+            with root_span(trace, "ghost"):
+                with span("ghost.inner"):
+                    pass
         finally:
-            deactivate(token)
             set_enabled(True)
         assert trace.spans == []
 
-    def test_to_dict_format_is_pinned(self):
+    def test_to_dict_format_is_pinned(self, monkeypatch):
         """Keys, their order, 3-decimal rounding, the (start_ms,
         span_id) order and attrs stringification, for a fixed span
-        sequence; a non-scalar attr reads as ``str()`` of its value
-        when the span was recorded, not when the trace is read."""
+        sequence on a fixed clock; a non-scalar attr reads as ``str()``
+        of its value when the span was recorded, not when the trace is
+        read."""
         trace = Trace("pinned-trace-01")
         trace._perf0 = 100.0
         trace.started_unix_s = 1700000000.25
         config = ["base", 4]
-        trace.record(2, 1, "engine", 100.0012344, 0.0005, {
-            "kind": "predict", "cores": 4, "scale": 0.5, "warm": True,
-        })
-        trace.record(3, 2, "predict", 100.0012344, 0.00025, {
-            "config": config, "none": None,
-        })
-        config.append("later")
-        trace.record(1, None, "route", 100.0001, 0.0020006, {})
+        clock = iter([
+            100.0001,  # route opens
+            100.0012344, 100.0012344,  # engine, then predict, open
+            100.0014844, 100.0017344,  # predict, then engine, close
+            100.0021007,  # route closes
+            100.003,  # finish
+        ])
+        monkeypatch.setattr(tracing, "_perf_counter", clock.__next__)
+        with root_span(trace, "route"):
+            with span(
+                "engine", kind="predict", cores=4, scale=0.5, warm=True
+            ):
+                with span("predict", config=config, none=None):
+                    pass
+                config.append("later")
         d = trace.to_dict()
         assert d == {
             "trace_id": "pinned-trace-01",
@@ -257,7 +261,7 @@ class TestSpans:
         assert (d["status"], d["route"], d["method"]) == (
             200, "/v1/predict", "GET"
         )
-        assert round(d["duration_ms"], 3) == d["duration_ms"] > 0
+        assert d["duration_ms"] == 3.0
         ring = TraceRing(capacity=4)
         ring.put(trace)
         assert ring.summaries() == [{
@@ -266,26 +270,24 @@ class TestSpans:
         }]
 
     def test_one_trace_from_many_threads_stays_whole(self):
-        """Engine threads record into the trace they ``activate`` while
-        the loop records into it too, with no lock: ids stay unique and
-        dense, every parent is a recorded span, nothing is dropped."""
-        trace = new_trace("stress")
+        """Engine threads record into the trace their root span opens
+        while other threads record into it too, with no lock: ids stay
+        unique and dense, every parent is a recorded span, nothing is
+        dropped."""
+        trace = Trace("stress")
         dropped = dropped_emits()
         threads_n, rounds = 8, 60  # more threads than cores
         failures = []
 
         def work() -> None:
-            token = activate(trace)
             try:
                 for _ in range(rounds):
-                    with span("stress.outer", n=1):
+                    with root_span(trace, "stress.outer", n=1):
                         with span("stress.inner"):
                             with span("stress.leaf", tag=("x",)):
                                 pass
             except BaseException as exc:  # surfaced by the assert below
                 failures.append(exc)
-            finally:
-                deactivate(token)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -335,12 +337,9 @@ class TestStructuredLogging:
             level="info", json_mode=True, stream=stream
         )
         log = get_logger("test")
-        trace = new_trace("req-42")
-        token = activate(trace)
-        try:
+        trace = Trace("req-42")
+        with root_span(trace, "unit"):
             log.info("unit.event", answer=42)
-        finally:
-            deactivate(token)
         record = json.loads(stream.getvalue())
         assert record["event"] == "unit.event"
         assert record["answer"] == 42

@@ -1349,17 +1349,21 @@ class TestConcurrentServing:
 
 
 class TestServiceBench:
-    def test_quick_bench_writes_record(self, tmp_path):
+    def test_quick_bench_writes_record(self, tmp_path, monkeypatch):
+        from repro.experiments import bench
         from repro.experiments.bench import (
             check_service, run_service_bench,
         )
         out = tmp_path / "BENCH_service.json"
-        # overload/fleet scenarios are exercised by their own tests
-        # and CI jobs; here only the record shape and error floors.
+        # overload/fleet scenarios and the serving obs gate are
+        # exercised by their own tests and CI jobs; here only the
+        # record shape and error floors.
+        monkeypatch.setattr(
+            bench, "run_serving_obs_bench", lambda scale: {}
+        )
         record = run_service_bench(
             quick=True, output=str(out), duration_s=0.4,
             concurrency=4, scale=SCALE, overload=False, fleet=False,
-            obs=False,
         )
         on_disk = json.loads(out.read_text())
         assert on_disk["schema"] == 4
@@ -1378,16 +1382,45 @@ class TestServingObsGate:
     """``bench --check``'s ceiling on what span tracing adds to the
     server CPU of a hot ``/v1/predict``."""
 
-    def test_record_times_the_loop_in_interleaved_pairs(self):
-        from repro.experiments.bench import run_serving_obs_bench
+    def test_record_times_the_loop_in_interleaved_pairs(
+        self, monkeypatch
+    ):
+        from repro.experiments import bench
 
-        record = run_serving_obs_bench(pairs=3, requests=20, scale=SCALE)
+        monkeypatch.setattr(bench, "SERVE_OBS_PAIRS", 3)
+        monkeypatch.setattr(bench, "SERVE_OBS_REQUESTS", 20)
+        record = bench.run_serving_obs_bench(scale=SCALE)
         assert record["pairs"] == len(record["ratios"]) == 3
         assert record["requests"] == 20
         assert record["traced_us"] > 0 and record["untraced_us"] > 0
         assert record["overhead_frac"] == pytest.approx(
             float(np.median(record["ratios"])) - 1.0
         )
+        assert obs_enabled()  # the toggle is restored
+
+    def test_a_dead_client_fails_the_run_instead_of_hanging_it(
+        self, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.experiments import bench
+
+        def kill_client_then_time(run_on, run_off, pairs, clock):
+            for child in multiprocessing.active_children():
+                if child.name == "repro-obs-client":
+                    child.kill()
+                    child.join(timeout=30)
+            run_on()
+
+        monkeypatch.setattr(bench, "SERVE_OBS_REQUESTS", 5)
+        monkeypatch.setattr(bench, "SERVE_OBS_TIMEOUT_S", 30.0)
+        monkeypatch.setattr(
+            bench, "_paired_cpu_ratios", kill_client_then_time
+        )
+        started = time.monotonic()
+        with pytest.raises((EOFError, OSError)):
+            bench.run_serving_obs_bench(scale=SCALE)
+        assert time.monotonic() - started < 30.0
         assert obs_enabled()  # the toggle is restored
 
     def test_ceiling_and_pair_count_gate(self):
