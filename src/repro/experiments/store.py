@@ -24,13 +24,12 @@ Keys are deterministic SHA-256 fingerprints of canonicalized
 structures — Python's salted ``hash()`` is useless across processes,
 which is exactly where the parallel pipeline needs stable keys.
 
-Three helpers carry all of :class:`ProfileStore`'s file handling:
-``_listing`` (the one race-tolerant directory listing: names, typed
-from the directory entries without a ``stat()`` each), ``_sweep`` (the
-one aged-file unlink behind every prune) and ``_save``/``_load`` (the
-one schema envelope of the JSON and pickle kinds; traces keep their
-mmapped arena).  Only the callers that read sizes or ages --
-``stats`` and the sweeps -- ``stat()`` what they list.
+Every write, listing, sweep and quarantine move goes through
+:mod:`repro.files`, the layer the work queue and the fleet share; the
+store keeps the counters and the strict/lenient policy.
+``_save``/``_load`` are the one schema envelope of the JSON and pickle
+kinds (traces keep their mmapped arena).  Only ``stats`` and the sweeps
+``stat()`` what they list.
 """
 
 from __future__ import annotations
@@ -42,18 +41,16 @@ import mmap
 import os
 import pickle
 import struct
-import tempfile
-import time
 from enum import Enum
-from fnmatch import fnmatchcase
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
+from repro import files
 from repro.counters import Counters
 from repro.lru import LRUCache
 from repro.profiler.profile import ILPTable, WorkloadProfile
-from repro.testing.faults import FAULTS, SimulatedCrash
+from repro.testing.faults import FAULTS
 from repro.workloads.engine import (
     ARENA_MAGIC,
     ExpansionEngine,
@@ -203,21 +200,9 @@ def default_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _stats(paths: List[Path]) -> List[Tuple[Path, os.stat_result]]:
-    """``(path, stat)`` of each listed file still there to ``stat()``
-    (one unlinked since the listing is skipped)."""
-    out = []
-    for path in paths:
-        try:
-            out.append((path, path.stat()))
-        except OSError:
-            continue
-    return out
-
-
 def _tally(paths: List[Path]) -> Dict[str, int]:
     """File count + byte total of one listing."""
-    entries = _stats(paths)
+    entries = files.stat_each(paths)
     return {
         "artifacts": len(entries),
         "bytes": sum(st.st_size for _, st in entries),
@@ -275,8 +260,8 @@ class ProfileStore:
     (moved to ``<root>/quarantine/<kind>/``) and counted before the
     load reports a miss, so corruption is visible in ``store stats``
     and ``/healthz`` instead of masquerading as cold cache.  Writes go
-    through a temp file + rename so concurrent workers never observe
-    partial artifacts.
+    through :func:`repro.files.atomic_write` so concurrent workers
+    never observe partial artifacts.
 
     With ``strict=False`` writes are best effort too: an unwritable
     root or a full disk degrades the store to a read-only (or no-op)
@@ -287,9 +272,9 @@ class ProfileStore:
     cache directory.
 
     Chaos fault points (:mod:`repro.testing.faults`): ``store.read``
-    fires on every artifact read (error or payload mutation),
-    ``store.write`` before every write, ``store.crash`` between the
-    temp-file write and the atomic rename — the crash-safety window.
+    fires on every artifact read (error or payload mutation);
+    ``store.write`` and ``store.crash`` fire inside the atomic write,
+    for artifacts and the generation stamp alike.
     """
 
     def __init__(
@@ -364,42 +349,6 @@ class ProfileStore:
     def _path(self, kind: str, key: str, ext: str) -> Path:
         return self.root / kind / f"{key}.{ext}"
 
-    @staticmethod
-    def _listing(
-        directory: Path, pattern: str = "*", dirs: bool = False
-    ) -> List[str]:
-        """Names of the regular files (the subdirectories with ``dirs``)
-        in ``directory`` that match the glob ``pattern``, sorted.
-
-        The entry type comes from the directory listing itself
-        (``os.scandir``), so listing costs no ``stat()`` per entry.
-        Race tolerant: a missing or unreadable directory lists empty,
-        and a caller that stats an entry skips one unlinked since (a
-        concurrent writer, prune or claim).
-        """
-        try:
-            with os.scandir(directory) as listing:
-                entries = list(listing)
-        except OSError:
-            return []
-        out = []
-        for entry in entries:
-            name = entry.name
-            if pattern != "*" and not fnmatchcase(name, pattern):
-                continue
-            try:
-                wanted = entry.is_dir() if dirs else entry.is_file()
-            except OSError:
-                continue
-            if wanted:
-                out.append(name)
-        out.sort()
-        return out
-
-    def _files(self, directory: Path, pattern: str = "*") -> List[Path]:
-        """:meth:`_listing`'s files as paths."""
-        return [directory / name for name in self._listing(directory, pattern)]
-
     def list_keys(self, kind: str) -> list:
         """Keys of all persisted artifacts of one kind (best effort).
 
@@ -409,7 +358,7 @@ class ProfileStore:
         """
         return sorted({
             stem for stem, ext in map(
-                os.path.splitext, self._listing(self.root / kind)
+                os.path.splitext, files.listing(self.root / kind)
             )
             if ext in _ARTIFACT_SUFFIXES
         })
@@ -436,22 +385,11 @@ class ProfileStore:
         The load still reports a miss (the caller recomputes and
         re-saves, healing the cache), but the evidence is preserved
         and counted instead of being re-read — and re-mistrusted —
-        forever.
+        forever (one that cannot be moved counts ``quarantine_failed``).
         """
         self.counters.corruption(reason)
-        dest = self.root / "quarantine" / kind / path.name
-        try:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-            self.counters.bump("quarantined")
-        except OSError:
-            # Fall back to unlinking so a poisoned artifact cannot be
-            # served as a repeat corruption on every future load.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.counters.bump("quarantine_failed")
+        moved = files.quarantine(path, self.root / "quarantine" / kind)
+        self.counters.bump("quarantined" if moved else "quarantine_failed")
 
     def _save(
         self, kind: str, key: str, ext: str, field: str, value: Any
@@ -460,7 +398,7 @@ class ProfileStore:
         ``ext == "json"``, else pickle)."""
         path = self._path(kind, key, ext)
         envelope = {"schema": SCHEMA_VERSION, field: value}
-        self._write(path, (
+        self._publish(path, (
             json.dumps(envelope).encode() if ext == "json"
             else pickle.dumps(envelope)
         ))
@@ -500,78 +438,32 @@ class ProfileStore:
         self.counters.healthy_load()
         return value
 
-    def _write(self, path: Path, data: bytes) -> None:
+    def _write(self, path: Path, data: bytes) -> bool:
+        """Publish ``data`` at ``path``; False when the write was dropped.
+
+        A failed fsync still publishes and counts ``io_errors``; a failed
+        publish raises when strict and counts ``dropped_writes`` when not.
+        """
         try:
-            data = FAULTS.fire("store.write", data)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
+            durable = files.atomic_write(path, data)
         except OSError:
             if self.strict:
                 raise
             self.counters.bump("dropped_writes")
-            return
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                # Durability, not just atomicity: without the fsync a
-                # power loss after the rename can surface a published
-                # artifact whose *data* never reached the platter — a
-                # zero-length or torn file at the final path, which
-                # atomic rename alone cannot prevent.
-                fh.flush()
-                try:
-                    os.fsync(fh.fileno())
-                except OSError:
-                    self.counters.bump("io_errors")
-            # The crash-safety window: a process dying between the
-            # temp-file write and the rename must leave the published
-            # path untouched and only an orphan ``*.tmp`` behind.
-            FAULTS.fire("store.crash")
-            # Best-effort duplicate detection (racy by nature): a
-            # publish over an existing artifact means another writer
-            # got here first — the cross-process recompute the shared
-            # cache is meant to absorb, surfaced as a counter.
-            duplicate = path.exists()
-            os.replace(tmp, path)
-            self._fsync_dir(path.parent)
+            return False
+        if not durable:
+            self.counters.bump("io_errors")
+        return True
+
+    def _publish(self, path: Path, data: bytes) -> None:
+        """:meth:`_write` an artifact and count it in ``writes``."""
+        # Racy by nature: a publish over an existing artifact is another
+        # writer's recompute, which the shared cache absorbs.
+        duplicate = path.exists()
+        if self._write(path, data):
             self.counters.bump("writes")
             if duplicate:
                 self.counters.bump("duplicate_writes")
-        except BaseException as exc:
-            if isinstance(exc, SimulatedCrash):
-                raise  # a real crash runs no cleanup; prune reclaims
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            if self.strict or not isinstance(exc, OSError):
-                raise
-            self.counters.bump("dropped_writes")
-
-    def _fsync_dir(self, directory: Path) -> None:
-        """Persist a rename by fsyncing its directory (POSIX).
-
-        The rename itself lives in the directory entry; without this a
-        power loss can forget the publication even though the file's
-        bytes are safe.  Filesystems that refuse directory fds (or
-        non-POSIX hosts) count an ``io_error`` and move on — the write
-        is still atomic, merely not power-loss durable.
-        """
-        if not hasattr(os, "O_DIRECTORY"):  # pragma: no cover
-            return
-        try:
-            fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
-        except OSError:
-            self.counters.bump("io_errors")
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            self.counters.bump("io_errors")
-        finally:
-            os.close(fd)
 
     # -- profiles and ILP tables (JSON) -------------------------------------
 
@@ -609,7 +501,7 @@ class ProfileStore:
             "schema": SCHEMA_VERSION,
             "digest": trace.content_digest(),
         })
-        self._write(path, payload)
+        self._publish(path, payload)
         return path
 
     def load_trace(self, key: str) -> Optional[WorkloadTrace]:
@@ -673,13 +565,13 @@ class ProfileStore:
         separately by :meth:`stats` / :meth:`health`.
         """
         return [
-            name for name in self._listing(self.root, dirs=True)
+            name for name in files.listing(self.root, dirs=True)
             if name not in _NON_ARTIFACT_DIRS
         ]
 
     def _quarantine_dirs(self) -> List[Path]:
         qroot = self.root / "quarantine"
-        return [qroot / name for name in self._listing(qroot, dirs=True)]
+        return [qroot / name for name in files.listing(qroot, dirs=True)]
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-kind artifact counts and byte totals (best effort).
@@ -693,17 +585,17 @@ class ProfileStore:
         out: Dict[str, Dict[str, int]] = {}
         for kind in self.kinds():
             out[kind] = _tally([
-                path for path in self._files(self.root / kind)
+                path for path in files.paths(self.root / kind)
                 if path.suffix in _ARTIFACT_SUFFIXES
             ])
         for qdir in self._quarantine_dirs():
-            out[f"quarantine/{qdir.name}"] = _tally(self._files(qdir))
+            out[f"quarantine/{qdir.name}"] = _tally(files.paths(qdir))
         for name in (
             "queue/jobs", "queue/leases", "queue/done", "queue/events",
             "fleet",
         ):
             if (self.root / name).is_dir():
-                out[name] = _tally(self._files(self.root / name))
+                out[name] = _tally(files.paths(self.root / name))
         return out
 
     def health(self) -> Dict[str, Any]:
@@ -715,7 +607,7 @@ class ProfileStore:
         out: Dict[str, Any] = self.counters.snapshot()
         out["generation"] = self.generation()
         out["quarantine"] = {
-            qdir.name: len(self._listing(qdir))
+            qdir.name: len(files.listing(qdir))
             for qdir in self._quarantine_dirs()
         }
         return out
@@ -741,25 +633,7 @@ class ProfileStore:
         value they saw.
         """
         gen = self.generation() + 1
-        path = self.root / GENERATION_FILE
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=GENERATION_FILE, suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as fh:
-                fh.write(str(gen))
-                fh.flush()
-                try:
-                    os.fsync(fh.fileno())
-                except OSError:
-                    self.counters.bump("io_errors")
-            os.replace(tmp, path)
-            self._fsync_dir(path.parent)
-        except OSError:
-            if self.strict:
-                raise
-            self.counters.bump("dropped_writes")
+        self._write(self.root / GENERATION_FILE, str(gen).encode())
         return gen
 
     def _artifact_schema(self, path: Path) -> Optional[int]:
@@ -802,38 +676,39 @@ class ProfileStore:
 
         Orphaned ``*.tmp`` files left behind by crashed writers are
         swept from every visited kind regardless of ``stale_only`` —
-        they are unreachable debris by construction.  The whole sweep
-        tolerates concurrent writers: a file vanishing between
-        the listing and its ``stat()``/``unlink()`` is skipped, not an
-        error.
+        they are unreachable debris by construction — but only once
+        older than :data:`repro.files.TMP_MIN_AGE_S`, so a live writer
+        between its temp write and its rename keeps its temp.  The
+        whole sweep tolerates concurrent writers: a file vanishing
+        between the listing and its ``stat()``/``unlink()`` is
+        skipped, not an error.
 
         A sweep that actually removed artifacts bumps the store
         generation (see :meth:`bump_generation`), so resident engine
         LRUs across the fleet drop entries derived from the pruned
         artifacts on their next generation check.
         """
-        now = time.time()
         out: Dict[str, Dict[str, int]] = {}
         for kind in kinds if kinds is not None else self.kinds():
             if kind == "quarantine":
-                out[kind] = self._sweep([
+                out[kind] = files.sweep([
                     path for qdir in self._quarantine_dirs()
-                    for path in self._files(qdir)
-                ], older_than_s, dry_run, now)
+                    for path in files.paths(qdir)
+                ], older_than_s, dry_run)
             elif kind == "queue":
                 out.update(self.prune_queue(
                     older_than_s=older_than_s, dry_run=dry_run
                 ))
             else:
-                out[kind] = self._sweep([
-                    path for path in self._files(self.root / kind)
+                out[kind] = files.sweep([
+                    path for path in files.paths(self.root / kind)
                     if path.name.endswith(".tmp") or (
                         path.suffix in _ARTIFACT_SUFFIXES and not (
                             stale_only and self._artifact_schema(path)
                             == SCHEMA_VERSION
                         )
                     )
-                ], older_than_s, dry_run, now)
+                ], older_than_s, dry_run)
         # Queue debris is coordination state, not artifacts — sweeping
         # it invalidates nothing resident.
         if not dry_run and any(
@@ -868,64 +743,33 @@ class ProfileStore:
         dependency on :mod:`repro.experiments.workqueue`, which
         imports back into this module's consumers.
         """
-        now = time.time()
         qroot = self.root / "queue"
         out: Dict[str, Dict[str, int]] = {}
-        out["queue/done"] = self._sweep(
-            self._files(qroot / "done", "*.json"),
-            older_than_s or 0.0, dry_run, now,
+        out["queue/done"] = files.sweep(
+            files.paths(qroot / "done", "*.json"), older_than_s or 0.0,
+            dry_run,
         )
         # Orphaned leases: no pending job file shares the lease's key.
         # Job files are named ``p<priority>-<key>.json``.
         job_keys = {
             path.stem.split("-", 1)[1]
-            for path in self._files(qroot / "jobs", "*.json")
+            for path in files.paths(qroot / "jobs", "*.json")
             if "-" in path.stem
         }
         # Never race an in-flight claim: a just-acquired lease whose
         # job file we happened to miss must age past a full lease
         # period (plus the caller's cutoff) before it is debris.
-        min_age = max(older_than_s or 0.0, 60.0)
-        out["queue/leases"] = self._sweep([
-            path for path in self._files(qroot / "leases", "*.lease")
+        out["queue/leases"] = files.sweep([
+            path for path in files.paths(qroot / "leases", "*.lease")
             if path.stem not in job_keys
-        ], min_age, dry_run, now)
-        # Crashed enqueuers leave ``*.tmp-<owner>-<pid>`` files next
-        # to the real ones; sweep them behind the same age guard so a
-        # live enqueue mid-rename is never raced.
-        out["queue/tmp"] = self._sweep([
+        ], max(older_than_s or 0.0, 60.0), dry_run)
+        # Crashed enqueuers' temps (``*.tmp-<owner>-<pid>`` from older
+        # builds), behind the sweep's temp guard.
+        out["queue/tmp"] = files.sweep([
             path for sub in ("jobs", "leases", "done", "events")
-            for path in self._files(qroot / sub, "*.tmp*")
-        ], min_age, dry_run, now)
+            for path in files.paths(qroot / sub, "*.tmp*")
+        ], older_than_s, dry_run)
         return out
-
-    @staticmethod
-    def _sweep(
-        paths: List[Path],
-        min_age_s: Optional[float],
-        dry_run: bool,
-        now: float,
-    ) -> Dict[str, int]:
-        """Unlink each listed file at least ``min_age_s`` old (``None``:
-        any age) and count what went.
-
-        A file unlinked by someone else after the listing, before its
-        ``stat()`` or its ``unlink()``, is skipped and not counted;
-        ``dry_run`` counts without unlinking.
-        """
-        removed = 0
-        nbytes = 0
-        for path, st in _stats(paths):
-            if min_age_s is not None and (now - st.st_mtime) < min_age_s:
-                continue
-            if not dry_run:
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-            removed += 1
-            nbytes += st.st_size
-        return {"removed": removed, "bytes": nbytes}
 
 
 #: Traces a :class:`TraceCache` keeps resident, and the size above which

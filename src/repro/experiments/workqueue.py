@@ -9,8 +9,10 @@ lease files and execute them *idempotently*, so at-least-once
 delivery composes with content addressing to give exactly-once
 **effects**.  A worker SIGKILL'd at any instant loses nothing: its
 leases expire one lease period after its last heartbeat and survivors
-re-claim the jobs; every result publishes through the store's
-fsync+rename path, so a crash leaves at worst an orphan ``*.tmp``.
+re-claim the jobs.  Job files and results publish through the one
+fsync + rename path under the store root (:mod:`repro.files`, also the
+queue's listings and quarantine move), so a crash leaves at worst an
+orphan ``*.tmp``, which a prune sweeps once it is a minute old.
 
 Layout (all under ``<store root>/queue/``)::
 
@@ -77,6 +79,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import files
 from repro.counters import Counters
 from repro.experiments.store import ProfileStore, fingerprint
 from repro.obs import REGISTRY, get_logger
@@ -321,11 +324,7 @@ class WorkQueue:
     def read_events(self) -> List[Dict[str, Any]]:
         """Every event from every worker's log, oldest first."""
         events: List[Dict[str, Any]] = []
-        try:
-            logs = sorted(self.events_dir.glob("*.jsonl"))
-        except OSError:
-            return events
-        for path in logs:
+        for path in files.paths(self.events_dir, "*.jsonl"):
             try:
                 lines = path.read_text().splitlines()
             except OSError:
@@ -343,29 +342,17 @@ class WorkQueue:
     def enqueue(self, job: Job) -> bool:
         """Make ``job`` pending; returns False when already queued/done.
 
-        Atomic (temp + rename) so a concurrent claimer never reads a
-        torn job file; re-enqueueing a completed or pending job is a
-        counted no-op, which makes enqueue itself idempotent — any
-        number of hosts can submit the same suite.
+        Atomic and durable, so a concurrent claimer never reads a torn
+        job file; re-enqueueing a completed or pending job is a counted
+        no-op, which makes enqueue itself idempotent — any number of
+        hosts can submit the same suite.
         """
         path = self._job_path(job)
         if path.exists() or self._done_path(job.key).exists():
             return False
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp-{self.owner}-{os.getpid()}")
-        data = json.dumps(job.to_payload(), sort_keys=True).encode()
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        files.atomic_write(
+            path, json.dumps(job.to_payload(), sort_keys=True).encode()
+        )
         self.counters.bump("enqueued")
         self._log_event("enqueue", job.key, label=job.label)
         return True
@@ -377,13 +364,7 @@ class WorkQueue:
 
     def _pending_paths(self) -> List[Path]:
         """Pending job files, priority-then-key order (claim order)."""
-        try:
-            return sorted(
-                p for p in self.jobs_dir.iterdir()
-                if p.suffix == ".json"
-            )
-        except OSError:
-            return []
+        return files.paths(self.jobs_dir, "*.json")
 
     def pending(self) -> int:
         return len(self._pending_paths())
@@ -391,40 +372,22 @@ class WorkQueue:
     def live_leases(self) -> Dict[str, Dict[str, Any]]:
         """Owner metadata of every lease file, keyed by job key."""
         out: Dict[str, Dict[str, Any]] = {}
-        try:
-            paths = sorted(self.leases_dir.glob("*.lease"))
-        except OSError:
-            return out
-        for path in paths:
-            meta: Dict[str, Any] = {}
+        leases = files.stat_each(files.paths(self.leases_dir, "*.lease"))
+        for path, st in leases:
             try:
-                st = path.stat()
                 meta = json.loads(path.read_text() or "{}")
             except (OSError, ValueError):
-                # Freshly created (body not yet written) or vanished.
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
+                meta = {}  # no body yet, or released since
             meta["age_s"] = max(0.0, time.time() - st.st_mtime)
             out[path.stem] = meta
         return out
 
     def done_count(self) -> int:
-        try:
-            return sum(
-                1 for p in self.done_dir.iterdir()
-                if p.suffix == ".json"
-            )
-        except OSError:
-            return 0
+        return len(files.listing(self.done_dir, "*.json"))
 
     def quarantined(self) -> int:
         """Job files moved aside because they no longer parse."""
-        try:
-            return sum(1 for _ in self.quarantine_dir.iterdir())
-        except OSError:
-            return 0
+        return len(files.listing(self.quarantine_dir))
 
     def drained(self) -> bool:
         return self.pending() == 0
@@ -447,8 +410,9 @@ class WorkQueue:
         """The job in ``job_path``; ``None`` when there is none.
 
         A file that does not parse (see the module docstring) can
-        never be run, so it is quarantined rather than left pending,
-        which would keep a draining worker waiting for it forever.
+        never be run, so it is moved to :attr:`quarantine_dir` (or
+        unlinked) rather than left pending, which would keep a draining
+        worker waiting for it forever.
         """
         try:
             data = job_path.read_bytes()
@@ -457,23 +421,11 @@ class WorkQueue:
         try:
             return Job.from_payload(json.loads(data))
         except (ValueError, TypeError):
-            self._quarantine(job_path)
+            if files.quarantine(job_path, self.quarantine_dir) is not None:
+                self.counters.bump("quarantined")
+                self._log_event("quarantine", self._key_of(job_path))
+                _log.warning("work.job_quarantined", job=job_path.name)
             return None
-
-    def _quarantine(self, job_path: Path) -> None:
-        """Move an unreadable job file to :attr:`quarantine_dir`."""
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(job_path, self.quarantine_dir / job_path.name)
-        except OSError:
-            # Unlink instead: the file must leave the pending set.
-            try:
-                os.unlink(job_path)
-            except OSError:
-                return
-        self.counters.bump("quarantined")
-        self._log_event("quarantine", self._key_of(job_path))
-        _log.warning("work.job_quarantined", job=job_path.name)
 
     def _next_token(self) -> str:
         self._token_seq += 1

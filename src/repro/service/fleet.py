@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro import files
 from repro.obs import get_logger
 from repro.obs.logging import ensure_configured
 from repro.supervise import Supervisor
@@ -217,12 +218,9 @@ class ServingFleet:
 
     def start(self) -> "ServingFleet":
         """Bind the shared port and spawn every worker."""
-        self.state_dir.mkdir(parents=True, exist_ok=True)
         # Sweep stale heartbeats so /healthz never counts a previous
         # fleet's workers against this one.
-        for stale in self.state_dir.glob("worker-*.json"):
-            with contextlib.suppress(OSError):
-                stale.unlink()
+        files.sweep(files.paths(self.state_dir, "worker-*.json"))
         if self.reuse_port:
             # Bound but never listening: reserves the port (and
             # discovers it, when ephemeral) without stealing accepts.

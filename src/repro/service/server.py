@@ -12,7 +12,8 @@ a result-cache miss whose profile and prediction memos are resident
 computations leave the loop: they enter the
 :class:`~repro.service.batching.Coalescer`, which deduplicates
 identical in-flight requests (single-flight) and runs each distinct
-one as its own job on the engine's thread pool.
+one as its own job on the engine's thread pool; ``/v1/profiles``
+lists the store on the same pool.
 
 Overload safety (the serving plane degrades, it does not collapse):
 
@@ -80,6 +81,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
+from repro import files
 from repro.obs import get_logger, span
 from repro.obs.logging import ensure_configured
 from repro.obs.metrics import (
@@ -414,11 +416,8 @@ class PredictionService:
 
     # -- fleet heartbeats ----------------------------------------------------
 
-    def _heartbeat_path(self) -> Path:
-        return self.fleet_state_dir / f"worker-{self.worker_id}.json"
-
     def _write_heartbeat(self) -> None:
-        """Atomically publish this worker's liveness + request count."""
+        """Publish this worker's liveness + request count (best effort)."""
         payload = {
             "worker_id": self.worker_id,
             "pid": os.getpid(),
@@ -427,15 +426,9 @@ class PredictionService:
             "draining": self.draining,
             "ts": time.time(),
         }
-        path = self._heartbeat_path()
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        try:
-            self.fleet_state_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
+        path = self.fleet_state_dir / f"worker-{self.worker_id}.json"
+        with contextlib.suppress(OSError):
+            files.atomic_write(path, json.dumps(payload).encode())
 
     def _start_heartbeat(self) -> None:
         self._heartbeat_stop = threading.Event()
@@ -458,11 +451,7 @@ class PredictionService:
             return None
         now = time.time()
         workers = []
-        try:
-            paths = sorted(self.fleet_state_dir.glob("worker-*.json"))
-        except OSError:
-            paths = []
-        for path in paths:
+        for path in files.paths(self.fleet_state_dir, "worker-*.json"):
             try:
                 entry = json.loads(path.read_text())
                 age = now - path.stat().st_mtime
@@ -728,9 +717,10 @@ class PredictionService:
     ) -> Optional[Tuple[int, Union[dict, str, bytes], Dict[str, str]]]:
         """Answer one request; ``None`` if the client hung up first.
 
-        Everything but a computation runs to completion right here on
-        the event loop: a cached answer, and a miss the engine answers
-        from resident state; only a computation awaits the coalescer.
+        Everything but a computation (the coalescer) and the store
+        inventory (the executor) runs to completion right here on the
+        event loop: a cached answer, and a miss the engine answers from
+        resident state.
         """
         if path == "/healthz":
             if method != "GET":
@@ -743,7 +733,11 @@ class PredictionService:
         if path == "/v1/profiles":
             if method != "GET":
                 return 405, {"error": "use GET"}, {}
-            return 200, self.engine.profiles(), {}
+            # Listing the store costs more as it grows: off the loop.
+            inventory = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self.engine.profiles
+            )
+            return 200, inventory, {}
         if path.startswith(_DEBUG_TRACE_PREFIX):
             if method != "GET":
                 return 405, {"error": "use GET"}, {}

@@ -29,9 +29,9 @@ threads and the asyncio loop alike.
 :class:`SimulatedCrash` deserves a note: it models the process dying
 mid-operation, so code that catches exceptions to run *cleanup that a
 real crash would also skip* (e.g. unlinking a half-written temp file)
-must re-raise it without cleaning up.  ``Store._write`` does exactly
-that, which is what lets the crash-safety tests assert that recovery
-— not cleanup — handles the orphan.
+must re-raise it without cleaning up.  :func:`repro.files.atomic_write`
+does exactly that, which is what lets the crash-safety tests assert
+that recovery — not cleanup — handles the orphan.
 """
 
 from __future__ import annotations
@@ -180,6 +180,7 @@ POINTS = (
     "store.read",        # raises / mutates bytes read from the store
     "store.write",       # raises / mutates bytes about to be written
     "store.crash",       # SimulatedCrash between tmp write and rename
+                         # (both: every atomic write under the root)
     "engine.compute",    # delays / raises inside an engine request,
                          # on the compute path only: the server answers
                          # result-cache hits, and misses built from

@@ -55,6 +55,12 @@ def _saved_profile(store, small_profile):
     return key, path
 
 
+def _backdate(path, seconds=3600.0):
+    """Age a file past the sweep's temp guard."""
+    old = time.time() - seconds
+    os.utime(path, (old, old))
+
+
 class TestFaultInjector:
     def test_unarmed_fire_is_passthrough(self):
         assert FAULTS.fire("store.read", b"data") == b"data"
@@ -240,6 +246,8 @@ class TestCrashSafety:
         with inject("store.crash", error=SimulatedCrash()):
             with pytest.raises(SimulatedCrash):
                 store.save_profile(key, small_profile)
+        (orphan,) = (store.root / "profiles").glob("*.tmp")
+        _backdate(orphan)
         keep_key, keep_path = _saved_profile(store, small_profile)
         out = store.prune(stale_only=True)
         # Orphan swept even though the good artifact is current.
@@ -249,6 +257,20 @@ class TestCrashSafety:
         # Idempotent: nothing left to reclaim.
         assert store.prune()["profiles"]["removed"] == 1  # keep_path
         assert store.load_profile(keep_key) is None
+
+    def test_prune_spares_a_fresh_tmp(self, store, small_profile):
+        """A temp no older than the guard may be a live writer's
+        between its write and its rename: a prune leaves it."""
+        key = ProfileStore.profile_key("chaos", 1, 1.0, 4096)
+        with inject("store.crash", error=SimulatedCrash()):
+            with pytest.raises(SimulatedCrash):
+                store.save_profile(key, small_profile)
+        (orphan,) = (store.root / "profiles").glob("*.tmp")
+        assert store.prune(stale_only=True)["profiles"]["removed"] == 0
+        assert orphan.exists()
+        _backdate(orphan)
+        assert store.prune(stale_only=True)["profiles"]["removed"] == 1
+        assert not orphan.exists()
 
     def test_store_survives_crash_then_retry(self, store, small_profile):
         key = ProfileStore.profile_key("chaos", 1, 1.0, 4096)

@@ -23,7 +23,8 @@ from repro.lru import LRUCache
 from repro.service.client import ServiceClient
 from repro.service.engine import PredictionEngine
 from repro.service.fleet import ServingFleet
-from repro.service.server import BackgroundServer
+from repro.service.server import BackgroundServer, PredictionService
+from repro.testing.faults import SimulatedCrash, inject
 from repro.workloads import kernels as k
 from repro.workloads.builder import WorkloadBuilder
 from repro.workloads.engine import (
@@ -421,6 +422,23 @@ class TestFleetStateDir:
         fleet.state_dir.mkdir()
         fleet.stop()
         assert fleet.state_dir.is_dir()
+
+    def test_crashed_heartbeat_keeps_the_previous_one(self, tmp_path):
+        service = PredictionService(
+            engine=PredictionEngine(store=None), worker_id=3,
+            fleet_state_dir=tmp_path / "fleet",
+        )
+        service._write_heartbeat()
+        beat = tmp_path / "fleet" / "worker-3.json"
+        before = beat.read_bytes()
+        service.draining = True  # the crashed beat would record this
+        with inject("store.crash", error=SimulatedCrash()):
+            with pytest.raises(SimulatedCrash):
+                service._write_heartbeat()
+        assert beat.read_bytes() == before
+        (worker,) = service._fleet_health()["workers"]
+        assert (worker["worker_id"], worker["draining"]) == (3, False)
+        assert worker["alive"]
 
 
 class TestLRUClear:

@@ -1328,6 +1328,46 @@ class TestConcurrentServing:
         engine_requests = health["engine"]["requests"]["predict"]
         assert collapsed + engine_requests == n_clients
 
+    def test_store_inventory_does_not_hold_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        """``/v1/profiles`` lists the store off the event loop: while
+        its listing is held, ``/healthz`` on a second connection still
+        answers."""
+        from repro.experiments.store import ProfileStore
+
+        listing = threading.Event()
+        release = threading.Event()
+        real = ProfileStore.list_keys
+
+        def held(self, kind):
+            listing.set()
+            release.wait(timeout=30)
+            return real(self, kind)
+
+        monkeypatch.setattr(ProfileStore, "list_keys", held)
+        engine = PredictionEngine(store=ProfileStore(tmp_path))
+        inventory = []
+
+        with BackgroundServer(engine=engine, workers=2) as server:
+            def fetch():
+                with ServiceClient(port=server.port, retries=0) as c:
+                    inventory.append(c.profiles())
+
+            thread = threading.Thread(target=fetch, daemon=True)
+            thread.start()
+            try:
+                assert listing.wait(timeout=30)
+                with ServiceClient(
+                    port=server.port, timeout=5.0, retries=0
+                ) as probe:
+                    assert probe.healthz()["status"] == "ok"
+            finally:
+                release.set()
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert inventory[0]["store"]["profiles"] == 0
+
     def test_loadgen_record_schema(self):
         engine = PredictionEngine(store=None)
         with BackgroundServer(engine=engine, workers=2) as server:

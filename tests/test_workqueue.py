@@ -26,7 +26,7 @@ from repro.experiments.workqueue import (
     effect_audit,
     plan_suite_jobs,
 )
-from repro.testing.faults import FAULTS, inject
+from repro.testing.faults import FAULTS, SimulatedCrash, inject
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +103,24 @@ class TestEnqueue:
         queue.complete(lease, computed=True)
         assert queue.enqueue(profile_job()) is False
         assert queue.pending() == 0
+
+    def test_crash_mid_enqueue_publishes_no_job(self, tmp_path):
+        queue = make_queue(tmp_path)
+        with inject("store.crash", error=SimulatedCrash()):
+            with pytest.raises(SimulatedCrash):
+                queue.enqueue(profile_job())
+        assert queue.pending() == 0
+        (orphan,) = queue.jobs_dir.glob("*.tmp*")
+        # The queue prune leaves a temp that may still be renamed...
+        store = ProfileStore(tmp_path)
+        assert store.prune_queue()["queue/tmp"]["removed"] == 0
+        # ...and sweeps it once past the guard age.
+        past = time.time() - 3600.0
+        os.utime(orphan, (past, past))
+        assert store.prune_queue()["queue/tmp"]["removed"] == 1
+        assert not orphan.exists()
+        assert queue.enqueue(profile_job()) is True
+        assert queue.pending() == 1
 
 
 class TestLeaseLifecycle:
