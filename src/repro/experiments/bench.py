@@ -176,7 +176,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20734,
+    "src_max_lines": 20794,
 }
 
 #: Interleaved on/off pairs the obs-overhead ceiling takes its median
@@ -217,7 +217,7 @@ SERVICE_FLOORS: Dict[str, float] = {
     #: on a 2-vCPU host read +12.7 to +16.5 % (median +15.1 %; this is
     #: the largest plus 3.5 points); the tracing before it, five runs,
     #: +22.4 to +30.3 %.  The 10 % this gate was meant to hold is not
-    #: reached (see ROADMAP item 4).
+    #: reached (see ROADMAP item 3).
     "obs_max_overhead": 0.20,
 }
 

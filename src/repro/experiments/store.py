@@ -734,7 +734,9 @@ class ProfileStore:
         * **orphaned leases** (``leases/<key>.lease``) — left behind
           when a worker died after its job file was consumed (or the
           job was completed by a successor): a lease with *no matching
-          job file* can never be released by the normal protocol.
+          job file* can never be released by the normal protocol, nor
+          can a ``<key>.steal-<pid>-<seq>`` whose stealer died between
+          renaming an expired lease to it and unlinking it.
 
         Both sweeps honor ``older_than_s`` as an age guard; orphaned
         leases additionally require being older than one default lease
@@ -760,8 +762,9 @@ class ProfileStore:
         # job file we happened to miss must age past a full lease
         # period (plus the caller's cutoff) before it is debris.
         out["queue/leases"] = files.sweep([
-            path for path in files.paths(qroot / "leases", "*.lease")
-            if path.stem not in job_keys
+            path for path in files.paths(qroot / "leases")
+            if ".steal-" in path.name
+            or path.name.endswith(".lease") and path.stem not in job_keys
         ], max(older_than_s or 0.0, 60.0), dry_run)
         # Crashed enqueuers' temps (``*.tmp-<owner>-<pid>`` from older
         # builds), behind the sweep's temp guard.

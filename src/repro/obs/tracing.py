@@ -9,10 +9,10 @@ went.
 
 Propagation rules:
 
-- a thread or task opens a trace's top-level span with
-  :class:`root_span`, which makes the trace current for its extent:
-  the server's ``route`` span per request, the engine's ``engine``
-  span per computation;
+- the server makes a request's trace current, with its ``route``
+  span as the parent, from :func:`open_route` to :func:`close_route`;
+  a thread opens a trace's top-level span with :class:`root_span`
+  (the engine's ``engine`` span per computation);
 - within one thread / one asyncio task tree, the current span flows
   through a :mod:`contextvars` variable (``asyncio.ensure_future``
   copies the context at task creation, so the server's admission task
@@ -29,7 +29,8 @@ span exit appends one raw
 trace; the rounded, sorted span dicts of ``/v1/debug/trace/<id>`` are
 built only by :meth:`Trace.to_dict`.  Attributes that are not
 ``str``/``int``/``float``/``bool`` are still turned into ``str()`` at
-record time, so a trace reads what the stage saw.
+record time, so a trace reads what the stage saw.  A request's
+``route`` span is only that tuple, with no span object around it.
 
 A trace is written from the event loop and from engine threads at
 once, without a lock: a span id is one ``next()`` on the trace's
@@ -42,11 +43,12 @@ Telemetry is best-effort by construction: the emit path fires the
 ``obs.emit`` chaos fault point first and swallows every exception —
 a broken metrics sink increments a drop counter, never fails a
 request.  ``REPRO_OBS=off`` (or :func:`set_enabled`) makes ``span``
-do nothing at all, for overhead measurement.
+do nothing and the server build no trace, for overhead measurement.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import itertools
 import os
@@ -54,7 +56,6 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.counters import Counters
-from repro.lru import LRUCache
 from repro.obs.metrics import REGISTRY, Histogram
 from repro.testing.faults import FAULTS
 
@@ -64,6 +65,8 @@ __all__ = [
     "TRACE_RING",
     "span",
     "root_span",
+    "open_route",
+    "close_route",
     "new_request_id",
     "current_trace",
     "current_request_id",
@@ -148,7 +151,7 @@ class Trace:
     """Spans recorded for one request, id-addressable in the ring."""
 
     __slots__ = ("trace_id", "started_unix_s", "_perf0", "_ids", "spans",
-                 "status", "route", "method", "_end")
+                 "status", "route", "method", "_end", "_token")
 
     def __init__(self, trace_id: Optional[str] = None):
         self.trace_id = trace_id or new_request_id()
@@ -162,12 +165,8 @@ class Trace:
         self.method: Optional[str] = None
         self._end: Optional[float] = None
 
-    def finish(
-        self,
-        status: Optional[int] = None,
-        route: Optional[str] = None,
-        method: Optional[str] = None,
-    ) -> None:
+    def finish(self, status: Optional[int] = None, route: Optional[str] = None,
+               method: Optional[str] = None) -> None:
         self._end = _perf_counter()
         self.status = status
         self.route = route
@@ -206,23 +205,35 @@ class Trace:
 
 
 class TraceRing:
-    """Bounded id->trace map keeping the most recent requests."""
+    """The last ``capacity`` traces put, a FIFO: a trace is put once
+    and read almost never, so the ring keeps no recency.  A put is one
+    ``deque.append``, atomic under the GIL, so servers' event loops put
+    without a lock.  A re-put id is seen at the newest end (its old put
+    holds a slot until evicted); :meth:`get` reorders nothing."""
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._traces = LRUCache(capacity)
+        self._traces = collections.deque(maxlen=capacity)
 
     def put(self, trace: Trace) -> None:
-        self._traces.put(trace.trace_id, trace)
+        self._traces.append(trace)
+
+    def _by_id(self) -> Dict[str, Trace]:
+        """The newest put of each held id, oldest first."""
+        traces: Dict[str, Trace] = {}
+        for trace in list(self._traces):
+            traces.pop(trace.trace_id, None)
+            traces[trace.trace_id] = trace
+        return traces
 
     def get(self, trace_id: str) -> Optional[Trace]:
-        return self._traces.peek(trace_id)
+        return self._by_id().get(trace_id)
 
     def __len__(self) -> int:
-        return len(self._traces)
+        return len(self._by_id())
 
     def summaries(self, limit: int = 32) -> List[Dict[str, Any]]:
-        recent = [t for _, t in self._traces.items()[-limit:]]
+        recent = list(self._by_id().values())[-limit:]
         return [
             {
                 "trace_id": t.trace_id,
@@ -238,15 +249,15 @@ class TraceRing:
 #: Ring buffer behind ``/v1/debug/trace/<id>``.
 TRACE_RING = TraceRing()
 
-# The innermost open span recording into a trace, in this context.
-_CTX: "contextvars.ContextVar[Optional[span]]" = contextvars.ContextVar(
-    "repro_obs_span", default=None
+# (trace, span id) of the innermost open span recording into a trace.
+_CTX: "contextvars.ContextVar[Optional[Tuple[Trace, int]]]" = (
+    contextvars.ContextVar("repro_obs_span", default=None)
 )
 
 
 def current_trace() -> Optional[Trace]:
     ctx = _CTX.get()
-    return ctx.trace if ctx is not None else None
+    return ctx[0] if ctx is not None else None
 
 
 def current_request_id() -> Optional[str]:
@@ -277,10 +288,10 @@ class span:
         if parent is None:
             self.trace = None
         else:
-            self.trace = trace = parent.trace
-            self.parent_id = parent.span_id
-            self.span_id = next(trace._ids)
-            self.token = _CTX.set(self)
+            self.trace = trace = parent[0]
+            self.parent_id = parent[1]
+            self.span_id = span_id = next(trace._ids)
+            self.token = _CTX.set((trace, span_id))
         self.start = _perf_counter()
         return None
 
@@ -334,7 +345,30 @@ class root_span(span):
         trace = self.trace
         if trace is not None:
             self.parent_id = None
-            self.span_id = next(trace._ids)
-            self.token = _CTX.set(self)
+            self.span_id = span_id = next(trace._ids)
+            self.token = _CTX.set((trace, span_id))
         self.start = _perf_counter()
         return None
+
+
+def open_route(trace_id: str) -> Trace:
+    """A new trace, current in this context until :func:`close_route`,
+    whose ``route`` span (id 1, no parent) starts now."""
+    trace = Trace(trace_id)
+    trace._token = _CTX.set((trace, next(trace._ids)))
+    return trace
+
+
+def close_route(trace: Trace, method: str, path: str) -> None:
+    """End ``trace``'s ``route`` span and record it as a span exit would."""
+    start = trace._perf0
+    duration = _perf_counter() - start
+    _CTX.reset(trace._token)
+    trace._token = None  # the token holds the connection's context
+    try:
+        FAULTS.fire("obs.emit")
+        _STAGES["route"].observe(duration)
+        attrs = {"method": method, "path": path}
+        trace.spans.append((1, None, "route", start, duration, attrs))
+    except Exception:
+        _DROPPED.bump("emits")

@@ -4,8 +4,8 @@ Stdlib only: ``asyncio.start_server`` plus a small HTTP/1.1
 keep-alive parser — no web framework, so the service runs anywhere the
 reproduction runs.  The event loop owns parsing and routing, and it
 answers every request whose answer needs no computation: a repeat
-predict/compare/sweep is parsed once, found in the engine's result
-LRU and answered with the JSON body encoded when it was computed, and
+predict/compare/sweep is found in the server's parse memo and the
+engine's result LRU, answered with the body encoded when computed, and
 a result-cache miss whose profile and prediction memos are resident
 (a predict or sweep at a new core count) is built right there
 (:meth:`~repro.service.engine.PredictionEngine.resident_body`).  Only
@@ -38,13 +38,13 @@ Overload safety (the serving plane degrades, it does not collapse):
   draining), then closes connections.
 
 Observability (see :mod:`repro.obs`): every response carries an
-``X-Request-Id`` (client-provided via the header of the same name, or
-generated), each request records a span trace retrievable from
-``/v1/debug/trace/<id>`` while it stays in the ring buffer, admission
-counters live in a per-service metrics registry (``/healthz`` is
-derived from it — no counter is double-sourced), and ``/metrics``
-renders the merged process + service registries in Prometheus text
-format.  Startup/drain messages go through the structured logger.
+``X-Request-Id`` (client-provided or generated), each request records
+a span trace (none under ``REPRO_OBS=off``) that ``/v1/debug/trace/<id>``
+reads while a FIFO ring holds it, admission counters live in a
+per-service metrics registry (``/healthz`` is derived from it — no
+counter is double-sourced), and ``/metrics`` renders the merged
+process + service registries in Prometheus text format.
+Startup/drain messages go through the structured logger.
 
 Endpoints::
 
@@ -82,6 +82,7 @@ from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro import files
+from repro.lru import LRUCache
 from repro.obs import get_logger, span
 from repro.obs.logging import ensure_configured
 from repro.obs.metrics import (
@@ -93,11 +94,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import (
     TRACE_RING,
-    Trace,
+    close_route,
     current_trace,
     enabled as obs_enabled,
     new_request_id,
-    root_span,
+    open_route,
 )
 from repro.service.batching import Coalescer
 from repro.service.engine import (
@@ -124,6 +125,9 @@ _DISCONNECT_POLL_S = 0.05
 #: Retry-After is clamped to [1, 60] seconds — long enough to matter,
 #: short enough that honest clients come back.
 _MAX_RETRY_AFTER_S = 60
+#: Parse memo bounds: distinct parses kept, and the largest body kept.
+PARSE_MEMO_ENTRIES = 1024
+PARSE_MEMO_MAX_BODY = 4096
 #: Fleet heartbeat cadence: each worker rewrites its
 #: ``fleet/worker-<id>.json`` this often; the aggregate ``/healthz``
 #: treats a file older than three beats as a dead worker.
@@ -139,8 +143,8 @@ _REASONS = {
 #: Routes that may appear as a metrics label.  Unknown paths collapse
 #: to "other" so a client scanning for endpoints cannot blow up the
 #: label cardinality of ``repro_http_requests_total``.
-_COMPUTE_ROUTES = frozenset({"/v1/predict", "/v1/compare", "/v1/sweep"})
-_KNOWN_ROUTES = _COMPUTE_ROUTES | {"/healthz", "/metrics", "/v1/profiles"}
+_COMPUTE_ROUTES = {f"/v1/{k}": k for k in ("predict", "compare", "sweep")}
+_KNOWN_ROUTES = {*_COMPUTE_ROUTES, "/healthz", "/metrics", "/v1/profiles"}
 _DEBUG_TRACE_PREFIX = "/v1/debug/trace"
 
 
@@ -233,6 +237,8 @@ class PredictionService:
         )
         self._m_requests_by: Dict[Tuple[str, int], Counter] = {}
         self.metrics.register_collector("service", self._collect_metrics)
+        #: :meth:`_parsed_request`'s requests by ``(kind, query, body)``.
+        self._parsed = LRUCache(PARSE_MEMO_ENTRIES)
         #: True once shutdown began: compute requests get 503.
         self.draining = False
         self._active_requests = 0
@@ -561,18 +567,21 @@ class PredictionService:
                 request_id = (
                     headers.get("x-request-id") or new_request_id()
                 )
-                trace = Trace(request_id) if obs_enabled() else None
                 started = time.perf_counter()
                 self._active_requests += 1
                 try:
-                    # The trace is current inside its root span, so a
-                    # computation's admission task inherits it via
+                    # The trace is current until its route span closes,
+                    # so a computation's admission task inherits it via
                     # contextvars (ensure_future copies the context).
-                    with root_span(trace, "route", method=method, path=path):
+                    trace = open_route(request_id) if obs_enabled() else None
+                    try:
                         routed = await self._dispatch(
                             reader, writer, method, path,
                             parts.query, headers, body,
                         )
+                    finally:
+                        if trace is not None:
+                            close_route(trace, method, path)
                     if routed is None:
                         break  # client went away mid-request
                     status, payload, extra = routed
@@ -588,9 +597,7 @@ class PredictionService:
                         extra_headers=extra,
                     )
                     if trace is not None:
-                        trace.finish(
-                            status=status, route=path, method=method
-                        )
+                        trace.finish(status, path, method)
                         TRACE_RING.put(trace)
                     if _log.debug_enabled():
                         _log.debug(
@@ -722,6 +729,34 @@ class PredictionService:
         event loop: a cached answer, and a miss the engine answers from
         resident state.
         """
+        kind = _COMPUTE_ROUTES.get(path)
+        if kind is not None:
+            if method not in ("GET", "POST"):
+                return 405, {"error": "use GET or POST"}, {}
+            try:
+                request = self._parsed_request(kind, query, body)
+                deadline_ms = _deadline_ms(headers, self.deadline_ms)
+            except ValueError as exc:
+                return 400, {"error": str(exc)}, {}
+            if self.draining:
+                return 503, {"error": "service is draining"}, {
+                    "Retry-After": str(_MAX_RETRY_AFTER_S),
+                }
+            cached = self.engine.cached_body(request)
+            if cached is not None:
+                return 200, cached, {}
+            built = self.engine.resident_body(request)
+            if built is not None:
+                self._m_loop_answered.inc()
+                # Reading a buffered request and draining below the
+                # high-water mark never yield, so without this a
+                # pipelined burst of these would hold the loop until
+                # its end while other connections wait.
+                await asyncio.sleep(0)
+                return 200, built, {}
+            return await self._admit_watched(
+                reader, writer, request, deadline_ms
+            )
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "use GET"}, {}
@@ -754,34 +789,6 @@ class PredictionService:
                     ),
                 }, {}
             return 200, trace.to_dict(), {}
-        if path in _COMPUTE_ROUTES:
-            if method not in ("GET", "POST"):
-                return 405, {"error": "use GET or POST"}, {}
-            try:
-                request = _build_request(path.rsplit("/", 1)[1],
-                                         query, body)
-                deadline_ms = _deadline_ms(headers, self.deadline_ms)
-            except ValueError as exc:
-                return 400, {"error": str(exc)}, {}
-            if self.draining:
-                return 503, {"error": "service is draining"}, {
-                    "Retry-After": str(_MAX_RETRY_AFTER_S),
-                }
-            cached = self.engine.cached_body(request)
-            if cached is not None:
-                return 200, cached, {}
-            built = self.engine.resident_body(request)
-            if built is not None:
-                self._m_loop_answered.inc()
-                # Reading a buffered request and draining below the
-                # high-water mark never yield, so without this a
-                # pipelined burst of these would hold the loop until
-                # its end while other connections wait.
-                await asyncio.sleep(0)
-                return 200, built, {}
-            return await self._admit_watched(
-                reader, writer, request, deadline_ms
-            )
         return 404, {"error": f"no route for {path}"}, {}
 
     async def _admit(
@@ -834,6 +841,22 @@ class PredictionService:
             # bug) must degrade to a typed 500, never a hung socket.
             return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
         return status, payload, {}
+
+    def _parsed_request(
+        self, kind: str, query: str, body: bytes
+    ) -> ServiceRequest:
+        """:func:`_build_request`, parsed once per distinct request (hot
+        clients repeat a few).  A malformed request raises on every call,
+        and a body past :data:`PARSE_MEMO_MAX_BODY` is never kept; headers
+        are no part of a parse, so callers read them per request."""
+        if len(body) > PARSE_MEMO_MAX_BODY:
+            return _build_request(kind, query, body)
+        key = (kind, query, body)
+        request = self._parsed.get(key)
+        if request is None:
+            request = _build_request(kind, query, body)
+            self._parsed.put(key, request)
+        return request
 
     def _health(self) -> dict:
         engine_health = self.engine.health()

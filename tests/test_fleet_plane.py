@@ -374,6 +374,20 @@ class TestQueuePrune:
         assert out["queue/leases"]["removed"] == 0
         assert orphan.exists()
 
+    def test_orphaned_steal_file_swept(self, store, qroot):
+        """A stealer that died between renaming an expired lease and
+        unlinking it left a file no protocol step removes; prune does,
+        behind the orphaned leases' age guard."""
+        orphan = qroot / "leases" / "deadkey.steal-4242-3"
+        orphan.write_text("{}")
+        self._age(orphan, 7200)
+        fresh = qroot / "leases" / "racekey.steal-4243-1"
+        fresh.write_text("{}")
+        out = store.prune(kinds=["queue"], older_than_s=0)
+        assert out["queue/leases"]["removed"] == 1
+        assert not orphan.exists()
+        assert fresh.exists()
+
     def test_aged_tmp_debris_swept(self, store, qroot):
         tmp = qroot / "jobs" / "p5-k.json.tmp-owner-123"
         tmp.write_text("{}")

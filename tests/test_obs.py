@@ -318,6 +318,75 @@ class TestSpans:
         assert order == sorted(order)
         assert dropped_emits() == dropped
 
+    def test_trace_ring_is_a_fifo(self):
+        """``get`` reorders nothing; a re-put id moves to the newest
+        end."""
+        ring = TraceRing(capacity=3)
+        a = Trace("a")
+        for trace in (a, Trace("b"), Trace("c")):
+            ring.put(trace)
+        assert ring.get("a") is a
+        ring.put(Trace("d"))
+        assert ring.get("a") is None  # oldest put, read or not
+        again = Trace("c")
+        ring.put(again)
+        assert ring.get("c") is again
+        assert [s["trace_id"] for s in ring.summaries()] == ["c", "d"]
+        assert len(ring) == 2  # the first put of c still holds a slot
+        ring.put(Trace("e"))
+        assert [s["trace_id"] for s in ring.summaries()] == ["e", "c", "d"]
+        assert len(ring) == 3
+
+    def test_trace_ring_takes_racing_writers_and_a_reader(self):
+        """Writers put into one ring while a reader lists it, switching
+        threads as often as the interpreter allows: nothing raises and
+        the ring ends full, round after round."""
+        batches = [[Trace(f"{k}-{i}") for i in range(2000)] for k in range(8)]
+
+        def race(ring: TraceRing) -> list:
+            failures = []
+            done = threading.Event()
+
+            def guarded(fn, *args) -> None:
+                try:
+                    fn(*args)
+                except BaseException as exc:  # asserted on below
+                    failures.append(exc)
+
+            def write(batch) -> None:
+                for trace in batch:
+                    ring.put(trace)
+
+            def read() -> None:
+                while not done.is_set():
+                    ring.summaries()
+                    ring.get("0-0")
+
+            reader = threading.Thread(target=guarded, args=(read,))
+            writers = [
+                threading.Thread(target=guarded, args=(write, batch))
+                for batch in batches
+            ]
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+            assert not any(t.is_alive() for t in (reader, *writers))
+            return failures
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ring = TraceRing(capacity=4)
+                assert race(ring) == []
+                assert len(ring) == ring.capacity
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_trace_ring_evicts_oldest(self):
         ring = TraceRing(capacity=2)
         for tid in ("a", "b", "c"):

@@ -48,7 +48,10 @@ from repro.service.loadgen import run_loadgen
 from repro.service.server import (
     _MAX_CORES,
     _MAX_SCALE,
+    PARSE_MEMO_ENTRIES,
+    PARSE_MEMO_MAX_BODY,
     BackgroundServer,
+    PredictionService,
     _build_request,
     _deadline_ms,
     _parse_head,
@@ -649,6 +652,86 @@ class TestRequestBoundaryFuzz:
         assert all(isinstance(c, str) for c in request.configs)
 
 
+def _parse_outcome(parse, kind: str, query: str, body: bytes):
+    """What one parse gives: the request, or the ValueError's text."""
+    try:
+        return parse(kind, query, body)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestParseMemo:
+    """A service parses each distinct ``(kind, query, body)`` once; its
+    memo answers exactly as the parser does and stays bounded."""
+
+    @pytest.fixture()
+    def service(self):
+        """A service that is never started: its memo and nothing else."""
+        return PredictionService(engine=PredictionEngine(store=None))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["predict", "compare", "sweep"]), _QUERIES,
+           _BODIES)
+    def test_memo_answers_as_the_parser(self, server, kind, query, body):
+        expected = _parse_outcome(_build_request, kind, query, body)
+        for _ in range(2):  # a miss, then (if it parsed) a hit
+            got = _parse_outcome(
+                server.service._parsed_request, kind, query, body
+            )
+            assert got == expected
+            assert type(got) is type(expected)
+
+    def test_memo_holds_at_most_its_bound(self, service):
+        queries = [
+            f"benchmark=memo-bound-{i}"
+            for i in range(PARSE_MEMO_ENTRIES + 50)
+        ]
+        for query in queries:
+            service._parsed_request("predict", query, b"")
+        assert len(service._parsed) == PARSE_MEMO_ENTRIES
+        assert ("predict", queries[-1], b"") in service._parsed
+        assert ("predict", queries[0], b"") not in service._parsed
+
+    def test_body_past_the_cap_is_never_held(self, service):
+        def body_of(size: int) -> bytes:
+            head = b'{"benchmark": "rodinia.nn", "pad": "'
+            return head + b"x" * (size - len(head) - 2) + b'"}'
+
+        at_cap = body_of(PARSE_MEMO_MAX_BODY)
+        past = body_of(PARSE_MEMO_MAX_BODY + 1)
+        for body in (at_cap, past):
+            assert service._parsed_request("predict", "", body) == (
+                _build_request("predict", "", body)
+            )
+        assert list(service._parsed.items()) == [
+            (("predict", "", at_cap), _build_request("predict", "", at_cap))
+        ]
+
+    def test_malformed_query_gets_the_same_400_twice(self, server):
+        path = "/v1/predict?benchmark=rodinia.nn&cores=four"
+        first = _raw_get(server.port, path)
+        second = _raw_get(server.port, path)
+        assert first[0] == second[0] == 400
+        assert first[2] == second[2]
+        assert json.loads(second[2])["error"] == (
+            "'cores' must be an int and 'scale' a float"
+        )
+
+    def test_headers_are_read_on_every_request(self, server):
+        """A memoized parse still reads the request's own headers."""
+        path = f"/v1/predict?benchmark=rodinia.nn&scale={SCALE}"
+        assert _raw_get(server.port, path)[0] == 200
+        status, _, body = _raw_get(
+            server.port, path, headers={"X-Deadline-Ms": "soon"}
+        )
+        assert status == 400
+        assert json.loads(body)["error"] == "X-Deadline-Ms must be a number"
+        status, headers, _ = _raw_get(
+            server.port, path, headers={"X-Request-Id": "memo-hit-7"}
+        )
+        assert (status, headers["X-Request-Id"]) == (200, "memo-hit-7")
+
+
 def _series_sum(text: str, name: str) -> float:
     """Sum all samples of one Prometheus series from exposition text."""
     total = 0.0
@@ -827,6 +910,11 @@ class TestObservability:
         # Engine-side spans ride the ServiceRequest across the
         # executor boundary into the worker thread.
         assert "engine" in names
+        by_name = {s["name"]: s for s in trace["spans"]}
+        route = by_name["route"]
+        assert (route["span_id"], route["parent_id"]) == (1, None)
+        assert route["attrs"] == {"method": "GET", "path": "/v1/predict"}
+        assert by_name["coalesce"]["parent_id"] == 1
 
     def test_debug_trace_listing_and_404(self, client):
         listing = client._request("GET", "/v1/debug/trace")
@@ -834,6 +922,65 @@ class TestObservability:
         with pytest.raises(ServiceError) as exc_info:
             client.debug_trace("no-such-trace")
         assert exc_info.value.status == 404
+
+    def test_obs_off_hot_predict_records_nothing(self, monkeypatch):
+        """Under ``REPRO_OBS=off`` a hot predict constructs no trace and
+        opens no span, and the ring and the ``route`` stage stay as
+        they were."""
+        from repro.obs import REGISTRY, set_enabled, tracing
+        from repro.service import engine as engine_module
+        from repro.service import server as server_module
+
+        route = re.compile(
+            r'^repro_stage_seconds_count\{stage="route"\} (\S+)$', re.M
+        )
+
+        def route_count() -> float:
+            found = route.search(REGISTRY.render())
+            return float(found.group(1)) if found else 0.0
+
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        path = f"/v1/predict?benchmark=rodinia.nn&scale={SCALE}"
+        with BackgroundServer(
+            engine=PredictionEngine(store=None), workers=2
+        ) as server:
+            warm = _raw_get(
+                server.port, path, headers={"X-Request-Id": "obs-off-0"}
+            )
+            assert warm[0] == 200  # computed, and traced
+            # The server puts a trace into the ring after its response.
+            deadline = time.monotonic() + 10
+            while TRACE_RING.get("obs-off-0") is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            counted(tracing, "Trace")
+            for name in ("open_route", "close_route", "span"):
+                counted(server_module, name)
+            for name in ("span", "root_span"):
+                counted(engine_module, name)
+            ring = TRACE_RING.summaries(TRACE_RING.capacity)
+            routes = route_count()
+            set_enabled(False)
+            try:
+                status, headers, _ = _raw_get(
+                    server.port, path, headers={"X-Request-Id": "obs-off-1"}
+                )
+            finally:
+                set_enabled(True)
+        assert (status, headers["X-Request-Id"]) == (200, "obs-off-1")
+        assert calls == []
+        assert TRACE_RING.summaries(TRACE_RING.capacity) == ring
+        assert route_count() == routes
 
     def test_metrics_unaffected_by_obs_off_requests(self, server):
         """REPRO_OBS=off stops span recording but never breaks the
