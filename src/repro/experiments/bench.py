@@ -176,7 +176,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20794,
+    "src_max_lines": 20819,
 }
 
 #: Interleaved on/off pairs the obs-overhead ceiling takes its median

@@ -2,10 +2,10 @@
 
 The serving engine's profile and result maps, the server's parse
 memo, the session's trace, ILP-table, branch-statistics, segment-prep
-and Eq.-1 memos, the expansion engine's layout and image memos, the
-ILP kernel's workspaces and StatStack's curve memo are all this class,
-so they evict alike and report one :meth:`LRUCache.stats` shape.  It
-imports nothing from :mod:`repro`, so every layer can use it.
+and Eq.-1 memos, the expansion engine's layout and image memos and
+StatStack's curve memo are all this class, so they evict alike and
+report one :meth:`LRUCache.stats` shape.  It imports nothing from
+:mod:`repro`, so every layer can use it.
 """
 
 from __future__ import annotations

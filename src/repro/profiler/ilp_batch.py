@@ -27,6 +27,10 @@ scratch row (``out=`` throughout; a gather writes a row of its own,
 never one of the history it reads, or NumPy would copy through a
 temporary) — :data:`DISPATCHES_PER_STEP` NumPy dispatches per
 instruction step and **zero per-step allocations** (regression-tested).
+All of a call's buffers are views carved from one grow-only scratch
+arena per thread, at most :data:`_WORKSPACE_MAX_BYTES`: a thread keeps
+the scratch of its largest call, and a call above the budget gets
+use-once buffers.
 Chunk flushes and branch accumulation are integer-valued, so they move
 out of the loop entirely and are reduced exactly after it.
 
@@ -60,6 +64,7 @@ tables persisted before the fused kernel stay valid.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -119,25 +124,24 @@ KERNEL_STATS = KernelStats()
 
 
 class _Workspace:
-    """Reusable buffers and static tables for one fused-grid shape.
+    """One call's buffers and static tables, carved from its thread's arena.
 
-    Everything that depends only on the grid *shape* — the history
-    buffers, the dispatch index table, per-step scratch, and the
-    per-step row views the loop walks — is built once and reused;
-    per-call content (producer rows, reach/chunk masks, latencies) is
-    recomputed into preallocated buffers.  Every history row is fully
-    overwritten at its step before any gather reads it, so the
-    histories never need wholesale zeroing — only the gather sentinel
-    row and the running-max seed row are cleared per run.  Workspaces
-    are cached per thread (keyed by grid shape and window grid), so
-    repeated same-shape advances — the bench loop, serving cold
-    paths, per-bucket suite replays — skip the allocation, the
-    first-touch page faults and the index-table construction of
-    ~100s of MB of state.
+    Each thread keeps one grow-only scratch arena (:func:`_arena`):
+    every :func:`batch_scoreboard` call carves its histories, content
+    buffers, static index tables and scratch rows from it as
+    contiguous views of the call's exact shape, so a thread retains
+    the scratch of its largest call and nothing keyed by shape, and a
+    call of any shape reuses pages an earlier call already touched.
+    The arena holds at most :data:`_WORKSPACE_MAX_BYTES`; a call that
+    needs more gets use-once buffers and leaves the arena as it was.
+    Every history row is fully overwritten at its step before any
+    gather reads it, so only the gather sentinel row and the
+    running-max seed row are cleared per call: a row an earlier,
+    larger grid left in the arena is never read.
     """
 
     __slots__ = (
-        "key", "nbytes", "steps", "comp", "commit", "disp_buf",
+        "steps", "comp", "commit", "disp_buf",
         "gather_buf", "gather_rows", "aux_buf",
         "slice_hist", "chain_hist", "comp2d", "commit_cells",
         "slice2d", "chain2d", "prod_rows", "valid_t", "bool_ns",
@@ -147,36 +151,63 @@ class _Workspace:
         "chunk_list", "srow_list", "hrow_list", "load_list",
     )
 
-    #: Attributes owning distinct array storage (views excluded).
-    _BUFFERS = (
-        "comp", "commit", "disp_buf", "gather_buf", "aux_buf",
-        "slice_hist", "chain_hist",
-        "prod_rows", "valid_t", "bool_ns", "lat_steps", "disp_idx",
-        "imod", "reach", "chunk", "bool3", "load_step",
-    )
-
-    def __init__(self, key: tuple) -> None:
-        n, s, w, lats, aux, windows = key
-        self.key = key
-        w_arr = np.asarray(windows, dtype=np.int64)
-        steps = np.arange(n, dtype=np.int64)
-        self.steps = steps
-
+    def __init__(
+        self, n: int, s: int, w: int, lats: int, aux: bool,
+        w_arr: np.ndarray,
+    ) -> None:
+        f8, b1 = np.float64, np.bool_
         # Histories: (N + 1, S, grid...) rows; row N is the all-zero
         # gather sentinel, commit row 0 the pre-step running max.
-        self.comp = np.empty((n + 1, s, w, lats))
-        self.commit = np.empty((n + 1, s, w, lats))
+        # Gathers land in ``gather_buf``, never in the history they
+        # read: NumPy would copy through a temporary for an ``out=``
+        # that may share memory with the source.  The next ufunc
+        # writes the history.
+        shapes = {
+            "comp": ((n + 1, s, w, lats), f8),
+            "commit": ((n + 1, s, w, lats), f8),
+            "disp_buf": ((s, w, lats), f8),
+            "gather_buf": ((s, w, lats), f8),
+            "disp_idx": ((n, s, w), np.intp),
+            "prod_rows": ((n, s), np.intp),
+            "valid_t": ((n, s), b1),
+            "bool_ns": ((n, s), b1),
+            "lat_steps": ((n, s, 1, lats), f8),
+        }
+        if aux:
+            shapes.update(
+                slice_hist=((n + 1, s, w), f8),
+                chain_hist=((n + 1, s, w), f8),
+                imod=((n, w), np.int64),
+                reach=((n, s, w), f8),
+                chunk=((n, s, w), f8),
+                bool3=((n, s, w), b1),
+                load_step=((n, s, 1), f8),
+                aux_buf=((s, w), f8),
+            )
+        else:
+            self.slice_hist = self.chain_hist = None
+            self.slice2d = self.chain2d = None
+            self.imod = self.reach = self.chunk = None
+            self.bool3 = self.load_step = self.aux_buf = None
+        # One 64-byte-aligned slot per buffer.
+        sizes = [
+            -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+            for shape, dtype in shapes.values()
+        ]
+        arena, offset = _arena(sum(sizes)), 0
+        for (name, (shape, dtype)), size in zip(shapes.items(), sizes):
+            setattr(self, name, np.ndarray(shape, dtype, arena, offset))
+            offset += size
+
+        steps = self.steps = np.arange(n, dtype=np.int64)
         self.comp2d = self.comp.reshape((n + 1) * s, w * lats)
         self.commit_cells = self.commit.reshape((n + 1) * s * w, lats)
-        self.disp_buf = np.empty((s, w, lats))
-        # Gathers land here, never in the history they read: NumPy
-        # would copy through a temporary for an ``out=`` that may share
-        # memory with the source.  The next ufunc writes the history.
-        self.gather_buf = np.empty((s, w, lats))
         self.gather_rows = self.gather_buf.reshape(s, w * lats)
+        self.comp[n] = 0.0
+        self.commit[0] = 0.0
 
-        # Dispatch index table: static — commit row i - w + 1 (row 0
-        # while the window has not filled), at cell (row, s, w).
+        # Dispatch index table: commit row i - w + 1 (row 0 while the
+        # window has not filled), at cell (row, s, w).
         open_rows = np.where(
             steps[:, None] >= w_arr[None, :],
             steps[:, None] - w_arr[None, :] + 1,
@@ -185,41 +216,17 @@ class _Workspace:
         base_sw = np.arange(s, dtype=np.int64)[:, None] * w + np.arange(
             w, dtype=np.int64
         )
-        self.disp_idx = (
-            open_rows[:, None, :] * (s * w) + base_sw
-        ).astype(np.intp, copy=False)  # (N, S, W)
-
-        # Per-call content buffers.
-        self.prod_rows = np.empty((n, s), dtype=np.intp)
-        self.valid_t = np.empty((n, s), dtype=bool)
-        self.bool_ns = np.empty((n, s), dtype=bool)
-        self.lat_steps = np.empty((n, s, 1, lats))
-
+        np.multiply(open_rows[:, None, :], s * w, out=self.disp_idx)
+        np.add(self.disp_idx, base_sw, out=self.disp_idx)  # (N, S, W)
         if aux:
-            self.slice_hist = np.empty((n + 1, s, w))
-            self.chain_hist = np.empty((n + 1, s, w))
             self.slice2d = self.slice_hist.reshape((n + 1) * s, w)
             self.chain2d = self.chain_hist.reshape((n + 1) * s, w)
-            self.imod = steps[:, None] % w_arr[None, :]  # (N, W)
-            self.reach = np.empty((n, s, w))
-            self.chunk = np.empty((n, s, w))
-            self.bool3 = np.empty((n, s, w), dtype=bool)
-            self.load_step = np.empty((n, s, 1))
-            self.aux_buf = np.empty((s, w))
-        else:
-            self.slice_hist = self.chain_hist = None
-            self.slice2d = self.chain2d = None
-            self.imod = self.reach = self.chunk = None
-            self.bool3 = self.load_step = self.aux_buf = None
+            self.slice_hist[n] = 0.0
+            self.chain_hist[n] = 0.0
+            np.remainder(steps[:, None], w_arr[None, :], out=self.imod)
 
-        self.nbytes = sum(
-            buf.nbytes
-            for name in self._BUFFERS
-            if (buf := getattr(self, name)) is not None
-        )
-
-        # Per-step row views, materialized once: the loop body then
-        # performs no indexing-driven allocation at all.
+        # Per-step row views, materialized once per call: the loop body
+        # then performs no indexing-driven allocation at all.
         self.comp_grids = list(self.comp[:n])
         self.commit_rows = list(self.commit)
         self.lat_rows = list(self.lat_steps)
@@ -232,39 +239,25 @@ class _Workspace:
             self.hrow_list = list(self.chain_hist[:n])
             self.load_list = list(self.load_step)
 
-    def reset(self) -> None:
-        n = self.key[0]
-        self.comp[n] = 0.0
-        self.commit[0] = 0.0
-        if self.slice_hist is not None:
-            self.slice_hist[n] = 0.0
-            self.chain_hist[n] = 0.0
-
 
 _TLS = threading.local()
-#: Workspaces kept per thread — covers a suite's width buckets plus
-#: the aux=False prediction grid without thrashing.
-_WORKSPACE_SLOTS = 6
-#: Byte budget per thread for cached workspaces: a full-suite grid is
-#: ~250 MB, so two large shapes plus change fit; a long-lived serving
-#: worker that once profiled a huge workload does not pin gigabytes.
+#: Byte budget of a thread's arena: a full-suite grid is ~250 MB, so
+#: the suite's largest bucket fits, and a long-lived serving worker
+#: that once profiled a huge workload does not pin gigabytes.
 _WORKSPACE_MAX_BYTES = 768 * 2**20
 
 
-def _workspace(
-    n: int, s: int, w: int, lats: int, aux: bool, windows: tuple
-) -> _Workspace:
-    key = (n, s, w, lats, aux, windows)
-    cache: Optional[LRUCache] = getattr(_TLS, "ws", None)
-    if cache is None:
-        cache = _TLS.ws = LRUCache(_WORKSPACE_SLOTS, _WORKSPACE_MAX_BYTES)
-    ws = cache.get(key)
-    if ws is None:
-        # One larger than the whole budget is used once, never pinned.
-        ws = _Workspace(key)
-        cache.put(key, ws)
-    ws.reset()
-    return ws
+def _arena(nbytes: int) -> np.ndarray:
+    """``nbytes`` of scratch: the thread's arena, first grown to exactly
+    ``nbytes`` if it is smaller.  A call above the budget gets use-once
+    bytes and leaves the arena as it was."""
+    if nbytes > _WORKSPACE_MAX_BYTES:
+        return np.empty(nbytes, dtype=np.uint8)
+    arena = getattr(_TLS, "arena", None)
+    if arena is None or arena.nbytes < nbytes:
+        _TLS.arena = None  # free the old pages before taking new ones
+        arena = _TLS.arena = np.empty(nbytes, dtype=np.uint8)
+    return arena
 
 
 def stack_samples(
@@ -360,8 +353,8 @@ def batch_scoreboard(
     in_range = steps_sn < lengths[:, None]
     is_branch = (op == OP_BRANCH) & in_range
 
-    # -- workspace: histories, static tables, scratch (thread-local) ----
-    ws = _workspace(N, S, W, L, aux, tuple(int(w) for w in w_arr))
+    # -- workspace: histories, static tables, scratch (thread arena) ----
+    ws = _Workspace(N, S, W, L, aux, w_arr)
     steps = ws.steps
     comp = ws.comp  # row N: gather sentinel
     commit = ws.commit  # row 0: pre-step running max

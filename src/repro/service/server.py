@@ -32,18 +32,23 @@ Overload safety (the serving plane degrades, it does not collapse):
 * **Disconnect cancellation** — a client hanging up while its
   computation is in flight cancels the wait (and the queued work, if
   nobody else shares it via single-flight).
+* **Framing** — only ``Content-Length`` bodies are read: a request
+  carrying ``Transfer-Encoding`` gets ``501`` and a closed connection,
+  so a chunked body is never parsed as a second request.
 * **Graceful drain** — shutdown stops the listener first, lets
   admitted work finish for up to ``drain_timeout`` seconds (new
   compute requests, cached or not, are refused with 503 while
   draining), then closes connections.
 
 Observability (see :mod:`repro.obs`): every response carries an
-``X-Request-Id`` (client-provided or generated), each request records
-a span trace (none under ``REPRO_OBS=off``) that ``/v1/debug/trace/<id>``
-reads while a FIFO ring holds it, admission counters live in a
-per-service metrics registry (``/healthz`` is derived from it — no
-counter is double-sourced), and ``/metrics`` renders the merged
-process + service registries in Prometheus text format.
+``X-Request-Id`` (the client's if it is 1-128 visible ASCII
+characters, else generated); each request records a span trace (none
+under ``REPRO_OBS=off``), put in a FIFO ring before its response
+drains, which ``/v1/debug/trace/<id>`` reads while the ring holds it;
+admission counters live in a per-service metrics registry
+(``/healthz`` is derived from it — no counter is double-sourced), and
+``/metrics`` renders the merged process + service registries in
+Prometheus text format.
 Startup/drain messages go through the structured logger.
 
 Endpoints::
@@ -72,6 +77,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import signal
 import socket
 import threading
@@ -137,7 +143,7 @@ _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    501: "Not Implemented", 503: "Service Unavailable",
 }
 
 #: Routes that may appear as a metrics label.  Unknown paths collapse
@@ -146,6 +152,10 @@ _REASONS = {
 _COMPUTE_ROUTES = {f"/v1/{k}": k for k in ("predict", "compare", "sweep")}
 _KNOWN_ROUTES = {*_COMPUTE_ROUTES, "/healthz", "/metrics", "/v1/profiles"}
 _DEBUG_TRACE_PREFIX = "/v1/debug/trace"
+#: A client's ``X-Request-Id`` is echoed as a response header, so only
+#: 1-128 visible ASCII characters are taken; anything else (a CR, LF or
+#: NUL could inject header lines) gets a fresh id.
+_REQUEST_ID = re.compile(r"[\x21-\x7e]{1,128}")
 
 
 class PredictionService:
@@ -543,6 +553,16 @@ class PredictionService:
                     )
                     break
                 method, target, headers = request
+                if "transfer-encoding" in headers:
+                    # Only Content-Length framing is read: a chunked
+                    # body left unread would be parsed as the next
+                    # request (RFC 9112 section 6.1).
+                    await self._respond(
+                        writer, 501,
+                        {"error": "Transfer-Encoding is not supported"},
+                        close=True,
+                    )
+                    break
                 length = _content_length(headers)
                 if length is None:
                     await self._respond(
@@ -564,9 +584,9 @@ class PredictionService:
                         break
                 parts = urlsplit(target)
                 path = parts.path.rstrip("/") or "/"
-                request_id = (
-                    headers.get("x-request-id") or new_request_id()
-                )
+                request_id = headers.get("x-request-id", "")
+                if not _REQUEST_ID.fullmatch(request_id):
+                    request_id = new_request_id()
                 started = time.perf_counter()
                 self._active_requests += 1
                 try:
@@ -592,13 +612,18 @@ class PredictionService:
                     keep = (
                         headers.get("connection", "").lower() != "close"
                     )
-                    await self._respond(
+                    self._write(
                         writer, status, payload, close=not keep,
                         extra_headers=extra,
                     )
+                    # The trace ends as its response reaches the
+                    # transport and is in the ring before the loop
+                    # serves anything else, so a client that has read
+                    # its answer finds it.
                     if trace is not None:
                         trace.finish(status, path, method)
                         TRACE_RING.put(trace)
+                    await writer.drain()
                     if _log.debug_enabled():
                         _log.debug(
                             "http.request",
@@ -684,6 +709,14 @@ class PredictionService:
         self, writer, status: int, payload: Union[dict, str, bytes],
         close: bool, extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
+        self._write(writer, status, payload, close, extra_headers)
+        await writer.drain()
+
+    @staticmethod
+    def _write(
+        writer, status: int, payload: Union[dict, str, bytes],
+        close: bool, extra_headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         if isinstance(payload, bytes):
             # A JSON body the engine encoded with its answer (see
             # PredictionEngine.cached_body and resident_body).
@@ -709,7 +742,6 @@ class PredictionService:
         # Chaos hook: may raise (simulating a peer reset mid-write) or
         # mutate the wire bytes (exercising client protocol handling).
         writer.write(FAULTS.fire("server.respond", head + body))
-        await writer.drain()
 
     # -- routing ------------------------------------------------------------
 

@@ -4,7 +4,7 @@ Three contracts beyond the scalar-equivalence suite in
 ``tests/test_ilp_batch.py``:
 
 * the fused kernel performs **zero per-step array allocations** — all
-  scratch lives in the reused workspace, pinned by an
+  scratch lives in the thread's reused arena, pinned by an
   allocation-count proxy (every array-constructing ``np.*`` call is
   counted; the count must not scale with the step count);
 * **any** partition of pools into width buckets produces bit-identical
@@ -13,12 +13,18 @@ Three contracts beyond the scalar-equivalence suite in
   suites however it likes;
 * :class:`~repro.profiler.ilp_batch.ILPTableCache` keys are pinned by
   a golden digest — tables persisted under the pre-fused engine stay
-  valid on disk.
+  valid on disk;
+* a thread retains one scratch arena, the size its largest call
+  needed, whatever sequence of grid shapes it runs, and a call never
+  reads what an earlier, larger call left in it.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.profiler import ilp_batch
-from repro.profiler.ilp import LOAD_LAT_GRID, WINDOW_GRID
+from repro.profiler.ilp import (
+    LOAD_LAT_GRID,
+    WINDOW_GRID,
+    load_parallelism,
+    scoreboard_replay,
+)
 from repro.profiler.ilp_batch import (
     ILPTableCache,
     KERNEL_STATS,
@@ -174,7 +185,7 @@ class TestZeroPerStepAllocations:
         """Doubling the step count must not add a single
         array-constructing NumPy call — the regression guard for the
         per-step ``np.zeros(...)`` churn of the pre-fused engine."""
-        self._run(128)  # warm both workspace shapes before counting
+        self._run(128)  # grow the arena to both shapes before counting
         self._run(256)
         small = self._run(128, _CountingNumpy(np))
         big = self._run(256, _CountingNumpy(np))
@@ -198,29 +209,19 @@ class TestZeroPerStepAllocations:
                     mode=mode,
                 )
 
-        real = ilp_batch._workspace
+        real = ilp_batch._Workspace
         sources = ("comp2d", "commit_cells", "slice2d", "chain2d")
-        guarded_workspaces = []
-
-        def views(ws, cls):
-            for name in sources:
-                array = getattr(ws, name)
-                if array is not None:
-                    setattr(ws, name, array.view(cls))
 
         def guarded(*args):
             ws = real(*args)
-            guarded_workspaces.append(ws)
-            views(ws, GatherGuard)
+            for name in sources:
+                array = getattr(ws, name)
+                if array is not None:
+                    setattr(ws, name, array.view(GatherGuard))
             return ws
 
-        monkeypatch.setattr(ilp_batch, "_workspace", guarded)
-        try:
-            got = self._run(128)
-        finally:
-            # Workspaces are cached: give them back plain views.
-            for ws in guarded_workspaces:
-                views(ws, np.ndarray)
+        monkeypatch.setattr(ilp_batch, "_Workspace", guarded)
+        got = self._run(128)
         monkeypatch.undo()
         assert len(gathers) == 4 * 128 and all(gathers)
         assert overlaps == []
@@ -244,6 +245,135 @@ class TestZeroPerStepAllocations:
             ilp_batch.np = real
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def _call(lengths, width, windows=TEST_WINDOWS, aux=True, seed=0):
+    """One kernel call over samples of ``lengths``, stacked to ``width``."""
+    samples = [_sample(n, seed=seed + i) for i, n in enumerate(lengths)]
+    op, dep, stacked = stack_samples(samples, width=width)
+    lat = grid_latencies(op, TEST_LATS)
+    return samples, batch_scoreboard(
+        op, dep, stacked, windows, lat, aux=aux
+    )
+
+
+def _fresh_thread(fn):
+    """``fn()`` in a new thread, which starts with no kernel scratch."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+def _retained(fn):
+    """Traced bytes the thread running ``fn`` still holds after it."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    fn()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before
+
+
+@pytest.fixture
+def traced():
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    yield
+    if started:
+        tracemalloc.stop()
+
+
+#: (sample count, width) grids, all distinct; the largest is in the
+#: middle, so calls after it must fit the scratch it left.
+ARENA_SHAPES = [
+    (2, 64), (5, 96), (1, 256), (7, 192), (8, 256), (3, 160),
+    (6, 128), (4, 32), (8, 48),
+]
+#: What a thread may retain beyond the largest call's scratch: the
+#: thread-local slot and interpreter noise, far below any grid here.
+RETAINED_SLACK = 16 * 1024
+
+
+class TestScratchArena:
+    def _run(self, shapes):
+        for n_samples, width in shapes:
+            _call([width] * n_samples, width)
+
+    def test_one_arena_no_larger_than_the_largest_call(self, traced):
+        _fresh_thread(lambda: self._run(ARENA_SHAPES))  # warm NumPy
+        alone = max(
+            _fresh_thread(lambda: _retained(lambda: self._run([shape])))
+            for shape in ARENA_SHAPES
+        )
+        after_all = _fresh_thread(
+            lambda: _retained(lambda: self._run(ARENA_SHAPES))
+        )
+        assert alone > 8 * RETAINED_SLACK  # the grids are not noise
+        assert abs(after_all - alone) <= RETAINED_SLACK
+
+    def test_over_budget_grid_pins_nothing(self, traced, monkeypatch):
+        def big():
+            return _call([200] * 8, 256)[1]
+
+        want = _fresh_thread(big)
+        # The 1 x 16 grid fits the budget, the 8 x 256 one (~0.5 MB)
+        # does not.
+        monkeypatch.setattr(ilp_batch, "_WORKSPACE_MAX_BYTES", 64 * 1024)
+
+        def run():
+            self._run([(1, 16)])
+            got = []
+            return got, _retained(lambda: got.append(big()))
+
+        got, grew = _fresh_thread(run)
+        assert grew <= RETAINED_SLACK
+        for a, b in zip(got[0], want):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_big_small_big_matches_fresh_thread_and_spec(self, data):
+        """A call after a larger one reads nothing that one left: the
+        sentinel and seed rows move with the shape, and every other row
+        is written before it is read."""
+        def grid(lo, hi, max_samples):
+            width = data.draw(st.integers(lo, hi))
+            lengths = data.draw(st.lists(
+                st.integers(0, width), min_size=1, max_size=max_samples,
+            ))
+            windows = data.draw(st.sampled_from(
+                [TEST_WINDOWS, (1, 512), (7,)]
+            ))
+            return lengths, width, windows, data.draw(st.booleans())
+
+        calls = [grid(96, 200, 6), grid(1, 40, 3), grid(1, 40, 2),
+                 grid(96, 200, 6)]
+        seed = data.draw(st.integers(0, 10_000))
+        through_one = _fresh_thread(
+            lambda: [_call(*c, seed=seed) for c in calls]
+        )
+        for (lengths, width, windows, aux), (samples, got) in zip(
+            calls, through_one
+        ):
+            _, fresh = _fresh_thread(
+                lambda: _call(lengths, width, windows, aux, seed=seed)
+            )
+            for a, b in zip(got, fresh):
+                assert np.array_equal(a, b)
+            ilp, branch_loads, load_par = got
+            for s, (o, d) in enumerate(samples):
+                o, d = o.tolist(), d.tolist()
+                for wi, window in enumerate(windows):
+                    for li, latency in enumerate(TEST_LATS):
+                        want_ilp, want_loads = scoreboard_replay(
+                            o, d, window, latency
+                        )
+                        assert ilp[s, wi, li] == want_ilp
+                        if aux:
+                            assert branch_loads[s, wi] == want_loads
+                    if aux:
+                        assert load_par[s, wi] == load_parallelism(
+                            o, d, window
+                        )
 
 
 @st.composite

@@ -10,6 +10,7 @@ predict`` output.
 """
 
 import asyncio
+import contextlib
 import http.client
 import json
 import random
@@ -514,6 +515,35 @@ class TestHTTPEndpoints:
         assert client.healthz()["status"] == "ok"
 
 
+_CHUNKED_BODY = b'1b\r\n{"benchmark":"rodinia.nn"}\r\n0\r\n\r\n'
+
+
+@pytest.mark.parametrize("extra", [
+    "", f"Content-Length: {len(_CHUNKED_BODY)}\r\n",
+], ids=["chunked", "chunked-and-content-length"])
+def test_transfer_encoding_refused_with_one_response(server, client, extra):
+    """The server reads only Content-Length-framed bodies: a request
+    with ``Transfer-Encoding`` gets one 501 and a closed connection,
+    so its body is never parsed as a second request."""
+    head = (
+        "POST /v1/predict HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Transfer-Encoding: chunked\r\n{extra}\r\n"
+    )
+    data = b""
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=10
+    ) as sock:
+        sock.sendall(head.encode() + _CHUNKED_BODY)
+        with contextlib.suppress(TimeoutError):
+            while chunk := sock.recv(65536):  # until the server closes
+                data += chunk
+    assert data.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+    assert data.count(b"HTTP/1.1 ") == 1
+    assert b"\r\nConnection: close\r\n" in data
+    assert json.loads(data.split(b"\r\n\r\n", 1)[1])["error"]
+    assert client.healthz()["status"] == "ok"
+
+
 #: Bodies whose parameters ``int()`` / ``float()`` or the JSON decoder
 #: cannot take: each must be answered 400, not drop the connection.
 _UNPARSEABLE_BODIES = {
@@ -772,6 +802,86 @@ class TestObservability:
         _, headers, _ = _raw_get(server.port, "/healthz")
         rid = headers["X-Request-Id"]
         assert re.fullmatch("[0-9a-f]{16}", rid)
+
+    @pytest.mark.parametrize("value", [
+        "abc\nSet-Cookie: evil=1", "abc\rSet-Cookie: evil=1", "abc\x00def",
+        "abc def", "a" * 129, "",
+    ], ids=["lf", "cr", "nul", "space", "129-chars", "empty"])
+    def test_unsafe_request_id_replaced(self, server, value):
+        """Only 1-128 visible ASCII characters are echoed: any other id
+        is replaced by a generated one, so the response head holds the
+        server's own header lines and nothing a client smuggled in."""
+        def head_lines(request_id_line):
+            request = (
+                "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"{request_id_line}Connection: close\r\n\r\n"
+            )
+            data = b""
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                sock.sendall(request.encode("latin-1"))
+                while chunk := sock.recv(65536):
+                    data += chunk
+            head = data.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+            return re.split(r"\r\n|\r|\n", head)
+
+        own = head_lines("")
+        got = head_lines(f"X-Request-Id: {value}\r\n")
+        names = [line.split(":", 1)[0] for line in got[1:]]
+        assert names == [line.split(":", 1)[0] for line in own[1:]]
+        assert got[0] == "HTTP/1.1 200 OK"
+        rid = dict(line.split(": ", 1) for line in got[1:])["X-Request-Id"]
+        assert re.fullmatch("[0-9a-f]{16}", rid)
+
+    def test_request_id_of_128_visible_characters_echoed(self, server):
+        rid = "".join(chr(c) for c in range(0x21, 0x7F)) + "x" * 34
+        assert len(rid) == 128
+        _, headers, _ = _raw_get(
+            server.port, "/healthz", headers={"X-Request-Id": rid}
+        )
+        assert headers["X-Request-Id"] == rid
+
+    def test_trace_in_ring_once_the_answer_is_read(
+        self, server, monkeypatch
+    ):
+        """A request's trace is in the ring before its response drains:
+        with the drain held open (the loop keeps serving), a second
+        connection fetches the trace of the answer just read."""
+        real_drain = asyncio.StreamWriter.drain
+        held = {}
+
+        async def drain(writer):
+            if not held:  # hold the first drain only
+                held["loop"] = asyncio.get_running_loop()
+                held["release"] = asyncio.Event()
+                await held["release"].wait()
+            await real_drain(writer)
+
+        rid = "trace-before-drain-1"
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            monkeypatch.setattr(asyncio.StreamWriter, "drain", drain)
+            try:
+                sock.sendall(
+                    "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    f"X-Request-Id: {rid}\r\n\r\n".encode()
+                )
+                status, headers, _ = _read_response(sock, bytearray())
+                fetched, _, body = _raw_get(
+                    server.port, f"/v1/debug/trace/{rid}"
+                )
+            finally:
+                # Released while the first connection is still open.
+                if held:
+                    held["loop"].call_soon_threadsafe(held["release"].set)
+                monkeypatch.undo()
+        assert (status, headers["X-Request-Id"]) == (200, rid)
+        assert fetched == 200
+        trace = json.loads(body)
+        assert trace["trace_id"] == rid
+        assert (trace["status"], trace["route"]) == (200, "/healthz")
 
     def test_metrics_covers_core_series(self, client):
         client.predict("rodinia.nn", scale=SCALE)  # warm every plane
