@@ -102,6 +102,9 @@ from repro.workloads.engine import EngineStats, ExpansionEngine
 from repro.workloads.generator import expand
 from repro.workloads.ir import OP_STORE, fetch_lines
 
+#: 13: ``expand.speedup_cold`` is the median of ``cold_pairs``
+#: per-pair CPU-time ratios (``cold_ratios``) of legacy expansion to
+#: a fresh engine's cold expansion, and ``cold_s`` the median cold run.
 #: 12: the ``obs`` section times ``pairs`` interleaved on/off runs in
 #: CPU time (``clock``), records each pair's on/off ``ratios``, and
 #: takes ``overhead_frac`` from their median; ``bench --check`` also
@@ -141,7 +144,7 @@ from repro.workloads.ir import OP_STORE, fetch_lines
 #: ``REPRO_OBS=off`` on the warm suite loop) and commits the
 #: obs-overhead ceiling.
 #: 2: added the ``ilp`` section (batched scoreboard vs scalar spec).
-BENCH_SCHEMA = 12
+BENCH_SCHEMA = 13
 #: Quick-mode subset: three locality personalities plus streamcluster,
 #: whose sparse address space exercises the engine's fallback path.
 QUICK_BENCHMARKS = ("hotspot", "bfs", "srad", "streamcluster")
@@ -156,6 +159,10 @@ CHECK_FLOORS: Dict[str, float] = {
     "ilp_speedup": 9.0,
     "ilp_max_rel_err": 0.0,
     "expand_speedup": 3.0,
+    #: A fresh engine's cold expansion must not lose to the legacy
+    #: spec: ten consecutive ``--quick`` records on the 2-vCPU host
+    #: read 1.29x to 1.54x (median of 7 pairs each).
+    "expand_cold_speedup": 1.0,
     "profiler_speedup": 1.5,
     "suite_min_ips": 4.0e6,
     #: Ceiling, not floor: always-on span instrumentation may cost at
@@ -176,8 +183,12 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20819,
+    "src_max_lines": 20958,
 }
+
+#: Interleaved legacy / fresh-engine pairs ``expand.speedup_cold``
+#: takes its median over, in CPU time.
+EXPAND_PAIRS = 7
 
 #: Interleaved on/off pairs the obs-overhead ceiling takes its median
 #: over, each run one warm suite pass.  On one build, medians of three
@@ -590,9 +601,7 @@ def run_profiler_bench(
     key_mismatches = sum(
         1 for s in specs if TraceCache.key(s) != trace_key_reference(s)
     )
-    t0 = time.perf_counter()
-    traces = [tcache.get(s) for s in specs]  # cold: arenas + memo fill
-    expand_cold_s = time.perf_counter() - t0
+    traces = [tcache.get(s) for s in specs]  # arenas + memo fill
     expand_instr = sum(t.n_instructions for t in traces)
     # Equivalence: every engine trace must digest-identical the
     # preserved per-segment spec (the expand analogue of the ILP
@@ -605,6 +614,14 @@ def run_profiler_bench(
         lambda: [tcache.get(s) for s in specs],  # content-addressed hits
         lambda: [expand(s) for s in specs],  # legacy re-expansion
         reps,
+    )
+    # Cold expansion, a fresh engine per run, against the legacy spec
+    # as interleaved CPU-time pairs: a single cold pass, the first in
+    # the process, read anywhere from 1.0x to 1.7x.
+    cold_ratios, _, expand_cold_s = _paired_cpu_ratios(
+        lambda: [expand(s) for s in specs],
+        lambda: [ExpansionEngine().expand(s) for s in specs],
+        EXPAND_PAIRS,
     )
     engine_stats = engine.stats.snapshot()
     cache_stats = tcache.stats()
@@ -812,7 +829,9 @@ def run_profiler_bench(
             "cold_ips": expand_instr / expand_cold_s,
             "warm_ips": expand_instr / expand_warm_s,
             "speedup": expand_legacy_s / expand_warm_s,
-            "speedup_cold": expand_legacy_s / expand_cold_s,
+            "speedup_cold": float(np.median(cold_ratios)),
+            "cold_pairs": len(cold_ratios),
+            "cold_ratios": cold_ratios,
             "memo_hit_rate": engine_stats["memo_hit_rate"],
             "cache_hit_rate": (
                 cache_stats["hits"]
@@ -1426,6 +1445,13 @@ def check_bench(result: Dict) -> List[str]:
         failures.append(
             f"{mismatches} engine-expanded trace(s) diverge from the "
             f"legacy generator spec (digests must be identical)"
+        )
+    cold = result["expand"]["speedup_cold"]
+    if cold < CHECK_FLOORS["expand_cold_speedup"]:
+        failures.append(
+            f"cold expand speedup {cold:.2f}x (median of "
+            f"{result['expand']['cold_pairs']} pairs) below committed "
+            f"floor {CHECK_FLOORS['expand_cold_speedup']:.1f}x"
         )
     key_speedup = result["expand"]["key_speedup"]
     if key_speedup < CHECK_FLOORS["trace_key_speedup"]:

@@ -16,8 +16,11 @@ interleaving produced by the functional replay and hands the complete
 access stream to this module, which computes every pool's
 reuse-distance statistics in O(N log N) *total* array work — instead of
 paying dozens of NumPy dispatches per (often small) chunk, the whole
-workload costs one unique-key sort, one cumulative sum for coherence
-and a handful of per-pool bincount scatters.
+workload costs two in-place unique-key sorts, a cumulative sum for
+coherence and one bincount.  Every temporary proportional to the
+stream is carved from the thread's scratch arena, the one the ILP
+kernel uses (:func:`repro.profiler.ilp_batch.carve`), so a warmed
+thread maps no new pages per profile.
 
 The math reproduces the per-access scalar collectors of
 :mod:`repro.profiler.reference` bit-for-bit (the executable spec;
@@ -29,11 +32,12 @@ The math reproduces the per-access scalar collectors of
 * **View A** sorts accesses by ``(line, g)``.  Within a line's group,
   consecutive entries are global reuse pairs (``rd = g2 - g1 - 1``);
   group heads are global cold misses.
-* **Private pairs** need no second sort: a thread's subsequence of
-  view A is still grouped by line with ``g`` ascending inside each
+* **Private pairs** need no second grouping: a thread's subsequence
+  of view A is still grouped by line with ``g`` ascending inside each
   group, so consecutive same-line entries of the subsequence are that
   thread's private reuse pairs (``rd = c2 - c1 - 1``); a thread's first
-  access to a line is a private cold miss.
+  access to a line is a private cold miss.  One packed sort of view
+  A's slots by thread lays the subsequences out in turn.
 * **Coherence**: a private pair is invalidated iff *any* store to the
   line falls strictly between its endpoints (such a store is
   necessarily foreign — the thread's own store would be an access
@@ -44,18 +48,25 @@ The math reproduces the per-access scalar collectors of
 
 Pool attribution: every access carries the index of its (thread, code
 region) pool; reuse pairs belong to the pool of their *later* access.
-Per-pool histogram accumulation packs ``pool * NBINS + bin`` into one
+Per-pool histogram accumulation packs ``pool * NBINS + bin`` of every
+global and private pair, and each pool's invalidation count, into one
 ``np.bincount``.  All counts are integers, so float64 accumulation is
 exact and order-independent.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.profiler.histogram import NBINS, RDHistogram, _bin_indices
+from repro.profiler.histogram import (
+    NBINS,
+    RDHistogram,
+    _bin_indices,
+    _bin_indices_into,
+)
+from repro.profiler.ilp_batch import carve
 
 
 class PoolLocality:
@@ -93,37 +104,56 @@ class PoolLocality:
 DataChunk = Tuple[int, int, np.ndarray, np.ndarray]
 
 
-def _group_sort(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort stream positions so ``values`` ascend, stably.
+def _iota(out: np.ndarray) -> None:
+    """``out[:] = arange(len(out))``, in place."""
+    out.fill(1)
+    out[0] = 0
+    np.cumsum(out, out=out)
 
-    Returns ``(pos_sorted, group_keys)`` from a single unique-key
-    quicksort of ``(value - min) << shift | position`` when the value
-    range permits (~10x cheaper than a stable argsort).  ``group_keys``
-    ascend and change exactly at value boundaries, but are only
-    meaningful for *equality* comparison (the fallback path returns
-    dense group ids, not the values).
+
+def _packed_sort(keys: np.ndarray, idx: np.ndarray, shift: int) -> None:
+    """Stable sort of ``idx`` by ``keys``, both in place: one quicksort
+    of ``keys << shift | idx`` (unique keys, so its order is total;
+    ~10x cheaper than a stable argsort).  ``keys`` ends sorted."""
+    np.left_shift(keys, shift, out=keys)
+    np.bitwise_or(keys, idx, out=keys)
+    keys.sort()
+    np.bitwise_and(keys, (1 << shift) - 1, out=idx)
+    np.right_shift(keys, shift, out=keys)
+
+
+def _group_sort(
+    values: np.ndarray, keys: np.ndarray, pos: np.ndarray, tmp: np.ndarray,
+) -> None:
+    """Sort stream positions so ``values`` ascend, stably, allocating
+    nothing: ``pos`` gets the sorted positions and ``keys`` their
+    base-relative values (meaningful for *equality* only).  All four
+    are int64 arrays of one length; ``values`` and ``tmp`` are
+    clobbered.
+
+    Positions take the low ``shift`` bits of a packed key.  A value
+    range too wide for the remaining bits is sorted in two stable
+    passes, low digit first, then high digit (least significant digit
+    first, so the second pass orders by the whole value).
     """
     n = len(values)
     shift = max(1, (n - 1).bit_length())
-    base = values.min()
-    rel = values - base
-    if int(rel.max()) >> (62 - shift) == 0:
-        key = np.sort((rel << shift) | np.arange(n, dtype=np.int64))
-        # group_keys stay base-relative: equality is all callers need.
-        return key & ((1 << shift) - 1), key >> shift
-    # Value range too wide to pack: group with an unstable quicksort,
-    # then stabilize by sorting the dense (group, position) pack —
-    # two cheap quicksorts still beat one stable argsort.  The second
-    # component returned is the dense group id, not the value: callers
-    # only compare it for equality.
-    order = np.argsort(values)
-    vs = values[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = vs[1:] != vs[:-1]
-    gid = np.cumsum(first) - 1
-    key = np.sort((gid << shift) | order)
-    return key & ((1 << shift) - 1), key >> shift
+    digit = 62 - shift
+    np.subtract(values, values.min(), out=values)
+    _iota(pos)
+    if int(values.max()) >> digit == 0:
+        np.copyto(keys, values)
+        _packed_sort(keys, pos, shift)
+        return
+    np.bitwise_and(values, (1 << digit) - 1, out=keys)
+    _packed_sort(keys, pos, shift)  # by low digit
+    np.right_shift(values, digit, out=tmp)
+    tmp.take(pos, out=keys, mode="clip")  # high digit, pass-1 order
+    _iota(tmp)
+    _packed_sort(keys, tmp, shift)  # by high digit: ranks into pass 1
+    pos.take(tmp, out=keys, mode="clip")
+    np.copyto(pos, keys)
+    values.take(pos, out=keys, mode="clip")
 
 
 def _per_pool_bincount(
@@ -145,54 +175,59 @@ def replay_data(
     ``chunks`` is the exact order in which the scheduler executed the
     per-thread chunks; each entry references the pool (by index into
     ``pools``) that accumulates its statistics.
+
+    Every temporary proportional to the stream is a view of the
+    thread's scratch arena (:func:`repro.profiler.ilp_batch.carve`),
+    so a warmed thread maps no new pages per profile; what is
+    allocated is per chunk or per pool.
     """
     chunks = [ch for ch in chunks if len(ch[2])]
     if not chunks:
         return
-    lens = np.array([len(ch[2]) for ch in chunks], dtype=np.int64)
-    addr = np.concatenate([ch[2] for ch in chunks]).astype(
-        np.int64, copy=False
-    )
-    store = np.concatenate([ch[3] for ch in chunks]).astype(
-        bool, copy=False
-    )
-    n = len(addr)
     n_pools = len(pools)
+    lens = np.array([len(ch[2]) for ch in chunks], dtype=np.int64)
+    n = int(lens.sum())
+    m = n - 1  # adjacent slot pairs
+    i8, b1 = np.int64, np.bool_
+    addr, keys, pos, tmp, aux, scnt, pool_a, pool_p, pk, bins, store, \
+        flag, head = carve([
+            ((n,), i8), ((n,), i8), ((n,), i8), ((n,), i8), ((n,), i8),
+            ((n,), i8), ((n,), i8), ((m,), i8), ((2 * m,), i8),
+            ((m,), np.int16), ((n,), b1), ((n,), b1), ((m,), b1),
+        ])
+    np.concatenate([ch[2] for ch in chunks], out=addr, casting="unsafe")
+    np.concatenate([ch[3] for ch in chunks], out=store, casting="unsafe")
 
-    # Per-access thread id, pool index and thread-local counter.  The
-    # global position g is simply the stream index; c differs from g by
-    # a per-chunk offset known from the schedule.  Per-pool access
-    # totals fall out of the same chunk walk.
-    tidvec = np.repeat(
-        np.array([ch[0] for ch in chunks], dtype=np.int16), lens
-    )
-    poolvec = np.repeat(
-        np.array([ch[1] for ch in chunks], dtype=np.int32), lens
-    )
-    g0 = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    c0 = np.zeros(len(chunks), dtype=np.int64)
+    # Per chunk: thread, pool, and the offset from the stream index g
+    # to the thread-local counter c.  Per-pool access totals fall out
+    # of this walk, store totals out of the store count at chunk ends.
+    tid_c = np.array([ch[0] for ch in chunks], dtype=np.int64)
+    pool_c = np.array([ch[1] for ch in chunks], dtype=np.int64)
+    g0 = np.cumsum(lens) - lens
+    off_c = np.empty(len(chunks), dtype=np.int64)
     counters = [0] * n_threads
     acc_cnt = [0] * n_pools
     for k, (tid, pidx, a, _s) in enumerate(chunks):
-        c0[k] = counters[tid]
+        off_c[k] = g0[k] - counters[tid]
         counters[tid] += len(a)
         acc_cnt[pidx] += len(a)
-    cvec = np.arange(n, dtype=np.int64) - np.repeat(g0 - c0, lens)
+    np.copyto(scnt, store)
+    np.cumsum(scnt, out=scnt)
+    stores_c = np.diff(scnt[g0 + lens - 1], prepend=0)
+    store_cnt = np.bincount(pool_c, weights=stores_c, minlength=n_pools)
+    any_store = scnt[-1] > 0
 
     # ---- view A: sort by (line, g); everything below stays in this
     # order, so no stream-order scatters are needed. -----------------
-    pos_a, line_a = _group_sort(addr)
-    within = line_a[1:] == line_a[:-1]
-    tid_a = tidvec[pos_a]
-    pv_a = poolvec[pos_a]
-    cvec_a = cvec[pos_a]
-
-    # Global reuse pairs: adjacent entries of a line group.  Cold
-    # misses are derived per pool at the end (every access is either a
-    # group head, i.e. cold, or a pair's later element).
-    adj = pos_a[1:] - pos_a[:-1]
-    rd_g = adj[within] - 1
-    pools_g = pv_a[1:][within]
+    _group_sort(addr, keys, pos, tmp)  # pos: slots' g, keys: lines
+    tmp.fill(0)
+    tmp[g0[1:]] = 1
+    np.cumsum(tmp, out=tmp)  # chunk of each g
+    tmp.take(pos, out=addr, mode="clip")  # chunk of each slot
+    pool_c.take(addr, out=pool_a, mode="clip")
+    tid_c.take(addr, out=aux, mode="clip")
+    off_c.take(addr, out=tmp, mode="clip")
+    np.subtract(pos, tmp, out=tmp)  # c of each slot
 
     # Coherence state: a private reuse pair (p_i, p_j) of thread t is
     # invalidated iff *any* store to the line falls strictly between
@@ -205,65 +240,77 @@ def replay_data(
     # line's accesses in the stream interval, so one global cumsum of
     # the store flags answers the "any store strictly between" query
     # with two gathers per pair.
-    scnt = (
-        np.cumsum(store[pos_a], dtype=np.int32)
-        if store.any() else None
-    )
+    if any_store:
+        store.take(pos, out=flag, mode="clip")
+        np.copyto(scnt, flag)
+        np.cumsum(scnt, out=scnt)
 
-    # ---- private pairs, one thread at a time ----------------------
+    # Every pair lands in one bincount, keyed pool * NBINS + bin: the
+    # global pairs below the private ones, then one invalidation
+    # counter per pool, then a slot for adjacent entries that are not
+    # pairs.
+    inval_base = 2 * n_pools * NBINS
+    no_pair = inval_base + n_pools
+    flag = flag[:m]
+
+    # Global reuse pairs: adjacent entries of a line group.  Cold
+    # misses are derived per pool at the end (every access is either a
+    # group head, i.e. cold, or a pair's later element).
+    np.not_equal(keys[1:], keys[:-1], out=head)
+    rd = addr[:m]
+    np.subtract(pos[1:], pos[:-1], out=rd)
+    np.subtract(rd, 1, out=rd)
+    np.copyto(rd, 0, where=head)
+    _bin_indices_into(rd, bins, flag)
+    glob = pk[:m]
+    np.multiply(pool_a[1:], NBINS, out=glob)
+    np.add(glob, bins, out=glob)
+    np.copyto(glob, no_pair, where=head)
+
+    # ---- private pairs --------------------------------------------
     # A thread's subsequence of view A is grouped by line with g still
-    # ascending inside each group — exactly the (line, tid, g) view —
-    # so a second sort is unnecessary.
-    rd_parts: List[np.ndarray] = [rd_g]
-    pool_parts: List[np.ndarray] = [pools_g]
-    inval_cnt = np.zeros(n_pools, dtype=np.int64)
-    for t in range(n_threads):
-        sel = np.flatnonzero(tid_a == t)
-        if len(sel) < 2:
-            continue
-        sl = line_a[sel]
-        w = sl[1:] == sl[:-1]
-        if not w.any():
-            continue
-        pv = pv_a[sel]
-        pools_p = pv[1:][w]
-        cv = cvec_a[sel]
-        rd_p = cv[1:][w] - cv[:-1][w] - 1
-        if scnt is not None:
-            sj = sel[1:][w]
-            si = sel[:-1][w]
-            # Stores among view-A slots (si, sj) exclusive: the slot at
-            # sj (the reuse itself) must not count, the one at si is
-            # t's own access.
-            inval = scnt[sj - 1] > scnt[si]
-            if inval.any():
-                inval_cnt += np.bincount(
-                    pools_p[inval], minlength=n_pools
-                )
-                keep = ~inval
-                rd_p = rd_p[keep]
-                pools_p = pools_p[keep]
-        if len(rd_p):
-            rd_parts.append(rd_p)
-            # Offset private pools into the upper half of the fused
-            # per-pool bincount below.
-            pool_parts.append(pools_p + n_pools)
+    # ascending inside each group, so one packed sort of the slots by
+    # thread lays every thread's subsequence out in turn: adjacent
+    # entries of one thread and one line are its private reuse pairs.
+    sel = addr
+    _iota(sel)
+    _packed_sort(aux, sel, max(1, (n - 1).bit_length()))
+    np.not_equal(aux[1:], aux[:-1], out=head)  # thread boundaries
+    keys.take(sel, out=aux, mode="clip")
+    np.not_equal(aux[1:], aux[:-1], out=flag)
+    np.logical_or(head, flag, out=head)
+    tmp.take(sel, out=aux, mode="clip")
+    rd = keys[:m]
+    np.subtract(aux[1:], aux[:-1], out=rd)
+    np.subtract(rd, 1, out=rd)
+    np.copyto(rd, 0, where=head)
+    _bin_indices_into(rd, bins, flag)
+    pool_a.take(sel[1:], out=pool_p, mode="clip")
+    priv = pk[m:]
+    np.add(pool_p, n_pools, out=priv)
+    np.multiply(priv, NBINS, out=priv)
+    np.add(priv, bins, out=priv)
+    if any_store:
+        # Stores among view-A slots (si, sj) exclusive: the slot at sj
+        # (the reuse itself) must not count, the one at si is t's own
+        # access.
+        later, earlier = pos[:m], tmp[:m]
+        np.subtract(sel[1:], 1, out=aux[:m])
+        scnt.take(aux[:m], out=later, mode="clip")
+        scnt.take(sel[:-1], out=earlier, mode="clip")
+        np.greater(later, earlier, out=flag)
+        np.add(pool_p, inval_base, out=aux[:m])
+        np.copyto(priv, aux[:m], where=flag)
+    np.copyto(priv, no_pair, where=head)
 
-    # ---- fused binning and pool accumulation ----------------------
-    rd_all = np.concatenate(rd_parts)
-    if len(rd_all):
-        pk_all = np.concatenate(pool_parts)
-        mat = np.bincount(
-            pk_all * NBINS + _bin_indices(rd_all),
-            minlength=2 * n_pools * NBINS,
-        ).reshape(2 * n_pools, NBINS)
-    else:
-        mat = np.zeros((2 * n_pools, NBINS), dtype=np.int64)
+    # ---- pool accumulation ------------------------------------------
+    counts = np.bincount(pk, minlength=no_pair + 1)
+    mat = counts[:inval_base].reshape(2 * n_pools, NBINS)
+    inval_cnt = counts[inval_base:no_pair]
     glob_mat = mat[:n_pools]
     priv_mat = mat[n_pools:]
     glob_pairs = glob_mat.sum(axis=1)
     priv_pairs = priv_mat.sum(axis=1)
-    store_cnt = np.bincount(poolvec[store], minlength=n_pools)
     for p, pool in enumerate(pools):
         pool.glob_cold += acc_cnt[p] - int(glob_pairs[p])
         pool.priv_cold += (
@@ -302,7 +349,9 @@ def replay_fetch(
     for pidx, ls in chunks:
         acc_cnt[pidx] += len(ls)
 
-    pos, line_sorted = _group_sort(lines)
+    n = len(lines)
+    pos, line_sorted, tmp = (np.empty(n, dtype=np.int64) for _ in "abc")
+    _group_sort(lines, line_sorted, pos, tmp)
     within = line_sorted[1:] == line_sorted[:-1]
     p_j = pos[1:][within]
     mat = None

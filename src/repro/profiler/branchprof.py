@@ -198,13 +198,32 @@ def _legacy_group_order(group_keys: np.ndarray, depth: int) -> np.ndarray:
     """
     if depth == 0:
         return np.arange(len(group_keys))
-    mask = (np.int64(1) << depth) - 1
-    bits = group_keys & mask
-    rev = np.zeros(len(group_keys), dtype=np.int64)
-    for b in range(depth):
-        rev |= ((bits >> b) & 1) << (depth - 1 - b)
+    rev = _reversed_bits(group_keys & ((1 << depth) - 1), depth)
     legacy = ((group_keys >> depth) << depth) | rev
     return np.argsort(legacy, kind="stable")
+
+
+#: Widest bit-reversal table; deeper fields reverse in pieces.
+_REV_BITS = 12
+_REV_TABLES: Dict[int, np.ndarray] = {}
+
+
+def _reversed_bits(bits: np.ndarray, depth: int) -> np.ndarray:
+    """``bits`` (each below ``2**depth``) with their ``depth`` bits
+    reversed, by one lookup in a per-depth table built once."""
+    if depth > _REV_BITS:
+        low = bits & ((1 << _REV_BITS) - 1)
+        return (
+            _reversed_bits(low, _REV_BITS) << (depth - _REV_BITS)
+        ) | _reversed_bits(bits >> _REV_BITS, depth - _REV_BITS)
+    table = _REV_TABLES.get(depth)
+    if table is None:
+        values = np.arange(1 << depth, dtype=np.int64)
+        table = np.zeros_like(values)
+        for b in range(depth):
+            table |= ((values >> b) & 1) << (depth - 1 - b)
+        _REV_TABLES[depth] = table
+    return table[bits]
 
 
 #: Branch statistics a session keeps resident (:attr:`Session.branches
@@ -220,11 +239,11 @@ def cached_branch_stats(
     """:func:`branch_stats` through an optional content-addressed memo.
 
     ``branch_stats`` is a pure function of the concatenated (pc, taken)
-    stream, so re-profiling a trace the session has seen before skips
-    the shared-sort analysis.  The key hashes that stream's content,
-    however it was split into chunk pieces.  Cached :class:`BranchStats`
-    objects are shared and must be treated as read-only (all consumers
-    are).
+    stream and the depth grid, so re-profiling a trace the session has
+    seen before skips the shared-sort analysis.  The key hashes the
+    depths and that stream's content, however it was split into chunk
+    pieces.  Cached :class:`BranchStats` objects are shared and must be
+    treated as read-only (all consumers are).
     """
     if cache is None:
         return branch_stats(streams, depths)
@@ -232,7 +251,8 @@ def cached_branch_stats(
     if not pieces:
         return branch_stats(pieces, depths)
     pcs, taken = _concat_streams(pieces)
-    h = hashlib.sha256(f"branch|{len(pcs)}|".encode())
+    grid = ",".join(str(int(d)) for d in depths)
+    h = hashlib.sha256(f"branch|{len(pcs)}|{grid}|".encode())
     h.update(np.ascontiguousarray(pcs).tobytes())
     h.update(np.ascontiguousarray(taken).tobytes())
     key = h.digest()

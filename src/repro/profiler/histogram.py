@@ -58,19 +58,29 @@ _LUT = None  # built lazily to keep import light
 
 def _bin_indices(rds: np.ndarray) -> np.ndarray:
     """Vectorized :func:`bin_index` (table-driven fast path)."""
+    rds = np.asarray(rds, dtype=np.int64)
+    out = np.empty(len(rds), dtype=np.int16)
+    _bin_indices_into(rds, out, np.empty(len(rds), dtype=bool))
+    return out
+
+
+def _bin_indices_into(
+    rds: np.ndarray, out: np.ndarray, big: np.ndarray
+) -> None:
+    """:func:`bin_index` of every non-negative int64 ``rds`` entry, into
+    int16 ``out``, with ``big`` a bool scratch of the same length: one
+    table gather, and an allocation only for the (rare) distances
+    beyond the table."""
     global _LUT
     if _LUT is None:
         _LUT = _bin_indices_long(
             np.arange(1 << _LUT_BITS, dtype=np.int64)
         ).astype(np.int16)
-    rds = np.asarray(rds, dtype=np.int64)
-    big = rds >> _LUT_BITS
-    if not big.any():
-        return _LUT[rds]
-    out = _LUT[np.minimum(rds, (1 << _LUT_BITS) - 1)].astype(np.int64)
-    long_mask = big != 0
-    out[long_mask] = _bin_indices_long(rds[long_mask])
-    return out
+    _LUT.take(rds, out=out, mode="clip")
+    np.greater(rds, (1 << _LUT_BITS) - 1, out=big)
+    if big.any():
+        idx = np.flatnonzero(big)
+        out[idx] = _bin_indices_long(rds[idx])
 
 
 def bin_counts(rds: np.ndarray) -> np.ndarray:

@@ -17,20 +17,22 @@ Python loop is O(width) total:
   the same pass, so one loop yields the full
   :class:`~repro.profiler.profile.ILPTable`.
 
-The kernel is *fused*: the (sample, window, latency) axes are kept as
+The kernel is *fused*: the (window, sample, latency) axes are kept as
 one contiguous grid, every gather (producer completion, window
-dispatch, slice loads, chain depth) is a single ``np.take`` driven by
-index tables precomputed once per batch, invalid/out-of-reach lookups
-are redirected to an all-zero sentinel row instead of masked with
-``np.where``, and every per-step result lands in a preallocated
-scratch row (``out=`` throughout; a gather writes a row of its own,
-never one of the history it reads, or NumPy would copy through a
-temporary) — :data:`DISPATCHES_PER_STEP` NumPy dispatches per
-instruction step and **zero per-step allocations** (regression-tested).
-All of a call's buffers are views carved from one grow-only scratch
-arena per thread, at most :data:`_WORKSPACE_MAX_BYTES`: a thread keeps
-the scratch of its largest call, and a call above the budget gets
-use-once buffers.
+dispatch, and the slice-load and chain-depth counts, which share one
+history) is a single ``np.take`` driven by index tables precomputed
+once per batch, invalid/out-of-reach lookups are redirected to an
+all-zero sentinel row instead of masked with ``np.where``, and every
+per-step result lands in a preallocated scratch row (``out=``
+throughout; a gather writes a row of its own, never one of the history
+it reads, or NumPy would copy through a temporary) —
+:data:`DISPATCHES_PER_STEP` NumPy dispatches per instruction step and
+**zero per-step allocations** (regression-tested).  All of a call's
+buffers are views carved from one grow-only scratch arena per thread
+(:func:`carve`), at most :data:`_WORKSPACE_MAX_BYTES`, which
+:func:`repro.profiler.batch.replay_data` shares: a thread keeps the
+scratch of its largest call, and a call above the budget gets use-once
+buffers.
 Chunk flushes and branch accumulation are integer-valued, so they move
 out of the loop entirely and are reduced exactly after it.
 
@@ -46,11 +48,19 @@ kernel with the auxiliary outputs disabled.
 Samples of unequal length are padded with no-ops; every per-sample
 readout (makespan, branch counts, chunk flushes) indexes the true
 length, so padding never leaks into results and a sample's row is
-independent of what it is batched with.  All arithmetic is the same
-float64 max/add sequence as the scalar spec, in the same per-element
-order, so tables agree to float64 exactness (tested against
-:func:`repro.profiler.ilp.scoreboard_replay`, the preserved executable
-spec, and pinned bit-identical across arbitrary bucketings).
+independent of what it is batched with.  The recurrence is the scalar
+spec's max/add sequence, per element.  Its values are exact in
+integers: ``CANONICAL_LAT`` and ``LOAD_LAT_GRID`` are integers, and a
+completion time never exceeds the step count times the largest
+latency (128,000 at 512 steps), so the profiling grid runs int32
+histories, whose max/add give the very values float64 max/add give on
+the same integers.  The history dtype follows the latency array
+(:func:`_history_dtype`): float per-op latencies
+(:func:`batch_hierarchy_ilp`), or an integer grid whose bound could
+reach 2**31, run the same loop in float64.  Either way the tables
+agree bit for bit with :func:`repro.profiler.ilp.scoreboard_replay`,
+the preserved executable spec, and are pinned bit-identical across
+arbitrary bucketings.
 
 Because the profiling grid is microarchitecture-*independent*, the
 tables are also memoized: :class:`ILPTableCache` keys a pool's table
@@ -66,7 +76,9 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -88,9 +100,9 @@ Sample = Tuple[np.ndarray, np.ndarray]
 #: (ready gather, dispatch gather, max, latency add, commit max).
 CORE_DISPATCHES_PER_STEP = 5
 #: Extra dispatches when the auxiliary branch-slice / load-chain
-#: outputs are on (per history: sentinel gather, reach mask multiply,
-#: load-increment add).
-AUX_DISPATCHES_PER_STEP = 6
+#: outputs are on (one history holds both: sentinel gather, reach and
+#: chunk mask multiply, load-increment add).
+AUX_DISPATCHES_PER_STEP = 3
 #: Total per-step dispatches of a full-table advance.
 DISPATCHES_PER_STEP = CORE_DISPATCHES_PER_STEP + AUX_DISPATCHES_PER_STEP
 
@@ -126,103 +138,92 @@ KERNEL_STATS = KernelStats()
 class _Workspace:
     """One call's buffers and static tables, carved from its thread's arena.
 
-    Each thread keeps one grow-only scratch arena (:func:`_arena`):
-    every :func:`batch_scoreboard` call carves its histories, content
-    buffers, static index tables and scratch rows from it as
-    contiguous views of the call's exact shape, so a thread retains
-    the scratch of its largest call and nothing keyed by shape, and a
-    call of any shape reuses pages an earlier call already touched.
-    The arena holds at most :data:`_WORKSPACE_MAX_BYTES`; a call that
-    needs more gets use-once buffers and leaves the arena as it was.
+    Every :func:`batch_scoreboard` call carves its histories, content
+    buffers, static index tables and scratch rows from the thread's
+    scratch arena (:func:`carve`) as contiguous views of the call's
+    exact shape, so a call of any shape reuses pages an earlier call
+    (or :func:`repro.profiler.batch.replay_data`) already touched.
     Every history row is fully overwritten at its step before any
     gather reads it, so only the gather sentinel row and the
     running-max seed row are cleared per call: a row an earlier,
     larger grid left in the arena is never read.
+
+    ``comp`` and ``commit`` are window-major, ``(N + 1, W, S, L)`` of
+    ``dtype`` (int32 or float64, see :func:`_history_dtype`): a commit
+    gather is ``W`` slab copies and the latency row ``(S, L)``
+    broadcasts over the outer axis.  The branch-slice and load-chain
+    counts share one sample-major history, ``(N + 1, S, 2, W)`` of the
+    narrowest signed integer that holds ``N``, so one gather serves
+    both.
     """
 
     __slots__ = (
-        "steps", "comp", "commit", "disp_buf",
-        "gather_buf", "gather_rows", "aux_buf",
-        "slice_hist", "chain_hist", "comp2d", "commit_cells",
-        "slice2d", "chain2d", "prod_rows", "valid_t", "bool_ns",
-        "lat_steps", "disp_idx", "imod", "reach", "chunk", "bool3",
-        "load_step", "comp_grids", "commit_rows",
-        "lat_rows", "prod_list", "disp_list", "reach_list",
-        "chunk_list", "srow_list", "hrow_list", "load_list",
+        "steps", "comp", "commit", "disp_buf", "disp_slabs",
+        "gather_buf", "comp_cells", "commit_slabs", "comp_idx",
+        "disp_idx", "prod_rows", "valid_t", "bool_ns", "lat_steps",
+        "aux_hist", "aux_cells", "aux_rows", "aux_buf", "aux_mask",
+        "imod", "bool3", "load_step", "comp_grids", "commit_rows",
+        "lat_rows", "comp_list", "disp_list", "prod_list", "hrow_list",
+        "mask_list", "load_list",
     )
 
     def __init__(
         self, n: int, s: int, w: int, lats: int, aux: bool,
-        w_arr: np.ndarray,
+        w_arr: np.ndarray, dtype: type,
     ) -> None:
-        f8, b1 = np.float64, np.bool_
-        # Histories: (N + 1, S, grid...) rows; row N is the all-zero
-        # gather sentinel, commit row 0 the pre-step running max.
-        # Gathers land in ``gather_buf``, never in the history they
-        # read: NumPy would copy through a temporary for an ``out=``
-        # that may share memory with the source.  The next ufunc
-        # writes the history.
+        b1, ip = np.bool_, np.intp
+        # Histories: row N of comp is the all-zero gather sentinel,
+        # commit row 0 the pre-step running max.  Gathers land in
+        # ``gather_buf`` / ``disp_buf`` / ``aux_buf``, never in the
+        # history they read: NumPy would copy through a temporary for
+        # an ``out=`` that may share memory with the source.
         shapes = {
-            "comp": ((n + 1, s, w, lats), f8),
-            "commit": ((n + 1, s, w, lats), f8),
-            "disp_buf": ((s, w, lats), f8),
-            "gather_buf": ((s, w, lats), f8),
-            "disp_idx": ((n, s, w), np.intp),
-            "prod_rows": ((n, s), np.intp),
+            "comp": ((n + 1, w, s, lats), dtype),
+            "commit": ((n + 1, w, s, lats), dtype),
+            "disp_buf": ((w, s, lats), dtype),
+            "gather_buf": ((w, s, lats), dtype),
+            "comp_idx": ((n, w, s), ip),
+            "disp_idx": ((n, w), ip),
+            "prod_rows": ((n, s), ip),
             "valid_t": ((n, s), b1),
             "bool_ns": ((n, s), b1),
-            "lat_steps": ((n, s, 1, lats), f8),
+            "lat_steps": ((n, s, lats), dtype),
         }
         if aux:
+            count_t = np.min_scalar_type(-n)
             shapes.update(
-                slice_hist=((n + 1, s, w), f8),
-                chain_hist=((n + 1, s, w), f8),
+                aux_hist=((n + 1, s, 2, w), count_t),
+                aux_mask=((n, s, 2, w), count_t),
+                aux_buf=((s, 2, w), count_t),
+                load_step=((n, s, 1, 1), count_t),
                 imod=((n, w), np.int64),
-                reach=((n, s, w), f8),
-                chunk=((n, s, w), f8),
                 bool3=((n, s, w), b1),
-                load_step=((n, s, 1), f8),
-                aux_buf=((s, w), f8),
             )
         else:
-            self.slice_hist = self.chain_hist = None
-            self.slice2d = self.chain2d = None
-            self.imod = self.reach = self.chunk = None
-            self.bool3 = self.load_step = self.aux_buf = None
-        # One 64-byte-aligned slot per buffer.
-        sizes = [
-            -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
-            for shape, dtype in shapes.values()
-        ]
-        arena, offset = _arena(sum(sizes)), 0
-        for (name, (shape, dtype)), size in zip(shapes.items(), sizes):
-            setattr(self, name, np.ndarray(shape, dtype, arena, offset))
-            offset += size
+            self.aux_hist = self.aux_cells = None
+            self.aux_rows = self.aux_buf = None
+            self.aux_mask = self.load_step = None
+            self.imod = self.bool3 = None
+        for name, view in zip(shapes, carve(shapes.values())):
+            setattr(self, name, view)
 
         steps = self.steps = np.arange(n, dtype=np.int64)
-        self.comp2d = self.comp.reshape((n + 1) * s, w * lats)
-        self.commit_cells = self.commit.reshape((n + 1) * s * w, lats)
-        self.gather_rows = self.gather_buf.reshape(s, w * lats)
-        self.comp[n] = 0.0
-        self.commit[0] = 0.0
+        self.comp_cells = self.comp.reshape((n + 1) * w * s, lats)
+        self.commit_slabs = self.commit.reshape((n + 1) * w, s * lats)
+        self.disp_slabs = self.disp_buf.reshape(w, s * lats)
+        self.comp[n] = 0
+        self.commit[0] = 0
 
         # Dispatch index table: commit row i - w + 1 (row 0 while the
-        # window has not filled), at cell (row, s, w).
-        open_rows = np.where(
-            steps[:, None] >= w_arr[None, :],
-            steps[:, None] - w_arr[None, :] + 1,
-            0,
-        )
-        base_sw = np.arange(s, dtype=np.int64)[:, None] * w + np.arange(
-            w, dtype=np.int64
-        )
-        np.multiply(open_rows[:, None, :], s * w, out=self.disp_idx)
-        np.add(self.disp_idx, base_sw, out=self.disp_idx)  # (N, S, W)
+        # window has not filled), slab (row, w).
+        np.subtract(steps[:, None], w_arr[None, :] - 1, out=self.disp_idx)
+        np.maximum(self.disp_idx, 0, out=self.disp_idx)
+        np.multiply(self.disp_idx, w, out=self.disp_idx)
+        np.add(self.disp_idx, np.arange(w), out=self.disp_idx)
         if aux:
-            self.slice2d = self.slice_hist.reshape((n + 1) * s, w)
-            self.chain2d = self.chain_hist.reshape((n + 1) * s, w)
-            self.slice_hist[n] = 0.0
-            self.chain_hist[n] = 0.0
+            self.aux_cells = self.aux_hist.reshape((n + 1) * s, 2 * w)
+            self.aux_rows = self.aux_buf.reshape(s, 2 * w)
+            self.aux_hist[n] = 0
             np.remainder(steps[:, None], w_arr[None, :], out=self.imod)
 
         # Per-step row views, materialized once per call: the loop body
@@ -230,18 +231,17 @@ class _Workspace:
         self.comp_grids = list(self.comp[:n])
         self.commit_rows = list(self.commit)
         self.lat_rows = list(self.lat_steps)
-        self.prod_list = list(self.prod_rows)
+        self.comp_list = list(self.comp_idx)
         self.disp_list = list(self.disp_idx)
         if aux:
-            self.reach_list = list(self.reach)
-            self.chunk_list = list(self.chunk)
-            self.srow_list = list(self.slice_hist[:n])
-            self.hrow_list = list(self.chain_hist[:n])
+            self.prod_list = list(self.prod_rows)
+            self.hrow_list = list(self.aux_hist[:n])
+            self.mask_list = list(self.aux_mask)
             self.load_list = list(self.load_step)
 
 
 _TLS = threading.local()
-#: Byte budget of a thread's arena: a full-suite grid is ~250 MB, so
+#: Byte budget of a thread's arena: a full-suite grid is ~113 MB, so
 #: the suite's largest bucket fits, and a long-lived serving worker
 #: that once profiled a huge workload does not pin gigabytes.
 _WORKSPACE_MAX_BYTES = 768 * 2**20
@@ -258,6 +258,30 @@ def _arena(nbytes: int) -> np.ndarray:
         _TLS.arena = None  # free the old pages before taking new ones
         arena = _TLS.arena = np.empty(nbytes, dtype=np.uint8)
     return arena
+
+
+def carve(
+    specs: Iterable[Tuple[Tuple[int, ...], type]],
+) -> List[np.ndarray]:
+    """Uninitialized arrays of the given ``(shape, dtype)`` specs, as
+    64-byte-aligned views of the thread's scratch arena.
+
+    The profiler's one scratch: the ILP kernel's workspace and
+    :func:`repro.profiler.batch.replay_data`'s temporaries both come
+    from it, so a warmed thread maps no new pages per profile.  The
+    views stay valid until the thread's next :func:`carve`, which may
+    hand out the same bytes.
+    """
+    specs = list(specs)
+    sizes = [
+        -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+        for shape, dtype in specs
+    ]
+    arena, offset, views = _arena(sum(sizes)), 0, []
+    for (shape, dtype), size in zip(specs, sizes):
+        views.append(np.ndarray(shape, dtype, arena, offset))
+        offset += size
+    return views
 
 
 def stack_samples(
@@ -297,14 +321,34 @@ def grid_latencies(
     """Per-op latencies for every grid latency: shape (S, N, L).
 
     Non-load classes take their canonical latency on every grid point;
-    loads take the grid value.
+    loads take the grid value.  An integer grid gives an integer array,
+    which :func:`batch_scoreboard` advances in int32.
     """
-    canon = np.asarray(CANONICAL_LAT, dtype=np.float64)
-    lat = np.repeat(
-        canon[op][:, :, None], max(len(load_lats), 1), axis=2
-    )
-    lat[op == OP_LOAD] = np.asarray(load_lats, dtype=np.float64)
+    grid = np.asarray(load_lats)
+    canon = np.asarray(CANONICAL_LAT, dtype=np.result_type(grid, np.int64))
+    lat = np.repeat(canon[op][:, :, None], max(len(grid), 1), axis=2)
+    lat[op == OP_LOAD] = grid
     return lat
+
+
+#: Per-chunk maxima of a history column (``np.maximum.reduceat``).
+_segment_max = np.maximum.reduceat
+
+
+def _history_dtype(lat: np.ndarray, n: int) -> type:
+    """The completion-history dtype of a grid of ``n`` steps.
+
+    Every completion time is at most ``n`` times the largest latency,
+    so when the latencies are integers and that bound is below 2**31,
+    int32 max/add compute exactly the values float64 max/add would:
+    float64 holds every such integer exactly, and rounds none of their
+    sums.  Float latencies, or integers that could overflow, keep
+    float64.
+    """
+    if lat.dtype.kind in "iu" and lat.size:
+        if n * max(int(lat.max()), -int(lat.min())) < 2**31:
+            return np.int32
+    return np.float64
 
 
 def batch_scoreboard(
@@ -354,92 +398,86 @@ def batch_scoreboard(
     is_branch = (op == OP_BRANCH) & in_range
 
     # -- workspace: histories, static tables, scratch (thread arena) ----
-    ws = _Workspace(N, S, W, L, aux, w_arr)
+    ws = _Workspace(N, S, W, L, aux, w_arr, _history_dtype(lat, N))
     steps = ws.steps
-    comp = ws.comp  # row N: gather sentinel
     commit = ws.commit  # row 0: pre-step running max
-    disp_buf = ws.disp_buf
 
     # -- per-call content tables, computed into reused buffers ----------
-    # Histories are laid out (N + 1, S, ...grid): element (r, s) is one
-    # contiguous row of the per-sample grid, so a producer gather is S
-    # row copies instead of S * W * L element picks — the gather is
-    # bandwidth- not latency-bound.  Row N is the all-zero sentinel
-    # that invalid producers are redirected to, replacing per-step
-    # ``np.where`` masking.  One shared table serves the comp, slice
-    # and chain gathers (their gates all imply a valid producer; the
-    # per-window reach/chunk gates become exact {0, 1} mask
-    # multiplies — every masked value is a finite non-negative count).
+    # A producer is history row r = i - dep (row N, the all-zero
+    # sentinel, when the dependence is invalid — replacing per-step
+    # ``np.where`` masking).  In the window-major comp history its
+    # cells are (r, w, s) for every window; in the sample-major aux
+    # history, row r * S + s.  The aux gates (reach within the window,
+    # producer inside the chunk) become exact {0, 1} mask multiplies:
+    # every masked value is a non-negative count.
     dep_t = dep.T  # (N, S) view
     valid_t = ws.valid_t
     np.greater(dep_t, 0, out=valid_t)
     np.less_equal(dep_t, steps[:, None], out=ws.bool_ns)
     np.logical_and(valid_t, ws.bool_ns, out=valid_t)
-    prod_rows = ws.prod_rows  # (N, S) history rows r * S + s
+    prod_rows = ws.prod_rows
     np.subtract(steps[:, None], dep_t, out=prod_rows)
     np.logical_not(valid_t, out=ws.bool_ns)
     prod_rows[ws.bool_ns] = N
-    np.multiply(prod_rows, S, out=prod_rows)
-    np.add(prod_rows, np.arange(S, dtype=np.intp), out=prod_rows)
-
-    np.copyto(
-        ws.lat_steps, lat.transpose(1, 0, 2)[:, :, None, :]
-    )  # (N, S, 1, L)
+    np.multiply(prod_rows[:, None, :], W * S, out=ws.comp_idx)
+    np.add(
+        ws.comp_idx,
+        np.arange(W * S, dtype=np.intp).reshape(W, S),
+        out=ws.comp_idx,
+    )  # (N, W, S)
+    np.copyto(ws.lat_steps, lat.transpose(1, 0, 2))  # (N, S, L)
 
     if aux:
+        np.multiply(prod_rows, S, out=prod_rows)
+        np.add(prod_rows, np.arange(S, dtype=np.intp), out=prod_rows)
         dep3 = dep_t[:, :, None]  # (N, S, 1)
         bool3 = ws.bool3
         np.less_equal(dep3, w_arr[None, None, :], out=bool3)
         np.logical_and(bool3, valid_t[:, :, None], out=bool3)
-        np.copyto(ws.reach, bool3)  # (N, S, W) float {0, 1}
+        np.copyto(ws.aux_mask[:, :, 0], bool3)  # slice reach
         np.less_equal(dep3, ws.imod[:, None, :], out=bool3)
         np.logical_and(bool3, valid_t[:, :, None], out=bool3)
-        np.copyto(ws.chunk, bool3)
-        np.copyto(ws.load_step, is_load.T[:, :, None])
+        np.copyto(ws.aux_mask[:, :, 1], bool3)  # chain: same chunk
+        np.copyto(ws.load_step, is_load.T[:, :, None, None])
 
     # The loop walks per-step row views materialized in the workspace —
     # no indexing-driven allocation, only ``out=`` dispatches.  Bound
     # ``.take`` methods skip the ``np.take`` wrapper, measurable at
-    # ~3.5k gathers per advance.
-    gather_rows = ws.gather_rows
+    # ~3k gathers per advance.
     gather_buf = ws.gather_buf
+    disp_buf = ws.disp_buf
+    disp_slabs = ws.disp_slabs
     comp_grids = ws.comp_grids
     commit_rows = ws.commit_rows
     lat_rows = ws.lat_rows
-    prod_list = ws.prod_list
+    comp_list = ws.comp_list
     disp_list = ws.disp_list
-    take_comp = ws.comp2d.take
-    take_commit = ws.commit_cells.take
+    take_comp = ws.comp_cells.take
+    take_commit = ws.commit_slabs.take
     maximum, add, multiply = np.maximum, np.add, np.multiply
     if aux:
-        slice_hist = ws.slice_hist
-        chain_hist = ws.chain_hist
-        reach_list = ws.reach_list
-        chunk_list = ws.chunk_list
-        srow_list = ws.srow_list
+        prod_list = ws.prod_list
         hrow_list = ws.hrow_list
+        mask_list = ws.mask_list
         load_list = ws.load_list
-        take_slice = ws.slice2d.take
-        take_chain = ws.chain2d.take
+        take_aux = ws.aux_cells.take
         aux_buf = ws.aux_buf
+        aux_rows = ws.aux_rows
 
     for i in range(N):
         grid = comp_grids[i]
         # comp[i] = max(producer completion, dispatch bound) + latency
-        take_comp(prod_list[i], axis=0, out=gather_rows, mode="clip")
-        take_commit(disp_list[i], axis=0, out=disp_buf, mode="clip")
+        take_comp(comp_list[i], axis=0, out=gather_buf, mode="clip")
+        take_commit(disp_list[i], axis=0, out=disp_slabs, mode="clip")
         maximum(gather_buf, disp_buf, out=grid)
         add(grid, lat_rows[i], out=grid)
         # commit[i] = max(commit[i - 1], comp[i]) (in-order commit)
         maximum(commit_rows[i], grid, out=commit_rows[i + 1])
         if aux:
-            srow = srow_list[i]
-            take_slice(prod_list[i], axis=0, out=aux_buf, mode="clip")
-            multiply(aux_buf, reach_list[i], out=srow)
-            add(srow, load_list[i], out=srow)
+            # slice / chain count = gated producer count + is-load
             hrow = hrow_list[i]
-            take_chain(prod_list[i], axis=0, out=aux_buf, mode="clip")
-            multiply(aux_buf, chunk_list[i], out=hrow)
+            take_aux(prod_list[i], axis=0, out=aux_rows, mode="clip")
+            multiply(aux_buf, mask_list[i], out=hrow)
             add(hrow, load_list[i], out=hrow)
 
     per_step = DISPATCHES_PER_STEP if aux else CORE_DISPATCHES_PER_STEP
@@ -450,7 +488,7 @@ def batch_scoreboard(
 
     # -- per-sample readouts at true lengths ----------------------------
     s_idx = np.arange(S)
-    makespan = commit[lengths, s_idx]  # (S, W, L)
+    makespan = commit[lengths, :, s_idx]  # (S, W, L)
     n_f = lengths.astype(np.float64)[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ilp = np.where(makespan > 0, n_f / makespan, n_f)
@@ -459,12 +497,12 @@ def batch_scoreboard(
     if not aux:
         return ilp, np.zeros((S, W)), np.ones((S, W))
 
-    # Branch backward-slice load counts: every term is integer-valued,
-    # so the exact per-step accumulation of the spec reduces to one
-    # order-independent contraction after the loop.
+    # Branch backward-slice load counts: every term is an integer, so
+    # the spec's per-step accumulation reduces exactly to one integer
+    # contraction after the loop.
     branch_count = is_branch.sum(axis=1).astype(np.float64)
     loads_sum = np.einsum(
-        "isw,si->sw", slice_hist[:N], is_branch.astype(np.float64)
+        "isw,si->sw", ws.aux_hist[:N, :, 0], is_branch, dtype=np.int64
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         branch_loads = np.where(
@@ -474,21 +512,17 @@ def batch_scoreboard(
         )
 
     # Load-chain depth per window chunk: the spec's per-chunk running
-    # max becomes one exact segmented reduction per chunk boundary
-    # (integer-valued sums), gated on the chunk starting in-sample.
-    depth_sum = np.zeros((S, W))
-    max_buf = np.empty(S)
-    gate_buf = np.empty(S, dtype=bool)
+    # max becomes one segmented max per window, gated on the chunk
+    # starting in-sample, and an exact integer sum.
+    depth_sum = np.empty((S, W), dtype=np.int64)
     for wi in range(W):
-        w = int(w_arr[wi])
-        col = depth_sum[:, wi]
-        for c0 in range(0, N, w):
-            seg = chain_hist[c0:min(c0 + w, N), :, wi]
-            np.max(seg, axis=0, out=max_buf)
-            np.maximum(max_buf, 1.0, out=max_buf)
-            np.less(c0, lengths, out=gate_buf)
-            np.multiply(max_buf, gate_buf, out=max_buf)
-            np.add(col, max_buf, out=col)
+        starts = np.arange(0, N, int(w_arr[wi]))
+        seg_max = _segment_max(
+            ws.aux_hist[:N, :, 1, wi], starts, axis=0
+        )  # (chunks, S)
+        np.maximum(seg_max, 1, out=seg_max)
+        seg_max *= starts[:, None] < lengths[None, :]
+        np.sum(seg_max, axis=0, out=depth_sum[:, wi])
 
     total_loads = (is_load & in_range).sum(axis=1).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):

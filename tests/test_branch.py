@@ -9,10 +9,13 @@ from repro.branch.entropy_model import (
     predict_miss_rate,
 )
 from repro.branch.predictors import TournamentPredictor
+from repro.lru import LRUCache
 from repro.profiler.branchprof import (
     DEPTH_GRID,
     _branch_stats_reference,
+    _reversed_bits,
     branch_stats,
+    cached_branch_stats,
 )
 from repro.profiler.profile import BranchStats
 
@@ -330,3 +333,46 @@ class TestBranchStatsEquivalence:
         taken = rng.integers(0, 2, size=1500)
         self._assert_identical(stream(pcs, taken), depths=(0, 1, 3, 7))
         self._assert_identical(stream(pcs, taken), depths=(4,))
+
+    def test_deep_custom_depths(self, rng):
+        # Deeper than one bit-reversal table: reversed in pieces.
+        pcs = rng.integers(0, 4, size=3000) * 16
+        taken = rng.integers(0, 2, size=3000)
+        self._assert_identical(stream(pcs, taken), depths=(0, 13, 20))
+
+
+def _reversed_bits_loop(bits, depth):
+    """The per-bit reversal loop the lookup tables replace."""
+    rev = np.zeros(len(bits), dtype=np.int64)
+    for b in range(depth):
+        rev |= ((bits >> b) & 1) << (depth - 1 - b)
+    return rev
+
+
+class TestLegacyGroupOrder:
+    @pytest.mark.parametrize("depth", DEPTH_GRID + (1, 7, 13, 25))
+    def test_table_matches_the_bit_loop(self, rng, depth):
+        keys = rng.integers(0, 2**40, size=4000) << depth | rng.integers(
+            0, 2**depth, size=4000
+        )
+        bits = keys & ((1 << depth) - 1)
+        assert np.array_equal(
+            _reversed_bits(bits, depth), _reversed_bits_loop(bits, depth)
+        )
+
+
+class TestBranchStatsMemo:
+    def test_memo_keyed_on_the_depth_grid(self, rng):
+        pcs = rng.integers(0, 16, size=2000) * 16
+        taken = rng.integers(0, 2, size=2000)
+        cache = LRUCache(8)
+        first = cached_branch_stats(stream(pcs, taken), cache, (0, 2))
+        assert set(first.floors) == {0, 2}
+        second = cached_branch_stats(stream(pcs, taken), cache, (0, 4, 8))
+        assert set(second.floors) == {0, 4, 8}
+        assert set(second.contexts) == {0, 4, 8}
+        want = branch_stats(stream(pcs, taken), (0, 4, 8))
+        assert second.floors == want.floors
+        # The same grid again is a hit.
+        again = cached_branch_stats(stream(pcs, taken), cache, (0, 4, 8))
+        assert again is second

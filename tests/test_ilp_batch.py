@@ -364,7 +364,7 @@ class TestBenchCheck:
                 profile_mismatches=0, memory_replay=1.3, kips=900.0,
                 memory_mismatches=0, predict_per_s=1e4,
                 predict_mismatches=0, src_lines=1000, key_speedup=10.0,
-                key_mismatches=0, schedules=None):
+                key_mismatches=0, schedules=None, cold=1.4):
         profiles = 16
         if schedules is None:
             schedules = profiles * len(TABLE_IV)
@@ -376,6 +376,8 @@ class TestBenchCheck:
                 "digest_mismatches": mismatches,
                 "key_speedup": key_speedup,
                 "key_mismatches": key_mismatches,
+                "speedup_cold": cold,
+                "cold_pairs": 7,
             },
             "replay": {
                 "profiler_speedup": profiler,
@@ -409,6 +411,7 @@ class TestBenchCheck:
         assert len(check_bench(self._record(kips=100.0))) == 1
         assert len(check_bench(self._record(predict_per_s=1.0))) == 1
         assert len(check_bench(self._record(key_speedup=1.0))) == 1
+        assert len(check_bench(self._record(cold=0.99))) == 1
         # Phase 2 runs exactly once per (profile, Table IV point), not
         # once per (profile, dse point) as without the memo.
         once = 16 * len(TABLE_IV)
@@ -432,8 +435,8 @@ class TestBenchCheck:
                          kips=1.0, memory_mismatches=1, predict_per_s=1.0,
                          predict_mismatches=1, src_lines=too_big,
                          key_speedup=1.0, key_mismatches=1,
-                         schedules=once - 1)
-        )) == 17
+                         schedules=once - 1, cold=0.5)
+        )) == 18
 
     def test_obs_ceiling_gates_the_median_pair_ratio(self):
         record = self._record()

@@ -1,6 +1,6 @@
 """Fused flat-grid kernel and suite-wide mega-batching guarantees.
 
-Three contracts beyond the scalar-equivalence suite in
+Contracts beyond the scalar-equivalence suite in
 ``tests/test_ilp_batch.py``:
 
 * the fused kernel performs **zero per-step array allocations** — all
@@ -16,7 +16,10 @@ Three contracts beyond the scalar-equivalence suite in
   valid on disk;
 * a thread retains one scratch arena, the size its largest call
   needed, whatever sequence of grid shapes it runs, and a call never
-  reads what an earlier, larger call left in it.
+  reads what an earlier, larger call left in it;
+* integer latency grids run int32 histories, float per-op latencies
+  and integer grids that could reach 2**31 run float64, and all three
+  equal the scalar spec bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from repro.profiler.ilp import (
 from repro.profiler.ilp_batch import (
     ILPTableCache,
     KERNEL_STATS,
+    _history_dtype,
+    batch_hierarchy_ilp,
     batch_scoreboard,
     batch_scoreboard_pools,
     build_ilp_tables,
@@ -48,6 +53,7 @@ from repro.profiler.ilp_batch import (
     grid_latencies,
     stack_samples,
 )
+from repro.workloads.ir import OP_LOAD
 
 TEST_WINDOWS = (2, 16, 64)
 TEST_LATS = (2, 30)
@@ -210,7 +216,7 @@ class TestZeroPerStepAllocations:
                 )
 
         real = ilp_batch._Workspace
-        sources = ("comp2d", "commit_cells", "slice2d", "chain2d")
+        sources = ("comp_cells", "commit_slabs", "aux_cells")
 
         def guarded(*args):
             ws = real(*args)
@@ -223,7 +229,7 @@ class TestZeroPerStepAllocations:
         monkeypatch.setattr(ilp_batch, "_Workspace", guarded)
         got = self._run(128)
         monkeypatch.undo()
-        assert len(gathers) == 4 * 128 and all(gathers)
+        assert len(gathers) == 3 * 128 and all(gathers)
         assert overlaps == []
         want = self._run(128)
         for a, b in zip(got, want):
@@ -488,3 +494,100 @@ class TestKernelStats:
         assert occupied == 48 + 300
         assert grid == 64 + 512
         assert 0.0 < KERNEL_STATS.snapshot()["bucket_fill"] <= 1.0
+
+
+@st.composite
+def traces_st(draw, max_width=80):
+    """Samples of hypothesis-drawn ops and dependences (a dependence
+    may reach past the sample's start: it then has no producer), and
+    a window grid."""
+    width = draw(st.integers(1, max_width))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, width)),
+            max_size=width,
+        ))
+        samples.append((
+            np.array([o for o, _ in pairs], dtype=np.int64),
+            np.array([d for _, d in pairs], dtype=np.int64),
+        ))
+    windows = tuple(draw(st.lists(
+        st.integers(1, max_width + 8), min_size=1, max_size=4
+    )))
+    return samples, width, windows
+
+
+def _assert_grid_matches_spec(samples, width, windows, lats):
+    op, dep, lengths = stack_samples(samples, width=width)
+    lat = grid_latencies(op, lats)
+    ilp, branch_loads, load_par = batch_scoreboard(
+        op, dep, lengths, windows, lat
+    )
+    for s, (o, d) in enumerate(samples):
+        o, d = o.tolist(), d.tolist()
+        for wi, window in enumerate(windows):
+            for li, latency in enumerate(lats):
+                want_ilp, want_loads = scoreboard_replay(
+                    o, d, window, latency
+                )
+                assert ilp[s, wi, li] == want_ilp
+                assert branch_loads[s, wi] == want_loads
+            assert load_par[s, wi] == load_parallelism(o, d, window)
+    return lat
+
+
+class TestIntegerHistories:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(traces_st(), st.lists(st.integers(0, 300), min_size=1,
+                                 max_size=3))
+    def test_integer_grid_runs_int32_and_matches_spec(self, trace, lats):
+        samples, width, windows = trace
+        lat = _assert_grid_matches_spec(samples, width, windows, lats)
+        assert lat.dtype.kind == "i"
+        assert _history_dtype(lat, width) is np.int32
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(traces_st(), st.data())
+    def test_float_per_op_latencies_match_spec(self, trace, data):
+        samples, _, windows = trace
+        window = windows[0]
+        per_op = [
+            np.array(data.draw(st.lists(
+                st.sampled_from([0.5, 2.0, 30.25, 301.7]),
+                min_size=len(o), max_size=len(o),
+            )))
+            for o, _ in samples
+        ]
+        got = batch_hierarchy_ilp(samples, window, per_op)
+        spec = np.array([
+            scoreboard_replay(o.tolist(), d.tolist(), window, lat.tolist())[0]
+            for (o, d), lat in zip(samples, per_op)
+        ])
+        assert got == 1.0 / float(np.mean(1.0 / spec))
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(traces_st(max_width=40))
+    def test_grid_that_could_reach_2_31_takes_float64(self, trace):
+        samples, width, windows = trace
+        samples = samples + [(np.array([OP_LOAD]), np.array([0]))]
+        big = 2**31 // width + 1  # width * big >= 2**31
+        lat = _assert_grid_matches_spec(
+            samples, width, windows, (2, big)
+        )
+        assert _history_dtype(lat, width) is np.float64
+        assert _history_dtype(lat[:, :, :1], width) is np.int32
+
+    def test_history_dtype_follows_the_grid(self):
+        op = np.array([[3, 0, 3]])
+        assert _history_dtype(grid_latencies(op, (2, 30)), 3) is np.int32
+        assert _history_dtype(
+            grid_latencies(op, (2.0, 30.5)), 3
+        ) is np.float64
+        edge = 2**31 // 512
+        assert _history_dtype(
+            grid_latencies(op, (edge - 1,)), 512
+        ) is np.int32
+        assert _history_dtype(
+            grid_latencies(op, (edge,)), 512
+        ) is np.float64

@@ -9,9 +9,17 @@ Randomized multi-thread interleavings cover stores, coherence
 invalidations, cold misses, sparse (2^55-range) addresses and
 chunk-boundary reuses; hypothesis shrinks any counterexample to a
 minimal interleaving.
+
+``replay_data`` takes its temporaries from the thread's scratch arena,
+the one the ILP kernel uses: a warmed thread's replay allocates per
+chunk and per pool only, and replays and kernel calls of any sizes
+interleaved in one thread give what each gives alone.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -202,6 +210,125 @@ def test_fetch_chunk_split_invariance():
     assert ref.cold + ref.n_finite == 2000
     for size in (1, 13, 256):
         assert batch_fetch(split(size)) == ref
+
+
+# -- the shared scratch arena ---------------------------------------------
+
+def _in_fresh_thread(fn):
+    """``fn()`` in a new thread, which starts with no scratch arena."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+def dse_sized_schedule(seed):
+    """~100k accesses by 4 threads into 10 pools, sparse lines
+    included: the size of the largest ``dse`` profile's stream."""
+    rng = np.random.default_rng(seed)
+    return random_schedule(rng, 4, 200, 1000, 10)
+
+
+def test_warm_replay_allocates_no_stream_sized_temporaries():
+    chunks = dse_sized_schedule(11)
+    n = sum(len(ch[2]) for ch in chunks)
+    assert 80_000 <= n <= 120_000
+
+    def warm_then_trace():
+        batch_pools(chunks, 4, 10)  # grows the thread's arena
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pools = batch_pools(chunks, 4, 10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return pools, peak
+
+    pools, peak = _in_fresh_thread(warm_then_trace)
+    assert peak < 1_000_000  # the stream alone is 0.8 MB of addresses
+    for r, b in zip(scalar_pools(chunks, 4, 10), pools):
+        assert pools_equal(b, r)
+
+
+def test_over_budget_replay_leaves_the_arena_alone(monkeypatch):
+    from repro.profiler import ilp_batch
+
+    chunks = dse_sized_schedule(12)
+    monkeypatch.setattr(ilp_batch, "_WORKSPACE_MAX_BYTES", 64 * 1024)
+
+    def run():
+        small = random_schedule(np.random.default_rng(3), 2, 4, 20, 2)
+        batch_pools(small, 2, 2)  # fits the budget: grows the arena
+        arena = ilp_batch._TLS.arena
+        pools = batch_pools(chunks, 4, 10)  # needs use-once scratch
+        return pools, ilp_batch._TLS.arena is arena, arena.nbytes
+
+    pools, same, nbytes = _in_fresh_thread(run)
+    assert same and nbytes <= 64 * 1024
+    for r, b in zip(scalar_pools(chunks, 4, 10), pools):
+        assert pools_equal(b, r)
+
+
+def test_replays_and_kernel_calls_share_scratch_big_small_big():
+    """One thread's arena serves replays and kernel grids of any sizes
+    in turn; each result equals the spec's and a fresh thread's."""
+    from repro.profiler.ilp import (
+        LOAD_LAT_GRID,
+        WINDOW_GRID,
+        load_parallelism,
+        scoreboard_replay,
+    )
+    from repro.profiler.ilp_batch import (
+        batch_scoreboard,
+        grid_latencies,
+        stack_samples,
+    )
+
+    def kernel(n_samples, width, seed):
+        rng = np.random.default_rng(seed)
+        samples = [
+            (rng.integers(0, 6, size=width),
+             np.minimum(rng.geometric(1 / 3.0, size=width),
+                        np.arange(width)).astype(np.int64))
+            for _ in range(n_samples)
+        ]
+        op, dep, lengths = stack_samples(samples)
+        lat = grid_latencies(op, LOAD_LAT_GRID)
+        return samples, batch_scoreboard(
+            op, dep, lengths, WINDOW_GRID, lat
+        )
+
+    rng = np.random.default_rng(5)
+    big = random_schedule(rng, 4, 120, 900, 10)
+    small = random_schedule(rng, 2, 6, 40, 3)
+    steps = [
+        ("replay", (big, 4, 10)), ("kernel", (40, 512, 1)),
+        ("replay", (small, 2, 3)), ("kernel", (3, 32, 2)),
+        ("replay", (big, 4, 10)), ("kernel", (40, 512, 3)),
+    ]
+
+    def run(kind, args):
+        return batch_pools(*args) if kind == "replay" else kernel(*args)
+
+    in_turn = _in_fresh_thread(lambda: [run(k, a) for k, a in steps])
+    for (kind, args), got in zip(steps, in_turn):
+        fresh = _in_fresh_thread(lambda: run(kind, args))
+        if kind == "replay":
+            for g, f, r in zip(got, fresh, scalar_pools(*args)):
+                assert pools_equal(g, f) and pools_equal(g, r)
+            continue
+        samples, (ilp, branch_loads, load_par) = got
+        for a, b in zip(got[1], fresh[1]):
+            assert np.array_equal(a, b)
+        for s, (o, d) in list(enumerate(samples))[:3]:
+            o, d = o.tolist(), d.tolist()
+            for wi, window in enumerate(WINDOW_GRID):
+                for li, latency in enumerate(LOAD_LAT_GRID):
+                    want_ilp, want_loads = scoreboard_replay(
+                        o, d, window, latency
+                    )
+                    assert ilp[s, wi, li] == want_ilp
+                    assert branch_loads[s, wi] == want_loads
+                assert load_par[s, wi] == load_parallelism(o, d, window)
 
 
 # -- end-to-end: the full profiler on real benchmarks ----------------------
