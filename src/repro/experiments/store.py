@@ -200,6 +200,19 @@ def default_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def default_store() -> Optional["ProfileStore"]:
+    """:meth:`ProfileStore.open_default` with its root made, or ``None``
+    (cache in memory only) when the root is unusable: the one opener of
+    ``report``'s :func:`~repro.experiments.suites.shared_cache` and
+    ``repro serve``."""
+    try:
+        store = ProfileStore.open_default()
+        store.root.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return None
+    return store
+
+
 def _tally(paths: List[Path]) -> Dict[str, int]:
     """File count + byte total of one listing."""
     entries = files.stat_each(paths)
@@ -296,8 +309,8 @@ class ProfileStore:
         Non-strict because cache persistence must never abort the
         computation being cached — an unwritable root degrades to a
         read-only store with ``dropped_writes`` counted.  This is the
-        constructor behind :meth:`repro.core.session.Session.from_store`,
-        the CLI and the serving engine.
+        constructor behind :meth:`repro.core.session.Session.from_store`
+        and :func:`default_store`.
         """
         return cls(root=root, strict=False)
 

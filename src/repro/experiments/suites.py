@@ -3,21 +3,26 @@
 The paper evaluates all sixteen Rodinia benchmarks plus ten Parsec
 benchmarks on a quad-core machine.  Several experiments (Figures 4-6)
 need the same profiles and simulations, so this module provides the
-shared :class:`RunCache` — a three-level pipeline:
+shared :class:`RunCache`.  Every artifact it hands out is reached one
+way, :meth:`RunCache._artifact`:
 
-1. an in-process memo (dict) per artifact kind,
-2. an optional versioned on-disk :class:`~repro.experiments.store.
-   ProfileStore`, shared across processes *and* across runs,
-3. :meth:`RunCache.prefetch`, which fans profiling / prediction /
-   simulation of many benchmarks out over a ``ProcessPoolExecutor``
-   (the one parallel runner behind ``report --jobs N``) and funnels
-   the results back through levels 1-2; a pool broken by a dying
-   worker falls back to computing in-process.
+1. the in-process memo of its kind,
+2. else the optional versioned on-disk :class:`~repro.experiments.
+   store.ProfileStore`, shared across processes *and* across runs
+   (:meth:`RunCache._stored`),
+3. else computed, published to the store and memoised.
 
-Everything is keyed by (suite, benchmark, scale, chunk) plus — for
-predictions and simulations — a deterministic configuration
+:meth:`RunCache.prefetch` probes levels 1-2 for many benchmarks and
+fans the rest out over a ``ProcessPoolExecutor`` (the one parallel
+runner behind ``report --jobs N``); each worker runs the same
+per-benchmark step over the same store, and a pool broken by a dying
+worker falls back to running that step in-process.
+
+Store keys are (suite, benchmark, workload seed, scale, chunk) plus —
+for predictions and simulations — a deterministic configuration
 fingerprint, so a cache entry is valid exactly as long as its inputs
-are.
+are.  The seed comes from :attr:`BenchmarkRef.seed`, so a store hit
+builds no workload spec.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.arch.config import MulticoreConfig
 from repro.core.rppm import PredictionResult, predict
 from repro.core.session import Session
-from repro.experiments.store import ProfileStore
+from repro.experiments.store import ProfileStore, default_store
 from repro.obs import get_logger
 from repro.profiler.profile import WorkloadProfile
 from repro.profiler.profiler import profile_workload
@@ -95,55 +102,35 @@ def build_workload(ref: BenchmarkRef, scale: float = 1.0):
 
 
 def _prefetch_worker(
-    suite: str,
-    name: str,
+    ref: BenchmarkRef,
     scale: float,
     chunk: int,
     configs: Sequence[MulticoreConfig],
     do_sim: bool,
     store_root: Optional[str] = None,
-) -> Tuple[str, WorkloadProfile, list, list]:
-    """Profile (and optionally predict/simulate) one benchmark.
-
-    Runs in a worker process; everything returned must pickle.  The
-    parent installs the results into its memory cache.  Workers write
-    the store directly (each its own benchmark's artifacts, plus the
-    content-addressed ``ilptables`` shared by all); every write goes
-    through the store's atomic temp-file + rename, so concurrent
-    writers are safe.
-
-    A benchmark lands here when *any* of its artifacts is missing.
-    The worker runs a worker-local :class:`RunCache` over the same
-    store, so the load-or-compute-then-persist logic exists in
-    exactly one place (the RunCache artifact methods): satisfied
-    artifacts (say, four of five design points simulated by an
-    earlier run) are read back rather than recomputed, new ones are
-    persisted in-worker, and a store-satisfied profile with cached
-    simulations never expands its trace at all.
+) -> Tuple[WorkloadProfile, list, list]:
+    """:meth:`RunCache._fill` of one benchmark in a worker process,
+    over the parent's store: a satisfied artifact is read back, a new
+    one is published by the worker (atomic temp-file + rename, so
+    concurrent writers are safe).  Everything returned must pickle.
     """
-    ref = BenchmarkRef(suite, name)
     # Non-strict: a worker that computed a result must return it to
     # the parent even if persisting it fails (reads heal later).
     store = (
         ProfileStore(store_root, strict=False)
         if store_root is not None else None
     )
-    local = RunCache(scale=scale, store=store, chunk=chunk)
-    profile = local.profile(ref)
-    preds = [local.prediction(ref, config) for config in configs]
-    sims = (
-        [local.simulation(ref, config) for config in configs]
-        if do_sim else []
+    return RunCache(scale=scale, store=store, chunk=chunk)._fill(
+        ref, configs, do_sim
     )
-    return ref.label, profile, preds, sims
 
 
 class RunCache:
     """Memoised traces, profiles, predictions and simulations.
 
     Experiments share one instance so that e.g. Figure 4 and Figure 5
-    profile and simulate each benchmark once.  The profile cache key is
-    (benchmark, scale); prediction/simulation keys additionally carry
+    profile and simulate each benchmark once.  The profile memo is
+    keyed by benchmark; prediction/simulation memos additionally by
     the configuration (hashable by design).
 
     With a ``store`` attached, profiles (JSON) and predictions /
@@ -184,105 +171,105 @@ class RunCache:
 
     # -- store keys ---------------------------------------------------------
 
-    def _spec(self, ref: BenchmarkRef) -> WorkloadSpec:
-        # A pure function of (suite, name, scale) — memoized, since
-        # every store-key computation and trace lookup needs it and
-        # building the spec is not free.
-        spec = self._specs.get(ref.label)
-        if spec is None:
-            spec = build_workload(ref, self.scale)
-            self._specs[ref.label] = spec
-        return spec
-
-    def _seed(self, ref: BenchmarkRef) -> int:
-        return int(self._spec(ref).seed)
-
     def _profile_key(self, ref: BenchmarkRef) -> str:
         return ProfileStore.profile_key(
-            ref.label, self._seed(ref), self.scale, self.chunk
+            ref.label, ref.seed, self.scale, self.chunk
         )
 
     def _result_key(
         self, kind: str, ref: BenchmarkRef, config: MulticoreConfig
     ) -> str:
         return ProfileStore.result_key(
-            kind, ref.label, self._seed(ref), self.scale, config
+            kind, ref.label, ref.seed, self.scale, config
         )
+
+    # -- load or compute ----------------------------------------------------
+
+    def _stored(self, memo: dict, name, kind: str, key: str):
+        """``memo[name]``, else the store's ``kind`` artifact at ``key``
+        (then kept in ``memo``), else ``None``."""
+        hit = memo.get(name)
+        if hit is None and self.store is not None:
+            hit = (
+                self.store.load_profile(key) if kind == "profiles"
+                else self.store.load_result(kind, key)
+            )
+            if hit is not None:
+                memo[name] = hit
+        return hit
+
+    def _artifact(
+        self, memo: dict, name, kind: str, key: str,
+        compute: Callable[[], object],
+    ):
+        """:meth:`_stored`, else ``compute()``, published to the store
+        and kept in ``memo``."""
+        hit = self._stored(memo, name, kind, key)
+        if hit is None:
+            hit = compute()
+            if self.store is not None:
+                if kind == "profiles":
+                    self.store.save_profile(key, hit)
+                else:
+                    self.store.save_result(kind, key, hit)
+            memo[name] = hit
+        return hit
 
     # -- artifacts ----------------------------------------------------------
 
     def trace(self, ref: BenchmarkRef) -> WorkloadTrace:
-        return self.session.traces.get(self._spec(ref))
+        # The spec is a pure function of (suite, name, scale), built
+        # once: building it is not free.
+        spec = self._specs.get(ref.label)
+        if spec is None:
+            spec = self._specs[ref.label] = build_workload(ref, self.scale)
+        return self.session.traces.get(spec)
 
     def profile(self, ref: BenchmarkRef) -> WorkloadProfile:
-        if ref.label not in self._profiles:
-            profile = None
-            if self.store is not None:
-                profile = self.store.load_profile(self._profile_key(ref))
-            if profile is None:
-                profile = profile_workload(
-                    self.trace(ref),
-                    chunk=self.chunk,
-                    session=self.session,
-                )
-                if self.store is not None:
-                    self.store.save_profile(
-                        self._profile_key(ref), profile
-                    )
-            self._profiles[ref.label] = profile
-        return self._profiles[ref.label]
+        return self._artifact(
+            self._profiles, ref.label, "profiles", self._profile_key(ref),
+            lambda: profile_workload(
+                self.trace(ref), chunk=self.chunk, session=self.session
+            ),
+        )
 
     def prediction(
         self, ref: BenchmarkRef, config: MulticoreConfig
     ) -> PredictionResult:
-        key = (ref.label, config)
-        if key not in self._predictions:
-            result = None
-            if self.store is not None:
-                result = self.store.load_result(
-                    "predictions", self._result_key(
-                        "prediction", ref, config
-                    )
-                )
-            if result is None:
-                result = predict(
-                    self.profile(ref), config, session=self.session
-                )
-                if self.store is not None:
-                    self.store.save_result(
-                        "predictions",
-                        self._result_key("prediction", ref, config),
-                        result,
-                    )
-            self._predictions[key] = result
-        return self._predictions[key]
+        return self._artifact(
+            self._predictions, (ref.label, config), "predictions",
+            self._result_key("prediction", ref, config),
+            lambda: predict(
+                self.profile(ref), config, session=self.session
+            ),
+        )
 
     def simulation(
         self, ref: BenchmarkRef, config: MulticoreConfig
     ) -> SimulationResult:
-        key = (ref.label, config)
-        if key not in self._simulations:
-            result = None
-            if self.store is not None:
-                result = self.store.load_result(
-                    "simulations", self._result_key(
-                        "simulation", ref, config
-                    )
-                )
-            if result is None:
-                result = simulate(
-                    self.trace(ref), config, session=self.session
-                )
-                if self.store is not None:
-                    self.store.save_result(
-                        "simulations",
-                        self._result_key("simulation", ref, config),
-                        result,
-                    )
-            self._simulations[key] = result
-        return self._simulations[key]
+        return self._artifact(
+            self._simulations, (ref.label, config), "simulations",
+            self._result_key("simulation", ref, config),
+            lambda: simulate(self.trace(ref), config, session=self.session),
+        )
 
     # -- parallel pipeline --------------------------------------------------
+
+    def _fill(
+        self,
+        ref: BenchmarkRef,
+        configs: Sequence[MulticoreConfig],
+        simulate: bool,
+    ) -> Tuple[WorkloadProfile, list, list]:
+        """Load or compute one benchmark's profile and its predictions
+        (and simulations) at ``configs``: the per-benchmark step of
+        :meth:`prefetch`, in-process or in a worker."""
+        return (
+            self.profile(ref),
+            [self.prediction(ref, config) for config in configs],
+            [self.simulation(ref, config) for config in configs]
+            if simulate else [],
+        )
 
     def prefetch(
         self,
@@ -302,100 +289,62 @@ class RunCache:
 
         Returns the labels that were actually (re)computed.
         """
-        todo: List[BenchmarkRef] = []
-        for ref in refs:
-            needs_profile = ref.label not in self._profiles
-            if needs_profile and self.store is not None:
-                cached = self.store.load_profile(self._profile_key(ref))
-                if cached is not None:
-                    self._profiles[ref.label] = cached
-                    needs_profile = False
-            needs_results = False
+        def missing(ref: BenchmarkRef) -> bool:
+            wants = [(
+                self._profiles, ref.label, "profiles",
+                self._profile_key(ref),
+            )]
             for config in configs:
-                if (ref.label, config) not in self._predictions:
-                    hit = None
-                    if self.store is not None:
-                        hit = self.store.load_result(
-                            "predictions", self._result_key(
-                                "prediction", ref, config
-                            )
-                        )
-                    if hit is not None:
-                        self._predictions[(ref.label, config)] = hit
-                    else:
-                        needs_results = True
-                if simulate and (
-                    (ref.label, config) not in self._simulations
-                ):
-                    hit = None
-                    if self.store is not None:
-                        hit = self.store.load_result(
-                            "simulations", self._result_key(
-                                "simulation", ref, config
-                            )
-                        )
-                    if hit is not None:
-                        self._simulations[(ref.label, config)] = hit
-                    else:
-                        needs_results = True
-            if needs_profile or needs_results:
-                todo.append(ref)
+                name = (ref.label, config)
+                wants.append((
+                    self._predictions, name, "predictions",
+                    self._result_key("prediction", ref, config),
+                ))
+                if simulate:
+                    wants.append((
+                        self._simulations, name, "simulations",
+                        self._result_key("simulation", ref, config),
+                    ))
+            return any(self._stored(*want) is None for want in wants)
 
-        if not todo:
-            return []
+        todo = [ref for ref in refs if missing(ref)]
         if workers is None:
             workers = os.cpu_count() or 1
-        if workers <= 1 or len(todo) == 1:
-            self._prefetch_serial(todo, configs, simulate)
-            return [ref.label for ref in todo]
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                store_root = (
-                    str(self.store.root)
-                    if self.store is not None else None
-                )
-                futures = [
-                    pool.submit(
-                        _prefetch_worker, ref.suite, ref.name,
-                        self.scale, self.chunk, list(configs),
-                        simulate, store_root,
-                    )
-                    for ref in todo
-                ]
-                for ref, future in zip(todo, futures):
-                    label, profile, preds, sims = future.result()
-                    self._profiles[label] = profile
-                    for config, pred in zip(configs, preds):
-                        self._predictions[(label, config)] = pred
-                    for config, sim in zip(configs, sims):
-                        self._simulations[(label, config)] = sim
-        except BrokenProcessPool:
-            # A worker died hard (OOM kill, segfault, machine chaos).
-            # The report must not: recompute serially in-process —
-            # every artifact a worker did persist before dying is a
-            # store hit, so only the genuinely missing tail is paid.
-            get_logger("repro.suites").error(
-                "prefetch.pool_broken",
-                todo=len(todo), workers=workers,
-                fallback="serial recompute",
+        if workers > 1 and len(todo) > 1:
+            store_root = (
+                str(self.store.root) if self.store is not None else None
             )
-            self._prefetch_serial(todo, configs, simulate)
-        return [ref.label for ref in todo]
-
-    def _prefetch_serial(
-        self,
-        todo: Sequence[BenchmarkRef],
-        configs: Sequence[MulticoreConfig],
-        simulate: bool,
-    ) -> None:
-        """In-process load-or-compute of everything in ``todo``."""
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    futures = [
+                        pool.submit(
+                            _prefetch_worker, ref, self.scale, self.chunk,
+                            list(configs), simulate, store_root,
+                        )
+                        for ref in todo
+                    ]
+                    for ref, future in zip(todo, futures):
+                        profile, preds, sims = future.result()
+                        self._profiles[ref.label] = profile
+                        for config, pred in zip(configs, preds):
+                            self._predictions[(ref.label, config)] = pred
+                        for config, sim in zip(configs, sims):
+                            self._simulations[(ref.label, config)] = sim
+                return [ref.label for ref in todo]
+            except BrokenProcessPool:
+                # A worker died hard (OOM kill, segfault, machine
+                # chaos).  The report must not: recompute serially
+                # in-process — every artifact a worker did persist
+                # before dying is a store hit, so only the genuinely
+                # missing tail is paid.
+                get_logger("repro.suites").error(
+                    "prefetch.pool_broken",
+                    todo=len(todo), workers=workers,
+                    fallback="serial recompute",
+                )
         for ref in todo:
-            self.profile(ref)
-            for config in configs:
-                self.prediction(ref, config)
-                if simulate:
-                    self.simulation(ref, config)
+            self._fill(ref, configs, simulate)
+        return [ref.label for ref in todo]
 
 
 #: Default shared cache used by the benchmark harness.
@@ -405,7 +354,7 @@ _SHARED: Optional[RunCache] = None
 def shared_cache(scale: float = 1.0) -> RunCache:
     """Process-wide cache (reset when a different scale is requested).
 
-    Backed by the default on-disk :class:`ProfileStore` (see
+    Backed by :func:`~repro.experiments.store.default_store` (see
     ``REPRO_CACHE_DIR``) so that ``python -m repro report`` runs reuse
     profiles, ILP tables, predictions and simulations across artifacts
     *and* across invocations; an unwritable store degrades to the
@@ -413,13 +362,5 @@ def shared_cache(scale: float = 1.0) -> RunCache:
     """
     global _SHARED
     if _SHARED is None or _SHARED.scale != scale:
-        try:
-            # Non-strict: save-time OSErrors (read-only root, full
-            # disk) silently degrade to the in-memory cache instead
-            # of aborting a computed result.
-            store: Optional[ProfileStore] = ProfileStore.open_default()
-            store.root.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            store = None
-        _SHARED = RunCache(scale, store=store)
+        _SHARED = RunCache(scale, store=default_store())
     return _SHARED

@@ -63,7 +63,6 @@ import numpy as np
 from repro.profiler.histogram import (
     NBINS,
     RDHistogram,
-    _bin_indices,
     _bin_indices_into,
 )
 from repro.profiler.ilp_batch import carve
@@ -154,15 +153,6 @@ def _group_sort(
     pos.take(tmp, out=keys, mode="clip")
     np.copyto(pos, keys)
     values.take(pos, out=keys, mode="clip")
-
-
-def _per_pool_bincount(
-    pool_of: np.ndarray, bins: np.ndarray, n_pools: int
-) -> np.ndarray:
-    """(n_pools, NBINS) histogram-count matrix for binned distances."""
-    combined = pool_of * NBINS + bins
-    flat = np.bincount(combined, minlength=n_pools * NBINS)
-    return flat.reshape(n_pools, NBINS).astype(np.float64)
 
 
 def replay_data(
@@ -332,35 +322,49 @@ def replay_fetch(
     ``chunks`` holds (pool index, fetch lines) in execution order;
     fetch streams are per-thread and read-only, so this is the
     single-stream specialization of :func:`replay_data` — one grouping
-    sort, no coherence pass.
+    sort, no coherence pass — with its temporaries carved alike.
     """
     chunks = [ch for ch in chunks if len(ch[1])]
     if not chunks:
         return
-    lens = np.array([len(ch[1]) for ch in chunks], dtype=np.int64)
-    lines = np.concatenate([ch[1] for ch in chunks]).astype(
-        np.int64, copy=False
-    )
-    poolvec = np.repeat(
-        np.array([ch[0] for ch in chunks], dtype=np.int64), lens
-    )
     n_pools = len(hists)
-    acc_cnt = [0] * n_pools
-    for pidx, ls in chunks:
-        acc_cnt[pidx] += len(ls)
+    lens = np.array([len(ch[1]) for ch in chunks], dtype=np.int64)
+    n = int(lens.sum())
+    m = n - 1  # adjacent slot pairs
+    i8 = np.int64
+    lines, keys, pos, tmp, pool_g, bins, head, big = carve([
+        ((n,), i8), ((n,), i8), ((n,), i8), ((n,), i8), ((n,), i8),
+        ((m,), np.int16), ((m,), np.bool_), ((m,), np.bool_),
+    ])
+    np.concatenate([ch[1] for ch in chunks], out=lines, casting="unsafe")
+    tmp.fill(0)
+    tmp[(np.cumsum(lens) - lens)[1:]] = 1
+    np.cumsum(tmp, out=tmp)  # chunk of each stream position
+    np.array([ch[0] for ch in chunks], dtype=i8).take(
+        tmp, out=pool_g, mode="clip"
+    )
+    acc_cnt = np.bincount(pool_g, minlength=n_pools)
 
-    n = len(lines)
-    pos, line_sorted, tmp = (np.empty(n, dtype=np.int64) for _ in "abc")
-    _group_sort(lines, line_sorted, pos, tmp)
-    within = line_sorted[1:] == line_sorted[:-1]
-    p_j = pos[1:][within]
-    mat = None
-    pairs = np.zeros(n_pools)
-    if len(p_j):
-        rd = p_j - pos[:-1][within] - 1
-        mat = _per_pool_bincount(poolvec[p_j], _bin_indices(rd), n_pools)
-        pairs = mat.sum(axis=1)
+    # Adjacent entries of a line group are reuse pairs, each counted in
+    # one bincount under pool * NBINS + bin of its later access; two
+    # adjacent entries of different lines count in the slot past them.
+    _group_sort(lines, keys, pos, tmp)  # pos: slots' g, keys: lines
+    np.not_equal(keys[1:], keys[:-1], out=head)
+    rd = lines[:m]
+    np.subtract(pos[1:], pos[:-1], out=rd)
+    np.subtract(rd, 1, out=rd)
+    np.copyto(rd, 0, where=head)
+    _bin_indices_into(rd, bins, big)
+    pk = tmp[:m]
+    pool_g.take(pos[1:], out=pk, mode="clip")
+    np.multiply(pk, NBINS, out=pk)
+    np.add(pk, bins, out=pk)
+    no_pair = n_pools * NBINS
+    np.copyto(pk, no_pair, where=head)
+    mat = np.bincount(pk, minlength=no_pair + 1)[:no_pair].reshape(
+        n_pools, NBINS
+    )
+    pairs = mat.sum(axis=1)
     for p, hist in enumerate(hists):
-        hist.cold += acc_cnt[p] - int(pairs[p])
-        if mat is not None:
-            hist.counts += mat[p]
+        hist.cold += int(acc_cnt[p]) - int(pairs[p])
+        hist.counts += mat[p]

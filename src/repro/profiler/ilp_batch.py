@@ -29,10 +29,10 @@ it reads, or NumPy would copy through a temporary) —
 :data:`DISPATCHES_PER_STEP` NumPy dispatches per instruction step and
 **zero per-step allocations** (regression-tested).  All of a call's
 buffers are views carved from one grow-only scratch arena per thread
-(:func:`carve`), at most :data:`_WORKSPACE_MAX_BYTES`, which
-:func:`repro.profiler.batch.replay_data` shares: a thread keeps the
-scratch of its largest call, and a call above the budget gets use-once
-buffers.
+(:func:`carve`), at most :data:`_WORKSPACE_MAX_BYTES`, which the
+reuse-distance replays of :mod:`repro.profiler.batch` share: a thread
+keeps the scratch of its largest call, and a call above the budget
+gets use-once buffers.
 Chunk flushes and branch accumulation are integer-valued, so they move
 out of the loop entirely and are reduced exactly after it.
 
@@ -266,9 +266,10 @@ def carve(
     """Uninitialized arrays of the given ``(shape, dtype)`` specs, as
     64-byte-aligned views of the thread's scratch arena.
 
-    The profiler's one scratch: the ILP kernel's workspace and
-    :func:`repro.profiler.batch.replay_data`'s temporaries both come
-    from it, so a warmed thread maps no new pages per profile.  The
+    The profiler's one scratch: the ILP kernel's workspace and the
+    temporaries of :mod:`repro.profiler.batch`'s ``replay_data`` and
+    ``replay_fetch`` all come from it, so a warmed thread maps no new
+    pages per profile.  The
     views stay valid until the thread's next :func:`carve`, which may
     hand out the same bytes.
     """

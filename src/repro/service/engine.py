@@ -79,20 +79,6 @@ def resolve_benchmark(name: str) -> BenchmarkRef:
     return BenchmarkRef(suite, bench)
 
 
-def default_store() -> Optional[ProfileStore]:
-    """The shared on-disk store, or ``None`` when its root is unusable.
-
-    Mirrors :func:`repro.experiments.suites.shared_cache`: non-strict,
-    so an unwritable root degrades the engine to memory-only caching.
-    """
-    try:
-        store = ProfileStore.open_default()
-        store.root.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return None
-    return store
-
-
 @dataclass(frozen=True)
 class ServiceRequest:
     """One transport-independent unit of serving work."""
@@ -764,7 +750,6 @@ __all__ = [
     "ServiceError",
     "ServiceRequest",
     "compare_payload",
-    "default_store",
     "encode_json",
     "error_budget",
     "format_compare",

@@ -79,8 +79,9 @@ def _bind(
     return sock
 
 
-def _warm_fill(store, presets: Sequence[Tuple[str, float]]) -> int:
-    """Enqueue missing preset profiles; returns how many were enqueued.
+def _warm_fill(engine, presets: Sequence[Tuple[str, float]]) -> int:
+    """Enqueue the preset profiles the engine's store lacks, keyed and
+    chunked as the engine loads them; returns how many were enqueued.
 
     Queue-routed on purpose: enqueues are content-keyed and idempotent
     and claims are ``O_EXCL``, so when N workers boot together each
@@ -88,24 +89,20 @@ def _warm_fill(store, presets: Sequence[Tuple[str, float]]) -> int:
     worker's engine then finds it in the store.
     """
     from repro.experiments.workqueue import Job, WorkQueue
-    from repro.experiments.store import ProfileStore
     from repro.service.engine import resolve_benchmark
 
-    present = set(store.list_keys("profiles"))
+    present = set(engine.store.list_keys("profiles"))
     jobs = []
     for benchmark, scale in presets:
         ref = resolve_benchmark(benchmark)
-        key = ProfileStore.profile_key(ref.label, ref.seed, scale, 4096)
-        if key in present:
-            continue
-        jobs.append(Job(
-            kind="profile", suite=ref.suite, benchmark=ref.name,
-            scale=scale,
-        ))
+        if engine.profile_key(ref, scale) not in present:
+            jobs.append(Job(
+                kind="profile", suite=ref.suite, benchmark=ref.name,
+                scale=scale, chunk=engine.chunk,
+            ))
     if not jobs:
         return 0
-    queue = WorkQueue(store.root)
-    return queue.enqueue_many(jobs)
+    return WorkQueue(engine.store.root).enqueue_many(jobs)
 
 
 def _drain_warm_fill(store, stop: threading.Event) -> None:
@@ -134,7 +131,7 @@ def _fleet_worker_main(config: Dict[str, object]) -> None:
     if store is not None and warm:
         stop = threading.Event()
         try:
-            enqueued = _warm_fill(store, warm)
+            enqueued = _warm_fill(engine, warm)
         except Exception as exc:  # warm-fill must never block serving
             _log.warning("fleet.warm_fill_failed", error=str(exc))
             enqueued = 0

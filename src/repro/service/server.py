@@ -986,9 +986,11 @@ def _build_request(
     """Merge query-string and JSON-body parameters into a request.
 
     Any malformed input raises ValueError, which the caller answers
-    with a 400: a body nested past the decoder's recursion limit, or a
-    ``cores`` / ``scale`` that ``int()`` / ``float()`` cannot hold
-    (``Infinity``, ``1e400``, an integer past float range).
+    with a 400: a body nested past the decoder's recursion limit, a
+    JSON ``cores`` that is a float or a bool (never truncated or
+    coerced), a JSON ``scale`` that is a bool, or a ``cores`` /
+    ``scale`` that ``int()`` / ``float()`` cannot hold (``Infinity``,
+    ``1e400``, an integer past float range).
     """
     params = {
         key: values[-1]
@@ -1007,9 +1009,11 @@ def _build_request(
     benchmark = params.get("benchmark")
     if not benchmark or not isinstance(benchmark, str):
         raise ValueError("missing required parameter 'benchmark'")
+    cores, scale = params.get("cores", 4), params.get("scale", 1.0)
     try:
-        cores = int(params.get("cores", 4))
-        scale = float(params.get("scale", 1.0))
+        if isinstance(cores, (bool, float)) or isinstance(scale, bool):
+            raise TypeError
+        cores, scale = int(cores), float(scale)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("'cores' must be an int and 'scale' a float")
     # Bounds double as a resource guard: scale drives workload

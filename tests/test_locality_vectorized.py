@@ -249,6 +249,37 @@ def test_warm_replay_allocates_no_stream_sized_temporaries():
         assert pools_equal(b, r)
 
 
+def test_warm_fetch_replay_allocates_no_stream_sized_temporaries():
+    rng = np.random.default_rng(13)
+    chunks = [
+        (int(rng.integers(0, 10)), rng.integers(0, 5000, size=1000))
+        for _ in range(100)
+    ]
+
+    def replay():
+        hists = [RDHistogram() for _ in range(10)]
+        replay_fetch(chunks, hists)
+        return hists
+
+    def warm_then_trace():
+        replay()  # grows the thread's arena
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hists = replay()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return hists, peak
+
+    hists, peak = _in_fresh_thread(warm_then_trace)
+    assert peak < 500_000  # the stream alone is 0.8 MB of lines
+    spec, expected = ScalarFetchLocality(), [RDHistogram() for _ in hists]
+    for pidx, lines in chunks:
+        spec.process(lines, expected[pidx])
+    assert hists == expected
+
+
 def test_over_budget_replay_leaves_the_arena_alone(monkeypatch):
     from repro.profiler import ilp_batch
 

@@ -213,6 +213,52 @@ class TestPrefetch:
         assert (refs[0].label, base_cfg) in cache2._predictions
         assert (refs[0].label, base_cfg) in cache2._simulations
 
+    def test_warm_store_prefetch_builds_no_spec(
+        self, store, base_cfg, monkeypatch
+    ):
+        """Store keys take the seed from the benchmark reference, so a
+        fully warm prefetch never builds a workload spec."""
+        refs = [BenchmarkRef("rodinia", n) for n in ("nw", "myocyte")]
+        RunCache(scale=self.SCALE, store=store).prefetch(
+            refs, configs=[base_cfg], workers=1, simulate=True
+        )
+
+        import repro.experiments.suites as suites_mod
+
+        def boom(*a, **k):  # pragma: no cover - only on failure
+            raise AssertionError("a warm prefetch must build no spec")
+
+        monkeypatch.setattr(suites_mod, "build_workload", boom)
+        assert RunCache(scale=self.SCALE, store=store).prefetch(
+            refs, configs=[base_cfg], workers=2, simulate=True
+        ) == []
+
+
+class TestStoreKeysUnchanged:
+    """The keys every warm store was filled under: the recipe over the
+    seed of the built spec, for every benchmark, scale and Table IV
+    point."""
+
+    @pytest.mark.parametrize("scale", [0.05, 0.5, 1.0])
+    def test_keys_match_the_spec_seed_recipe(self, scale):
+        from repro.arch.presets import TABLE_IV
+        from repro.experiments.suites import build_workload, full_suite
+
+        configs = [table_iv_config(name, cores=4) for name in TABLE_IV]
+        cache = RunCache(scale=scale)
+        for ref in full_suite():
+            seed = build_workload(ref, scale).seed
+            assert cache._profile_key(ref) == ProfileStore.profile_key(
+                ref.label, seed, scale, 4096
+            )
+            for kind in ("prediction", "simulation"):
+                for config in configs:
+                    assert cache._result_key(
+                        kind, ref, config
+                    ) == ProfileStore.result_key(
+                        kind, ref.label, seed, scale, config
+                    )
+
 
 class TestTraceKind:
     """The content-addressed ``traces`` kind behind the TraceCache."""

@@ -554,6 +554,10 @@ _UNPARSEABLE_BODIES = {
         b'{"benchmark":"rodinia.nn","scale":1' + b"0" * 400 + b"}"
     ),
     "nested-100k": b"[" * 100_000,
+    "cores-fraction": b'{"benchmark":"rodinia.nn","cores":4.7}',
+    "cores-integral-float": b'{"benchmark":"rodinia.nn","cores":4.0}',
+    "cores-true": b'{"benchmark":"rodinia.nn","cores":true}',
+    "scale-true": b'{"benchmark":"rodinia.nn","scale":true}',
 }
 
 

@@ -5,9 +5,10 @@ can win a key however many race it, an expired lease is always
 re-claimable, a heartbeating owner can never be stolen from, and a
 zombie owner (one whose lease was taken over) can never publish a
 completion over its successor.  Alongside the lifecycle: idempotent
-execution through the Worker loop, the quarantine of job files that
-no longer parse, the effect audit over the event logs, the prefetch
-fallback, and the store durability counters.
+execution through the Worker loop, the fleet's warm-fill enqueue, the
+quarantine of job files that no longer parse, the effect audit over
+the event logs, the prefetch fallback, and the store durability
+counters.
 """
 
 import json
@@ -18,6 +19,7 @@ import time
 import pytest
 
 from repro.experiments.store import ProfileStore
+from repro.experiments.suites import BenchmarkRef
 from repro.experiments.workqueue import (
     Job,
     JobExecutor,
@@ -285,10 +287,7 @@ class TestWorker:
         assert first_completed >= len(jobs)
         assert store.load_profile(
             worker.executor._run_cache(0.05, 4096)._profile_key(
-                type("B", (), {
-                    "suite": "rodinia", "name": "nn",
-                    "label": "rodinia.nn",
-                })()
+                BenchmarkRef("rodinia", "nn")
             )
         ) is not None
 
@@ -340,6 +339,34 @@ class TestWorker:
         assert queue.done_count() == 0
         # The job is claimable again — not lost, not done.
         assert queue.claim_next() is not None
+
+
+class TestFleetWarmFill:
+    def test_enqueues_the_presets_the_engines_store_lacks(
+        self, tmp_path, small_profile
+    ):
+        """Keys and chunk come from the worker's engine: a preset
+        stored under ``engine.profile_key`` is skipped, the others are
+        enqueued once, with the engine's chunk."""
+        from repro.service.engine import PredictionEngine
+        from repro.service.fleet import _warm_fill
+
+        store = ProfileStore(tmp_path, strict=False)
+        engine = PredictionEngine(store=store, chunk=512)
+        store.save_profile(
+            engine.profile_key(BenchmarkRef("rodinia", "nn"), 0.5),
+            small_profile,
+        )
+        presets = (("rodinia.nn", 0.5), ("rodinia.bfs", 0.25), ("nn", 0.25))
+        assert _warm_fill(engine, presets) == 2
+        assert _warm_fill(engine, presets) == 0
+        queue = make_queue(tmp_path)
+        assert queue.pending() == 2
+        assert {queue.claim_next().job for _ in range(2)} == {
+            Job(kind="profile", suite="rodinia", benchmark=name,
+                scale=0.25, chunk=512)
+            for name in ("bfs", "nn")
+        }
 
 
 class TestQuarantine:
