@@ -159,10 +159,10 @@ CHECK_FLOORS: Dict[str, float] = {
     "ilp_speedup": 9.0,
     "ilp_max_rel_err": 0.0,
     "expand_speedup": 3.0,
-    #: A fresh engine's cold expansion must not lose to the legacy
-    #: spec: ten consecutive ``--quick`` records on the 2-vCPU host
-    #: read 1.29x to 1.54x (median of 7 pairs each).
-    "expand_cold_speedup": 1.0,
+    #: Fresh-engine cold expansion vs the legacy spec; the lowest reading,
+    #: rounded down. 2-vCPU host, 7-pair medians: ten ``--quick`` 1.74 1.74
+    #: 1.70 1.69 1.70 1.68 1.75 1.79 1.75 1.66x; five full 1.54 1.50 1.61 1.89 1.56x.
+    "expand_cold_speedup": 1.4,
     "profiler_speedup": 1.5,
     "suite_min_ips": 4.0e6,
     #: Ceiling, not floor: always-on span instrumentation may cost at
@@ -183,7 +183,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20903,
+    "src_max_lines": 20927,
 }
 
 #: Interleaved legacy / fresh-engine pairs ``expand.speedup_cold``

@@ -17,20 +17,26 @@ This engine splits expansion into two phases:
    static-code artifacts: the loop-body layout (one
    ``layout_rng.permutation`` per static key instead of per segment)
    and, per ``(static key, n)``, the tiled op/iline columns plus the
-   memory/branch/load index sets every dynamic fill needs.
-2. **Execute** — run the per-segment dynamic draws (dependence
-   distances, addresses, branch-outcome noise) writing straight into
-   the arena; the resulting :class:`~repro.workloads.ir.TraceBlock`
-   objects are zero-copy views of it.
+   memory/branch/load index sets every dynamic fill needs.  Each
+   ``(EpochSpec, thread)`` also gets one fill **recipe**: the pattern
+   CDFs, region bases and load gaps its spec fixes (per thread, as a
+   private pattern's region base is).
+2. **Execute** — run each segment's dynamic draws (dependence
+   distances, addresses, branch-outcome noise) from its recipe,
+   writing straight into the arena; the resulting
+   :class:`~repro.workloads.ir.TraceBlock` objects are zero-copy views.
 
 Bit-identity with the legacy path is structural, not incidental: the
 dynamic streams still come from ``SeedSequence([seed, thread, index])``
 exactly as in :mod:`~repro.workloads.generator`, the static memo
 replays the same ``layout_rng`` draw sequence once per key, and the
-dynamic fills consume their generator in the same order and sizes as
-the legacy helpers.  ``generator.expand`` is preserved as the
-executable spec; the hypothesis suite in ``tests/test_engine.py`` pins
-digest-identical output across the spec space.
+dynamic fills make the legacy helpers' generator calls in the same
+order and sizes: a ``choice`` is the ``searchsorted`` of its uniform
+draws in the recipe's CDF, and an address is drawn with its region
+base added to the bounds (see "dynamic fills").  ``generator.expand``
+is preserved as the executable spec; the hypothesis suite in
+``tests/test_engine.py`` pins digest-identical output across the spec
+space.
 
 :func:`pack_trace_arena` / :func:`load_trace_arena` are the raw-buffer
 arena format the content-addressed ``"traces"`` store kind persists and
@@ -224,87 +230,111 @@ def _build_image(static: _StaticCode, spec: EpochSpec, n: int) -> _CodeImage:
 
 # -- dynamic fills -----------------------------------------------------------
 #
-# Mirrors of the legacy ``_dep_array`` / ``_addr_array`` /
-# ``_taken_array`` helpers with the index work hoisted into the
-# memoized _CodeImage.  Each consumes the segment generator with the
-# exact same calls, in the same order, with the same sizes — the
-# bit-identity contract.
+# ``expand_many`` builds one _Recipe per ``(EpochSpec object, thread)``
+# of a workload: what the legacy ``_dep_array`` / ``_addr_array``
+# helpers rebuild per segment although the spec fixes it.  _fill makes
+# exactly their generator calls, in the same order and with the same
+# sizes, by two NumPy identities: ``rng.choice(k, size, p=p)`` is
+# ``cdf.searchsorted(rng.random(size), side="right")`` with
+# ``cdf = p.cumsum(); cdf /= cdf[-1]``, which is how ``Generator.choice``
+# samples with replacement; and ``b + rng.integers(lo, hi, size)`` is
+# ``rng.integers(lo + b, hi + b, size)``, because a bounded draw depends
+# only on the width of its range, so addresses are drawn with their
+# region base added.  The memo is keyed per thread because a private
+# pattern's region base is; it lives for one workload, and each recipe
+# holds its spec, so no id() is reused while it lives.
 
 
-def _fill_dep(
-    spec: EpochSpec,
-    image: _CodeImage,
-    rng: np.random.Generator,
-    out: np.ndarray,
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice`` samples probabilities ``p`` by."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+class _Recipe:
+    """What the fills of one ``(EpochSpec, thread)`` need that their
+    segment generators do not draw."""
+
+    __slots__ = ("spec", "thread", "image", "ikey", "p_dep", "chain",
+                 "load_cdf", "store_cdf", "ranges")
+
+    def __init__(
+        self, spec: EpochSpec, thread: int, image: _CodeImage, ikey: Tuple
+    ) -> None:
+        self.spec, self.thread, self.image, self.ikey = spec, thread, image, ikey
+        self.p_dep = 1.0 / spec.mean_dep
+        loads = image.load_idx
+        self.chain = None  # the loads after the first, and their gaps
+        if spec.load_chain_frac > 0.0 and len(loads) > 1:
+            self.chain = (loads[1:], loads[1:] - loads[:-1])
+        weights = np.array([p.weight for p in spec.mem], dtype=float)
+        self.load_cdf = _cdf(weights / weights.sum())
+        store_ok = np.array([p.store_ok for p in spec.mem], dtype=bool)
+        self.store_cdf = None
+        if image.has_store and not store_ok.all():
+            sw = np.where(store_ok, weights, 0.0)
+            self.store_cdf = _cdf(sw / sw.sum())
+        # Per pattern, hot lines [lo, mid) and cold lines [mid, hi) with
+        # the region base added, or None for a stream, which draws nothing.
+        self.ranges = []
+        for p in spec.mem:
+            lo = _patterns.region_base(p, thread)
+            hot = (p.effective_hot_lines() if p.kind == "working_set"
+                   else p.lines)  # a pointer chase has no cold lines
+            self.ranges.append(
+                None if p.kind == "stream" else (lo, lo + hot, lo + p.lines)
+            )
+
+
+def _fill(
+    block: TraceBlock, recipe: _Recipe, rng: np.random.Generator
 ) -> None:
-    dep = rng.geometric(1.0 / spec.mean_dep, size=image.n).astype(
-        np.int32
-    )
+    """Fill one segment's arena views from its recipe and generator."""
+    image = recipe.image
+    np.copyto(block.op, image.op)
+    np.copyto(block.iline, image.iline)
+    dep = block.dep
+    dep[:] = rng.geometric(recipe.p_dep, size=image.n)
     np.minimum(dep, image.positions, out=dep)  # cannot reach before block
-    if spec.load_chain_frac > 0.0:
-        load_idx = image.load_idx
-        if len(load_idx) > 1:
-            chained = rng.random(len(load_idx) - 1) < spec.load_chain_frac
-            targets = load_idx[1:][chained]
-            producers = load_idx[:-1][chained]
-            dep[targets] = targets - producers
-    out[:] = dep
-
-
-def _fill_addr(
-    spec: EpochSpec,
-    image: _CodeImage,
-    rng: np.random.Generator,
-    thread_id: int,
-    out: np.ndarray,
-) -> None:
-    out.fill(-1)
-    mem_idx = image.mem_idx
-    if len(mem_idx) == 0:
-        return
-    patterns = list(spec.mem)
-    weights = np.array([p.weight for p in patterns], dtype=float)
-    load_w = weights / weights.sum()
-    store_ok = np.array([p.store_ok for p in patterns], dtype=bool)
-    choice = rng.choice(len(patterns), size=len(mem_idx), p=load_w)
-    if image.has_store and not store_ok.all():
-        sw = np.where(store_ok, weights, 0.0)
-        sw = sw / sw.sum()
-        choice[image.mem_store] = rng.choice(
-            len(patterns), size=image.n_store, p=sw
+    if recipe.chain is not None:
+        targets, gaps = recipe.chain
+        chained = rng.random(len(gaps)) < recipe.spec.load_chain_frac
+        dep[targets[chained]] = gaps[chained]
+    addr, mem_idx = block.addr, image.mem_idx
+    addr.fill(-1)
+    if len(mem_idx):
+        draws = rng.random(len(mem_idx))  # drawn even for one pattern
+        mixed = len(recipe.ranges) > 1
+        if mixed:
+            pick = recipe.load_cdf.searchsorted(draws, side="right")
+            if recipe.store_cdf is not None:
+                pick[image.mem_store] = recipe.store_cdf.searchsorted(
+                    rng.random(image.n_store), side="right"
+                )
+        for i, span in enumerate(recipe.ranges):
+            slots = mem_idx[pick == i] if mixed else mem_idx
+            n = len(slots)
+            if n == 0:
+                continue
+            if span is None:
+                addr[slots] = _patterns.addresses(
+                    recipe.spec.mem[i], n, rng, recipe.thread
+                )
+            elif span[1] == span[2]:  # no cold lines, so no hot/cold draw
+                addr[slots] = rng.integers(span[0], span[2], size=n)
+            else:
+                lo, mid, hi = span
+                hot = rng.random(n) < recipe.spec.mem[i].hot_frac
+                n_hot = int(np.count_nonzero(hot))
+                addr[slots[hot]] = rng.integers(lo, mid, size=n_hot)
+                addr[slots[~hot]] = rng.integers(mid, hi, size=n - n_hot)
+    block.taken.fill(0)
+    if len(image.br_idx):
+        block.taken[image.br_idx] = _branches.outcomes(
+            recipe.spec.branch, len(image.br_idx), rng,
+            pattern=image.pattern,
         )
-    for pi, pattern in enumerate(patterns):
-        slots = mem_idx[choice == pi]
-        if len(slots) == 0:
-            continue
-        out[slots] = _patterns.addresses(
-            pattern, len(slots), rng, thread_id
-        )
-
-
-def _fill_taken(
-    spec: EpochSpec,
-    image: _CodeImage,
-    rng: np.random.Generator,
-    out: np.ndarray,
-) -> None:
-    out.fill(0)
-    br_idx = image.br_idx
-    if len(br_idx):
-        out[br_idx] = _branches.outcomes(
-            spec.branch, len(br_idx), rng, pattern=image.pattern
-        )
-
-
-@dataclass
-class _Job:
-    """One planned segment expansion: spec + RNG identity + arena view."""
-
-    spec: EpochSpec
-    thread_id: int
-    index: int
-    block: TraceBlock  # zero-copy arena views this job fills
-    image: _CodeImage  # memoized static-code artifacts
 
 
 #: Loop-body layouts and code images an :class:`ExpansionEngine` keeps.
@@ -371,12 +401,13 @@ class ExpansionEngine:
         """Expand a batch of workload specs sharing one planning pass.
 
         Phase 1 collects every ``(spec, thread, index)`` job across
-        *all* workloads, allocating one contiguous arena per thread
-        and memoizing static-code artifacts; phase 2 executes the
-        dynamic draws job by job.  Traces are validated exactly as the
+        *all* workloads, allocating one contiguous arena per thread,
+        memoizing static-code artifacts and building one fill recipe
+        per ``(EpochSpec, thread)``; phase 2 draws each job's dynamic
+        columns from its recipe.  Traces are validated exactly as the
         legacy path validates them.
         """
-        jobs: List[Tuple[int, _Job]] = []
+        jobs: List[Tuple[int, int, int, TraceBlock, _Recipe]] = []
         traces: List[WorkloadTrace] = []
         for w in workloads:
             threads: List[ThreadTrace] = []
@@ -385,6 +416,7 @@ class ExpansionEngine:
                 "segments", "instructions", "arena_bytes", "layout_hits",
                 "layout_misses", "image_hits", "image_misses",
             ), 0)
+            recipes: Dict[Tuple[int, int], _Recipe] = {}
             for tid, plan_list in enumerate(w.plans):
                 total = sum(
                     plan.spec.n
@@ -396,24 +428,22 @@ class ExpansionEngine:
                 offset = 0
                 segments: List[Segment] = []
                 for idx, plan in enumerate(plan_list):
-                    if plan.spec is None or plan.spec.n == 0:
+                    spec = plan.spec
+                    if spec is None or spec.n == 0:
                         block = TraceBlock.empty()
                     else:
-                        n = plan.spec.n
-                        block = arena.view(offset, offset + n)
-                        offset += n
-                        ikey = static_block_key(w.seed, plan.spec)
+                        block = arena.view(offset, offset + spec.n)
+                        offset += spec.n
+                        recipe = recipes.get((id(spec), tid))
+                        ikey = recipe.ikey if recipe else static_block_key(
+                            w.seed, spec
+                        )
                         block.static_key = ikey
-                        jobs.append((
-                            w.seed,
-                            _Job(
-                                spec=plan.spec, thread_id=tid,
-                                index=idx, block=block,
-                                image=self._image(
-                                    w.seed, plan.spec, ikey, tally
-                                ),
-                            ),
-                        ))
+                        image = self._image(w.seed, spec, ikey, tally)
+                        if recipe is None:
+                            recipe = _Recipe(spec, tid, image, ikey)
+                            recipes[id(spec), tid] = recipe
+                        jobs.append((w.seed, tid, idx, block, recipe))
                     segments.append(
                         Segment(
                             block=block, event=plan.event, epoch=idx,
@@ -430,22 +460,11 @@ class ExpansionEngine:
             )
             self.stats.add(workloads=1, **tally)
 
-        for seed, job in jobs:
-            self._execute(seed, job)
+        for seed, tid, idx, block, recipe in jobs:
+            _fill(block, recipe, _segment_rng(seed, tid, idx))
         for trace in traces:
             trace.validate()
         return traces
-
-    def _execute(self, seed: int, job: _Job) -> None:
-        spec = job.spec
-        image = job.image
-        rng = _segment_rng(seed, job.thread_id, job.index)
-        block = job.block
-        np.copyto(block.op, image.op)
-        _fill_dep(spec, image, rng, block.dep)
-        _fill_addr(spec, image, rng, job.thread_id, block.addr)
-        _fill_taken(spec, image, rng, block.taken)
-        np.copyto(block.iline, image.iline)
 
 
 class _ThreadArena:

@@ -42,12 +42,17 @@ def _class_counts(n: int, mix: dict, rng: np.random.Generator) -> np.ndarray:
     fracs = np.array([mix.get(name, 0.0) for name in OP_CLASSES])
     counts = np.floor(fracs * n).astype(np.int64)
     remainder = n - int(counts.sum())
-    if remainder > 0:
-        # Hand the leftover slots to the classes with the largest
-        # fractional parts (ties broken deterministically by class code).
-        fractional = fracs * n - counts
-        order = np.argsort(-fractional, kind="stable")
-        counts[order[:remainder]] += 1
+    # Give leftover slots to the largest fractional parts, one per class
+    # per round; a mix may sum to 1 +- 1e-6, so an overshoot is taken back
+    # from the smallest the same way, never below zero (ties: class code).
+    step = 1 if remainder > 0 else -1
+    order = np.argsort(-step * (fracs * n - counts), kind="stable")
+    order = order[fracs[order] > 0]  # no slot for a class outside the mix
+    while remainder:
+        for c in order:
+            if remainder and counts[c] + step >= 0:
+                counts[c] += step
+                remainder -= step
     return counts
 
 

@@ -27,6 +27,7 @@ from repro.workloads.engine import (
     pack_trace_arena,
 )
 from repro.workloads.generator import expand as legacy_expand
+from repro.workloads.patterns import region_base
 from repro.workloads.rodinia import rodinia_workload
 from repro.workloads.spec import BranchSpec, MemPattern, WorkloadSpec
 
@@ -72,6 +73,21 @@ _MEMS = [
     ),
     (MemPattern(kind="stream", lines=32, stride=3, reuse=2,
                 shared=True),),
+    # Three unequal weights; the read-only member is a pointer chase,
+    # so stores draw their own pattern choice.
+    (
+        k.working_set(128, weight=0.5),
+        MemPattern(kind="pointer_chase", lines=96, region=1, weight=0.2,
+                   store_ok=False),
+        k.stream(64, region=2, weight=1.3),
+    ),
+    # No cold lines, so no hot/cold draw.
+    (k.working_set(64, hot_lines=64),),
+    # One line: a zero-width bounded draw.
+    (k.working_set(1),),
+    # Every access cold, every access hot.
+    (k.working_set(128, hot_frac=0.0),
+     k.working_set(32, hot_frac=1.0, region=1, weight=0.7)),
 ]
 
 _BRANCHES = [
@@ -158,6 +174,26 @@ class TestEquivalence:
         assert_traces_equal(
             legacy_expand(spec), ExpansionEngine().expand(spec)
         )
+
+    def test_one_private_spec_on_two_threads(self):
+        # Fill recipes are memoized per (spec, thread): one spec object
+        # with a private pattern must still put each thread's accesses
+        # in that thread's own region.
+        pattern = k.working_set(512, hot_lines=32)
+        spec = make_epoch(900, mem=(pattern,))
+        b = WorkloadBuilder("test.private", 2, seed=13)
+        b.spawn_workers()
+        b.barrier_phases(3, spec)
+        w = b.join_all()
+        assert {id(p.spec) for t in w.plans for p in t if p.spec} == {id(spec)}
+        trace = ExpansionEngine().expand(w)
+        assert_traces_equal(legacy_expand(w), trace)
+        for t in trace.threads:
+            lo = region_base(pattern, t.thread_id)
+            addr = np.concatenate([seg.block.addr for seg in t.segments])
+            addr = addr[addr >= 0]
+            assert len(addr) > 0
+            assert ((addr >= lo) & (addr < lo + pattern.lines)).all()
 
     def test_same_body_capacity_different_split(self):
         # Same code_lines * instrs_per_line product, different split:

@@ -6,18 +6,20 @@ import pytest
 from repro.workloads import kernels as k
 from repro.workloads.branches import outcomes
 from repro.workloads.generator import (
+    _class_counts,
     _segment_rng,
     expand,
     expand_epoch,
 )
 from repro.workloads.ir import (
     OP_BRANCH,
+    OP_CLASSES,
     OP_LOAD,
     OP_STORE,
     instruction_pcs,
 )
 from repro.workloads.patterns import addresses, code_base, region_base
-from repro.workloads.spec import BranchSpec, MemPattern
+from repro.workloads.spec import DEFAULT_MIX, BranchSpec, MemPattern
 
 from tests.conftest import barrier_workload, make_epoch
 
@@ -120,6 +122,29 @@ class TestExpandEpoch:
             block.addr[stores] < ro_base + 64
         )
         assert not in_ro.any()
+
+
+class TestClassCounts:
+    # EpochSpec accepts a mix within 1e-6 of 1, so the floored counts
+    # of a large body can miss its length either way: a mix summing to
+    # 1 + 8e-7 used to get 4,194,305 ops for a 4,194,304-op body, and
+    # one summing to 1 - 9e-7 more leftover slots than there are classes.
+    @pytest.mark.parametrize("mix, n, per_line", [
+        (dict(DEFAULT_MIX, ialu=DEFAULT_MIX["ialu"] + 8e-7), 2**22, 4),
+        (dict(DEFAULT_MIX, ialu=DEFAULT_MIX["ialu"] - 9e-7), 2**26, 16),
+        # Over by two, and most classes hold nothing to take back.
+        ({"ialu": 0.9999999, "fp": 9e-7}, 2**22, 4),
+        # Short by ~60, and no slot may go to a class outside the mix.
+        ({"ialu": 0.5, "load": 0.4999991}, 2**26, 16),
+    ])
+    def test_counts_fill_the_body_exactly(self, mix, n, per_line):
+        spec = make_epoch(n, mix=mix, code_lines=n // per_line,
+                          instrs_per_line=per_line)
+        counts = _class_counts(n, spec.mix, None)
+        assert counts.sum() == n
+        assert (counts >= 0).all()
+        unused = [i for i, name in enumerate(OP_CLASSES) if name not in mix]
+        assert not counts[unused].any()
 
 
 class TestAddressPatterns:
