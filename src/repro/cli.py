@@ -6,6 +6,8 @@ Commands mirror the paper's workflow (Fig. 1):
 * ``predict``  — predict a profile (or benchmark) on a design point.
 * ``simulate`` — run the golden-reference simulator.
 * ``compare``  — predict *and* simulate, report the error and stacks.
+  ``predict`` and ``compare`` by benchmark name load (or store) the
+  profile and simulation in the artifact store ``report`` fills.
 * ``report``   — regenerate a paper artifact (table1/table3/figure4/
   figure5/table5/figure6/ablations) and print it.  Profiling,
   prediction and simulation inputs prefetch over ``--jobs N`` worker
@@ -47,6 +49,7 @@ from typing import Optional
 from repro.arch.presets import TABLE_IV, table_iv_config
 from repro.core.rppm import predict
 from repro.core.session import Session
+from repro.experiments.store import default_store
 from repro.experiments.suites import build_workload
 from repro.profiler.profile import WorkloadProfile
 from repro.profiler.profiler import profile_workload
@@ -115,7 +118,7 @@ def cmd_predict(args) -> int:
         payload = prediction_payload(predict(profile, config), config)
     else:
         try:
-            payload = PredictionEngine().predict(
+            payload = PredictionEngine(store=default_store()).predict(
                 args.benchmark, args.config, args.cores, args.scale
             )
         except ServiceError as exc:
@@ -143,7 +146,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        payload = PredictionEngine().compare(
+        payload = PredictionEngine(store=default_store()).compare(
             args.benchmark, args.config, args.cores, args.scale
         )
     except ServiceError as exc:
@@ -374,7 +377,6 @@ def cmd_work(args) -> int:
 
 def cmd_serve(args) -> int:
     from repro.obs import configure_logging
-    from repro.experiments.store import default_store
     from repro.service.server import PredictionService
 
     configure_logging(level=args.log_level, json_mode=args.log_json)

@@ -21,6 +21,8 @@ handles:
   also holding the phase-1 stacks and phase-2 schedule that
   :func:`~repro.core.rppm.predict` derives from it, so configurations
   differing only in ``cores`` or ``name`` run each phase once,
+* :meth:`artifact` — the one load-or-compute step for stored profiles,
+  predictions and simulations, shared by ``RunCache`` and the engine,
 
 plus usage counters and one consolidated :meth:`health` snapshot for
 the serving plane.  ``predict`` counts ``predictions`` per call and
@@ -37,7 +39,7 @@ harnesses.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.arch.config import MulticoreConfig
 from repro.core.epoch_model import EpochCostCache, equation_key
@@ -172,6 +174,30 @@ class Session:
         if entry is None or entry[0] is not profile or entry[1].phases is None:
             return None
         return entry[1]
+
+    # -- stored artifacts ---------------------------------------------------
+
+    def artifact(
+        self, kind: str, key: str, compute: Optional[Callable[[], Any]] = None
+    ) -> Tuple[Any, bool]:
+        """``(artifact, computed)``: the store's ``kind`` artifact at
+        ``key`` (``"profiles"`` are JSON, other kinds pickled results),
+        else ``compute()`` published to the store; a miss without
+        ``compute`` is ``(None, False)``.  Callers memoise in front."""
+        store, profiles = self.store, kind == "profiles"
+        hit = None if store is None else (
+            store.load_profile(key) if profiles
+            else store.load_result(kind, key)
+        )
+        if hit is not None or compute is None:
+            return hit, False
+        value = compute()
+        if store is not None:
+            if profiles:
+                store.save_profile(key, value)
+            else:
+                store.save_result(kind, key, value)
+        return value, True
 
     # -- accounting ---------------------------------------------------------
 

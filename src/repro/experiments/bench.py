@@ -183,7 +183,7 @@ CHECK_FLOORS: Dict[str, float] = {
     "trace_key_speedup": 3.2,
     #: Ceiling on ``src_lines``, set to the committed count: a change
     #: that grows ``src/`` raises it in its own diff.
-    "src_max_lines": 20927,
+    "src_max_lines": 20926,
 }
 
 #: Interleaved legacy / fresh-engine pairs ``expand.speedup_cold``

@@ -6,17 +6,19 @@ need the same profiles and simulations, so this module provides the
 shared :class:`RunCache`.  Every artifact it hands out is reached one
 way, :meth:`RunCache._artifact`:
 
-1. the in-process memo of its kind,
-2. else the optional versioned on-disk :class:`~repro.experiments.
-   store.ProfileStore`, shared across processes *and* across runs
-   (:meth:`RunCache._stored`),
-3. else computed, published to the store and memoised.
+1. its in-process memo, keyed by store key (every key embeds its
+   kind),
+2. else :meth:`Session.artifact <repro.core.session.Session.artifact>`,
+   the load-or-compute step the serving engine shares: the optional
+   versioned on-disk :class:`~repro.experiments.store.ProfileStore`,
+   shared across processes, runs *and* planes, else computed and
+   published there.
 
-:meth:`RunCache.prefetch` probes levels 1-2 for many benchmarks and
-fans the rest out over a ``ProcessPoolExecutor`` (the one parallel
-runner behind ``report --jobs N``); each worker runs the same
-per-benchmark step over the same store, and a pool broken by a dying
-worker falls back to running that step in-process.
+:meth:`RunCache.prefetch` probes the memo and the store for many
+benchmarks and fans the rest out over a ``ProcessPoolExecutor`` (the
+one parallel runner behind ``report --jobs N``); each worker runs the
+same per-benchmark step over the same store, and a pool broken by a
+dying worker falls back to running that step in-process.
 
 Store keys are (suite, benchmark, workload seed, scale, chunk) plus —
 for predictions and simulations — a deterministic configuration
@@ -31,9 +33,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.arch.config import MulticoreConfig
 from repro.core.rppm import PredictionResult, predict
@@ -108,11 +108,12 @@ def _prefetch_worker(
     configs: Sequence[MulticoreConfig],
     do_sim: bool,
     store_root: Optional[str] = None,
-) -> Tuple[WorkloadProfile, list, list]:
+) -> Dict[str, object]:
     """:meth:`RunCache._fill` of one benchmark in a worker process,
     over the parent's store: a satisfied artifact is read back, a new
     one is published by the worker (atomic temp-file + rename, so
-    concurrent writers are safe).  Everything returned must pickle.
+    concurrent writers are safe).  Returns the worker's memo, store
+    key -> artifact, which must pickle.
     """
     # Non-strict: a worker that computed a result must return it to
     # the parent even if persisting it fails (reads heal later).
@@ -120,24 +121,23 @@ def _prefetch_worker(
         ProfileStore(store_root, strict=False)
         if store_root is not None else None
     )
-    return RunCache(scale=scale, store=store, chunk=chunk)._fill(
-        ref, configs, do_sim
-    )
+    cache = RunCache(scale=scale, store=store, chunk=chunk)
+    cache._fill(ref, configs, do_sim)
+    return cache._memo
 
 
 class RunCache:
     """Memoised traces, profiles, predictions and simulations.
 
     Experiments share one instance so that e.g. Figure 4 and Figure 5
-    profile and simulate each benchmark once.  The profile memo is
-    keyed by benchmark; prediction/simulation memos additionally by
-    the configuration (hashable by design).
+    profile and simulate each benchmark once.  One memo holds every
+    artifact, keyed by its store key.
 
     With a ``store`` attached, profiles (JSON) and predictions /
     simulations (pickles) also persist to a versioned on-disk cache
     keyed by workload seed + scale + chunk + config fingerprint, shared
-    across processes and across runs; corrupt or stale entries fall
-    back to recomputation.
+    across processes, runs and the serving engine; corrupt or stale
+    entries fall back to recomputation.
     """
 
     def __init__(
@@ -161,13 +161,8 @@ class RunCache:
         self.session = session
         self.store = session.store
         self._specs: Dict[str, WorkloadSpec] = {}
-        self._profiles: Dict[str, WorkloadProfile] = {}
-        self._predictions: Dict[
-            Tuple[str, MulticoreConfig], PredictionResult
-        ] = {}
-        self._simulations: Dict[
-            Tuple[str, MulticoreConfig], SimulationResult
-        ] = {}
+        #: store key -> profile, prediction or simulation
+        self._memo: Dict[str, object] = {}
 
     # -- store keys ---------------------------------------------------------
 
@@ -185,34 +180,19 @@ class RunCache:
 
     # -- load or compute ----------------------------------------------------
 
-    def _stored(self, memo: dict, name, kind: str, key: str):
-        """``memo[name]``, else the store's ``kind`` artifact at ``key``
-        (then kept in ``memo``), else ``None``."""
-        hit = memo.get(name)
-        if hit is None and self.store is not None:
-            hit = (
-                self.store.load_profile(key) if kind == "profiles"
-                else self.store.load_result(kind, key)
-            )
-            if hit is not None:
-                memo[name] = hit
-        return hit
-
     def _artifact(
-        self, memo: dict, name, kind: str, key: str,
-        compute: Callable[[], object],
+        self, kind: str, key: str,
+        compute: Optional[Callable[[], object]] = None,
     ):
-        """:meth:`_stored`, else ``compute()``, published to the store
-        and kept in ``memo``."""
-        hit = self._stored(memo, name, kind, key)
+        """The memo's artifact at ``key``, else the session's
+        (:meth:`~repro.core.session.Session.artifact`), then kept in
+        the memo; ``None`` when neither holds it and ``compute`` is
+        not given."""
+        hit = self._memo.get(key)
         if hit is None:
-            hit = compute()
-            if self.store is not None:
-                if kind == "profiles":
-                    self.store.save_profile(key, hit)
-                else:
-                    self.store.save_result(kind, key, hit)
-            memo[name] = hit
+            hit, _computed = self.session.artifact(kind, key, compute)
+            if hit is not None:
+                self._memo[key] = hit
         return hit
 
     # -- artifacts ----------------------------------------------------------
@@ -227,7 +207,7 @@ class RunCache:
 
     def profile(self, ref: BenchmarkRef) -> WorkloadProfile:
         return self._artifact(
-            self._profiles, ref.label, "profiles", self._profile_key(ref),
+            "profiles", self._profile_key(ref),
             lambda: profile_workload(
                 self.trace(ref), chunk=self.chunk, session=self.session
             ),
@@ -237,8 +217,7 @@ class RunCache:
         self, ref: BenchmarkRef, config: MulticoreConfig
     ) -> PredictionResult:
         return self._artifact(
-            self._predictions, (ref.label, config), "predictions",
-            self._result_key("prediction", ref, config),
+            "predictions", self._result_key("prediction", ref, config),
             lambda: predict(
                 self.profile(ref), config, session=self.session
             ),
@@ -248,8 +227,7 @@ class RunCache:
         self, ref: BenchmarkRef, config: MulticoreConfig
     ) -> SimulationResult:
         return self._artifact(
-            self._simulations, (ref.label, config), "simulations",
-            self._result_key("simulation", ref, config),
+            "simulations", self._result_key("simulation", ref, config),
             lambda: simulate(self.trace(ref), config, session=self.session),
         )
 
@@ -260,16 +238,15 @@ class RunCache:
         ref: BenchmarkRef,
         configs: Sequence[MulticoreConfig],
         simulate: bool,
-    ) -> Tuple[WorkloadProfile, list, list]:
+    ) -> None:
         """Load or compute one benchmark's profile and its predictions
         (and simulations) at ``configs``: the per-benchmark step of
         :meth:`prefetch`, in-process or in a worker."""
-        return (
-            self.profile(ref),
-            [self.prediction(ref, config) for config in configs],
-            [self.simulation(ref, config) for config in configs]
-            if simulate else [],
-        )
+        self.profile(ref)
+        for config in configs:
+            self.prediction(ref, config)
+        for config in configs if simulate else ():
+            self.simulation(ref, config)
 
     def prefetch(
         self,
@@ -290,22 +267,16 @@ class RunCache:
         Returns the labels that were actually (re)computed.
         """
         def missing(ref: BenchmarkRef) -> bool:
-            wants = [(
-                self._profiles, ref.label, "profiles",
-                self._profile_key(ref),
-            )]
+            wants = [("profiles", self._profile_key(ref))]
             for config in configs:
-                name = (ref.label, config)
-                wants.append((
-                    self._predictions, name, "predictions",
-                    self._result_key("prediction", ref, config),
-                ))
+                wants.append(("predictions", self._result_key(
+                    "prediction", ref, config
+                )))
                 if simulate:
-                    wants.append((
-                        self._simulations, name, "simulations",
-                        self._result_key("simulation", ref, config),
-                    ))
-            return any(self._stored(*want) is None for want in wants)
+                    wants.append(("simulations", self._result_key(
+                        "simulation", ref, config
+                    )))
+            return any(self._artifact(*want) is None for want in wants)
 
         todo = [ref for ref in refs if missing(ref)]
         if workers is None:
@@ -323,13 +294,8 @@ class RunCache:
                         )
                         for ref in todo
                     ]
-                    for ref, future in zip(todo, futures):
-                        profile, preds, sims = future.result()
-                        self._profiles[ref.label] = profile
-                        for config, pred in zip(configs, preds):
-                            self._predictions[(ref.label, config)] = pred
-                        for config, sim in zip(configs, sims):
-                            self._simulations[(ref.label, config)] = sim
+                    for future in futures:
+                        self._memo.update(future.result())
                 return [ref.label for ref in todo]
             except BrokenProcessPool:
                 # A worker died hard (OOM kill, segfault, machine

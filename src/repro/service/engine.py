@@ -7,7 +7,9 @@ artifacts resident across requests:
 * hot :class:`~repro.profiler.profile.WorkloadProfile` objects, in an
   in-process LRU keyed by the *store* profile key (label, seed, scale,
   chunk) — so the memory cache, the on-disk store and every worker
-  process agree on identity;
+  process agree on identity — in front of the store step
+  ``RunCache`` shares (:meth:`~repro.core.session.Session.artifact`),
+  which also gives ``/v1/compare`` every simulation a plane stored;
 * per-pool ILP tables via the content-addressed
   :class:`~repro.profiler.ilp_batch.ILPTableCache`;
 * expanded traces via the content-addressed
@@ -175,7 +177,7 @@ class PredictionEngine:
         self.session = session
         self.store = session.store
         self.chunk = chunk
-        #: profile store key -> (label, WorkloadProfile)
+        #: profile store key -> WorkloadProfile
         self._profiles = LRUCache(MAX_PROFILES)
         #: request key -> CachedResult (payload + encoded body; both
         #: treated as immutable)
@@ -251,23 +253,18 @@ class PredictionEngine:
         key = self.profile_key(ref, scale)
         hit = self._profiles.get(key)
         if hit is not None:
-            return key, hit[1]
+            return key, hit
         with span("engine.profile", benchmark=ref.label, scale=scale):
-            profile = None
-            if self.store is not None:
-                profile = self.store.load_profile(key)
-                if profile is not None:
-                    self._counts.bump("profiles_from_store")
-            if profile is None:
-                profile = profile_workload(
-                    self._trace(ref, scale),
-                    chunk=self.chunk,
+            profile, built = self.session.artifact(
+                "profiles", key, lambda: profile_workload(
+                    self._trace(ref, scale), chunk=self.chunk,
                     session=self.session,
-                )
-                self._counts.bump("profiles_built")
-                if self.store is not None:
-                    self.store.save_profile(key, profile)
-            self._profiles.put(key, (ref.label, profile))
+                ),
+            )
+            self._counts.bump(
+                "profiles_built" if built else "profiles_from_store"
+            )
+            self._profiles.put(key, profile)
             return key, profile
 
     @staticmethod
@@ -350,10 +347,18 @@ class PredictionEngine:
             _pkey, profile = self.profile(ref, scale)
             pred = predict(profile, cfg, session=self.session)
             self._counts.bump("predictions_run")
-            sim = simulate(
-                self._trace(ref, scale), cfg, session=self.session
+            # RunCache.simulation's key, so either plane's simulation
+            # answers the other, and a fleet simulates a point once.
+            key = ProfileStore.result_key(
+                "simulation", ref.label, ref.seed, scale, cfg
             )
-            self._counts.bump("simulations_run")
+            sim, simulated = self.session.artifact(
+                "simulations", key, lambda: simulate(
+                    self._trace(ref, scale), cfg, session=self.session
+                ),
+            )
+            if simulated:
+                self._counts.bump("simulations_run")
             return compare_payload(pred, sim, cfg)
 
         return self._answer(request, compute).payload
@@ -416,8 +421,8 @@ class PredictionEngine:
         except ValueError:
             return None
         key = self.profile_key(ref, scale)
-        entry = self._profiles.peek(key)
-        return None if entry is None else (key, entry[1])
+        profile = self._profiles.peek(key)
+        return None if profile is None else (key, profile)
 
     def resident_body(self, request: ServiceRequest) -> Optional[bytes]:
         """The encoded answer to a result-LRU miss that needs no
@@ -482,12 +487,12 @@ class PredictionEngine:
         resident = [
             {
                 "key": key,
-                "benchmark": label,
+                "benchmark": profile.name,
                 "n_threads": profile.n_threads,
                 "n_instructions": profile.n_instructions,
                 "seed": profile.seed,
             }
-            for key, (label, profile) in self._profiles.items()
+            for key, profile in self._profiles.items()
         ]
         payload = {"resident": resident}
         if self.store is not None:

@@ -160,6 +160,41 @@ class TestCommands:
         assert expand["key_ms"] > 0 and expand["key_speedup"] > 0
 
 
+class TestDefaultStore:
+    """``predict`` and ``compare`` by name open the default store, so
+    after ``repro report`` they load the profile and the simulation."""
+
+    SCALE = 0.1
+
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    def test_reads_what_run_cache_stored(self, command, monkeypatch, capsys):
+        import repro.service.engine as engine_mod
+        from repro.arch.presets import table_iv_config
+        from repro.experiments.store import default_store
+        from repro.experiments.suites import BenchmarkRef, RunCache
+        from repro.service.engine import (
+            PredictionEngine, format_compare, format_prediction,
+        )
+
+        render = {"predict": format_prediction, "compare": format_compare}
+        storeless = getattr(PredictionEngine(), command)(
+            "rodinia.nn", scale=self.SCALE
+        )
+        expected = render[command](storeless) + "\n"
+        RunCache(scale=self.SCALE, store=default_store()).prefetch(
+            [BenchmarkRef("rodinia", "nn")],
+            configs=(table_iv_config("base"),), workers=1, simulate=True,
+        )
+
+        def boom(*args, **kwargs):  # pragma: no cover - only on failure
+            raise AssertionError("the stored artifact must be read")
+
+        monkeypatch.setattr(engine_mod, "simulate", boom)
+        monkeypatch.setattr(engine_mod, "profile_workload", boom)
+        assert main([command, "rodinia.nn", "--scale", str(self.SCALE)]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestStoreCommand:
     def _root(self, tmp_path, monkeypatch):
         root = tmp_path / "store-root"

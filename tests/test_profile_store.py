@@ -210,8 +210,9 @@ class TestPrefetch:
         assert cache2.prefetch(
             refs, configs=[base_cfg], workers=2, simulate=True
         ) == []
-        assert (refs[0].label, base_cfg) in cache2._predictions
-        assert (refs[0].label, base_cfg) in cache2._simulations
+        for kind in ("prediction", "simulation"):
+            key = cache2._result_key(kind, refs[0], base_cfg)
+            assert key in cache2._memo
 
     def test_warm_store_prefetch_builds_no_spec(
         self, store, base_cfg, monkeypatch

@@ -478,7 +478,7 @@ class TestPrefetchFallbacks:
         done = cache.prefetch(refs, workers=2)
         assert sorted(done) == ["rodinia.bfs", "rodinia.nn"]
         for ref in refs:
-            assert ref.label in cache._profiles
+            assert cache._profile_key(ref) in cache._memo
 
 
 class TestWorkFloors:
